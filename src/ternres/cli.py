@@ -30,6 +30,7 @@ from .planner import (
     flops_per_layer,
     load_schedule,
     make_schedule,
+    model_flops,
 )
 from .residual import QuantizedModel
 from .residual import downgrade as downgrade_model
@@ -158,7 +159,8 @@ def _cmd_quantize(args) -> int:
     if args.quantize_scales:
         tensors = {name: weights[name][0] for name in weights}
         model = quantize_scales_8bit(model, tensors)
-        report = cost_report(model, x=args.x, c_ratio=args.c_ratio)
+        report = cost_report(model, x=args.x, c_ratio=args.c_ratio,
+                             flops=model_flops(manifest, weights))
     save_quantized(model, args.output)
     print(report.to_text())
     if args.report:
@@ -264,12 +266,20 @@ def _cmd_trace(args) -> int:
             fp.write(trace.to_json())
             fp.write("\n")
     if args.depth_sensitivity is not None:
-        _depth_sensitivity_report(manifest, weights, arr, args.depth_sensitivity)
+        block_size = qmodel.provenance.get("N")
+        if not isinstance(block_size, int) or block_size < 1:
+            raise FormatError(f"{args.container}: provenance holds no block size N")
+        _depth_sensitivity_report(manifest, weights, arr, args.depth_sensitivity,
+                                  block_size)
     return 0
 
 
-def _depth_sensitivity_report(manifest, weights, arr, eps_sq: float) -> None:
-    """Same-size noise injected early vs late: early usually hurts more."""
+def _depth_sensitivity_report(manifest, weights, arr, eps_sq: float,
+                              block_size: int) -> None:
+    """Same-size noise injected early vs late: early usually hurts more.
+
+    Both layers are converted at the container's block size N.
+    """
     from .residual import ternary_residual
 
     names = [l.name for l in manifest.parametric_layers()]
@@ -277,7 +287,7 @@ def _depth_sensitivity_report(manifest, weights, arr, eps_sq: float) -> None:
         print("depth sensitivity needs at least two parametric layers")
         return
     for label, name in (("first", names[0]), ("last", names[-1])):
-        qlayer = ternary_residual(weights[name][0], 64, epsilon_sq=eps_sq)
+        qlayer = ternary_residual(weights[name][0], block_size, epsilon_sq=eps_sq)
         partial = QuantizedModel({}, (qlayer,), {})
         _, _, trace = forward_quantized(manifest, weights, partial, arr)
         print(f"quantizing only the {label} parametric layer ({name}) at "

@@ -278,8 +278,9 @@ def cost_report(
     # A representative block size for the ratio formulas: weights per level
     # follows directly from the measurement and degenerates to N for uniform
     # blocking.
-    n_per_block = total_weights / total_blocks if total_blocks else 1.0
+    n_per_block = max(int(round(total_weights / total_blocks)), 1) if total_blocks else 1
     compute_factor = max(blocks_factor, 1.0)
+    pi_c, pi_m = throughput_gains(c_ratio, n_per_block, compute_factor)
     return CostReport(
         layers=layer_costs,
         total_weights=total_weights,
@@ -292,9 +293,9 @@ def cost_report(
         capacity=capacity,
         mult_reduction_vs_88=total_weights / total_levels if total_levels else np.nan,
         size_reduction_vs_88=8.0 * total_weights / size_bits if size_bits else np.nan,
-        power_perf_gain=power_perf_gain(x, compute_factor, max(int(round(n_per_block)), 1)),
-        pi_c=throughput_gains(c_ratio, max(int(round(n_per_block)), 1), compute_factor)[0],
-        pi_m=throughput_gains(c_ratio, max(int(round(n_per_block)), 1), compute_factor)[1],
+        power_perf_gain=power_perf_gain(x, compute_factor, n_per_block),
+        pi_c=pi_c,
+        pi_m=pi_m,
         x=x,
         c_ratio=c_ratio,
     )

@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import fnmatch
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .costs import CostReport, cost_report
 from .manifest import ModelManifest, resolve_shapes
 from .residual import DEFAULT_R_MAX, QuantizedModel, ternary_residual
 from .tensors import Tensor
-
-THREADS_ENV = "TERNRES_THREADS"
 
 SCHEDULE_MODES = ("uniform", "depth_graded", "compute_aware", "explicit")
 
@@ -88,6 +84,19 @@ def flops_per_layer(
         else:
             out[layer.name] = 0
     return out
+
+
+def model_flops(
+    manifest: ModelManifest, weights: dict[str, tuple[Tensor, Tensor | None]]
+) -> dict[str, int] | None:
+    """``flops_per_layer`` from the weights' shapes, for a FLOP-weighted report.
+
+    None when the shapes cannot be resolved without an input shape.
+    """
+    try:
+        return flops_per_layer(manifest, {n: weights[n][0].shape for n in weights})
+    except ValueError:
+        return None
 
 
 def make_schedule(
@@ -173,16 +182,6 @@ def load_schedule(path) -> BudgetSchedule:
     return BudgetSchedule(entries, "explicit")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def convert_model(
     manifest: ModelManifest,
     weights: dict[str, tuple[Tensor, Tensor | None]],
@@ -194,8 +193,8 @@ def convert_model(
 ) -> tuple[QuantizedModel, CostReport]:
     """Quantize every parametric layer under its scheduled tolerance.
 
-    Deterministic for fixed inputs; layer conversions run on up to
-    ``$TERNRES_THREADS`` threads and join in manifest order.
+    Deterministic for fixed inputs; layers convert one after another in
+    manifest order.
     """
     from .costs import DEFAULT_C_RATIO, DEFAULT_X
     from .manifest import manifest_to_dict
@@ -203,19 +202,13 @@ def convert_model(
     schedule.validate_against(manifest)
     layers = manifest.parametric_layers()
 
-    def convert(layer):
-        w = weights[layer.name][0]
-        return ternary_residual(
-            w, block_size,
-            epsilon_sq=schedule.epsilon_sq_for(layer.name), r_max=r_max,
+    qlayers = tuple(
+        ternary_residual(
+            weights[l.name][0], block_size,
+            epsilon_sq=schedule.epsilon_sq_for(l.name), r_max=r_max,
         )
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            qlayers = tuple(pool.map(convert, layers))
-    else:
-        qlayers = tuple(convert(l) for l in layers)
+        for l in layers
+    )
 
     provenance = {
         "N": block_size,
@@ -225,16 +218,10 @@ def convert_model(
     }
     model = QuantizedModel(manifest_to_dict(manifest), qlayers, provenance)
 
-    flops = None
-    try:
-        weight_shapes = {name: weights[name][0].shape for name in weights}
-        flops = flops_per_layer(manifest, weight_shapes)
-    except ValueError:
-        pass  # shapes not resolvable without an input shape; skip weighting
     report = cost_report(
         model,
         x=x if x is not None else DEFAULT_X,
         c_ratio=c_ratio if c_ratio is not None else DEFAULT_C_RATIO,
-        flops=flops,
+        flops=model_flops(manifest, weights),
     )
     return model, report

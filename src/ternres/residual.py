@@ -10,18 +10,33 @@ orthogonal to what it leaves behind), so ``delta`` decreases monotonically.
 Block residuals are measured against the float32-accumulated reconstruction,
 so the stored ``delta`` is exactly what a recomputation from the saved
 stacks yields.
+
+The loop is batched without changing a bit of its result. A block's next
+level depends only on that block's own residual, so it can be fitted ahead
+of time: each block holds one precomputed candidate level, and whenever the
+block picked next has none, ``ternarize_rows`` fits candidates for every
+eligible block lacking one in a single call (the ragged tail block, if any,
+as a one-row call). The row kernel does per row exactly the float
+operations of the one-vector scan, and the candidate's residual norm is
+summed like ``diff @ diff``, so candidates equal what the sequential loop
+would fit on the spot. The pick comes off a heap keyed on ``(-error,
+block)``, which is the sequential argmax with ties to the lowest index, and
+``delta`` is still updated with the same expression, so the stop decisions,
+trace rows and stored floats match the sequential greedy loop exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .tensors import BlockView, Tensor, partition_blocks
-from .ternary import TernaryLevel, ternarize
+from .ternary import TernaryLevel, ternarize_rows
+from .ternary import ternarize  # noqa: F401  (bench/workloads.py traces this name)
 
 DEFAULT_R_MAX = 16
 
@@ -136,16 +151,58 @@ def ternary_residual(
     flat = w.unrolled().astype(np.float64)
     blocks = partition_blocks(w, block_size)
     total_sq = float(flat @ flat)
+    num_blocks = len(blocks)
+    full = w.size // block_size  # blocks of length N; a ragged tail follows
+    tail = w.size - full * block_size
+    width = blocks[0].length  # N, or the whole tensor when it is shorter
 
-    levels: list[list[TernaryLevel]] = []
-    recons: list[np.ndarray] = []
-    errs = np.empty(len(blocks))
-    for k, bv in enumerate(blocks):
-        level = ternarize(flat[bv.start:bv.stop])
-        levels.append([level])
-        recons.append(level.dense())
-        diff = flat[bv.start:bv.stop] - recons[k].astype(np.float64)
-        errs[k] = np.sqrt(diff @ diff)
+    # Block-major state, zero-padded to full width for the ragged tail.
+    target = np.zeros((num_blocks, width))
+    target.reshape(-1)[:w.size] = flat
+    recons = np.zeros((num_blocks, width), dtype=np.float32)
+    counts = np.zeros(num_blocks, dtype=np.int64)
+    errs = np.zeros(num_blocks)
+    levels: list[list[TernaryLevel]] = [[] for _ in blocks]
+
+    # The candidate is the next level of each block, fitted to its current
+    # residual; ``has_cand`` goes False once the block's state moves on.
+    cand_alpha = np.zeros(num_blocks)
+    cand_threshold = np.zeros(num_blocks)
+    cand_signs = np.zeros((num_blocks, width), dtype=np.int8)
+    cand_recons = np.zeros((num_blocks, width), dtype=np.float32)
+    cand_errs = np.zeros(num_blocks)
+    has_cand = np.zeros(num_blocks, dtype=bool)
+
+    def fit(ks: np.ndarray) -> None:
+        """Fit candidates for blocks ``ks``, one kernel call per block length."""
+        for part, n in ((ks[ks < full], block_size), (ks[ks >= full], tail)):
+            if part.size == 0:
+                continue
+            recon = recons[part, :n]
+            alpha, signs, threshold = ternarize_rows(
+                target[part, :n] - recon.astype(np.float64))
+            new_recon = recon + alpha.astype(np.float32)[:, None] * signs.astype(np.float32)
+            diff = target[part, :n] - new_recon.astype(np.float64)
+            # Stacked 1xn @ nx1 products sum each row exactly as ``diff @ diff``.
+            cand_errs[part] = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+            cand_alpha[part] = alpha
+            cand_threshold[part] = threshold
+            cand_signs[part, :n] = signs
+            cand_recons[part, :n] = new_recon
+            has_cand[part] = True
+
+    def accept(k: int) -> None:
+        n = blocks[k].length
+        levels[k].append(TernaryLevel(
+            float(cand_alpha[k]), cand_signs[k, :n].copy(), float(cand_threshold[k])))
+        recons[k] = cand_recons[k]
+        errs[k] = cand_errs[k]
+        counts[k] += 1
+        has_cand[k] = False
+
+    fit(np.arange(num_blocks))
+    for k in range(num_blocks):
+        accept(k)
 
     if total_sq == 0.0:
         # All-zero tensor: one alpha=0 level per block, delta 0 by convention.
@@ -159,36 +216,40 @@ def ternary_residual(
     exhausted = False
     iteration = 0
 
+    # Eligible blocks (below r_max, residual left), largest error first and
+    # ties to the lowest index: the pick of an argmax over ``errs``.
+    in_heap = (counts < r_max) & (errs > 0.0)
+    heap = [(-float(errs[k]), k) for k in np.flatnonzero(in_heap).tolist()]
+    heapq.heapify(heap)
+
     while delta > eps_sq:
-        counts = np.array([len(lv) for lv in levels])
-        eligible = (counts < r_max) & (errs > 0.0)
-        if not eligible.any():
+        if not heap:
             if np.any((counts >= r_max) & (errs > 0.0)):
                 raise ConvergenceError(w.name, delta, eps_sq, r_max)
             exhausted = True  # every residual is exactly zero yet delta > eps^2
             break
-        k = int(np.argmax(np.where(eligible, errs, -np.inf)))  # ties: lowest index
-        bv = blocks[k]
-        residual = flat[bv.start:bv.stop] - recons[k].astype(np.float64)
-        level = ternarize(residual)
-        if level.alpha == 0.0:  # residual below float32 range, cannot improve
+        k = heap[0][1]
+        if not has_cand[k]:
+            fit(np.flatnonzero(in_heap & ~has_cand))
+        if cand_alpha[k] == 0.0:  # residual below float32 range, cannot improve
             exhausted = True
             break
         e_before = float(errs[k])
-        new_recon = recons[k] + level.dense()
-        diff = flat[bv.start:bv.stop] - new_recon.astype(np.float64)
-        new_err = np.sqrt(diff @ diff)
+        new_err = cand_errs[k]
         new_delta = (float(np.sum(errs * errs)) - errs[k] ** 2 + new_err ** 2) / total_sq
         if new_delta >= delta:  # float32 accumulation stalled
             exhausted = True
             break
+        heapq.heappop(heap)
         iteration += 1
-        levels[k].append(level)
-        recons[k] = new_recon
-        errs[k] = new_err
+        accept(k)
         delta = new_delta
         deltas.append(delta)
         trace.append(TraceRow(iteration, w.name, k, e_before, delta))
+        if counts[k] < r_max and errs[k] > 0.0:
+            heapq.heappush(heap, (-float(errs[k]), k))
+        else:
+            in_heap[k] = False
 
     stacks = tuple(BlockStack(bv, tuple(lv)) for bv, lv in zip(blocks, levels))
     return QuantizedLayer(

@@ -43,50 +43,60 @@ class TernaryLevel:
         return (np.float32(self.alpha) * self.signs.astype(np.float32))
 
 
-def ternarize(w: np.ndarray) -> TernaryLevel:
-    """Best ternary level for ``w`` over the threshold family.
+def ternarize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best ternary level for every row of a ``(B, n)`` matrix at once.
 
-    Maximizes ``(sum of retained |w_i|)^2 / count`` over all distinct
-    candidate thresholds (equivalently all top-m magnitude prefixes with
-    ties kept together). Equal scores break toward the larger threshold,
-    i.e. the sparser level. Prefix sums accumulate in float64; the returned
-    alpha is rounded to float32.
+    Maximizes ``(sum of retained |w_i|)^2 / count`` per row over all
+    distinct candidate thresholds (equivalently all top-m magnitude prefixes
+    with ties kept together). Equal scores break toward the larger
+    threshold, i.e. the sparser level. Prefix sums accumulate in float64 in
+    row order, so each row's result does not depend on the other rows.
+
+    Returns ``(alpha, signs, threshold)``: float64[B] alphas rounded to
+    float32, int8[B, n] signs and float64[B] magnitude cuts. A row whose
+    alpha rounds to zero (all zeros, or magnitudes below the float32
+    denormal range) gets alpha 0, no signs and threshold 0.
     """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.size == 0:
-        raise ValueError("cannot ternarize an empty vector")
-    if not np.all(np.isfinite(w)):
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValueError(f"need a non-empty (B, n) matrix, got shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
         raise ValueError("cannot ternarize non-finite values")
 
-    mags = np.abs(w)
-    order = np.argsort(-mags, kind="stable")
-    sorted_mags = mags[order]
-    nnz = int(np.count_nonzero(sorted_mags))
-    if nnz == 0:
-        return TernaryLevel(0.0, np.zeros(w.size, dtype=np.int8), 0.0)
+    b, n = rows.shape
+    mags = np.abs(rows)
+    order = np.argsort(-mags, axis=1, kind="stable")
+    sorted_mags = np.take_along_axis(mags, order, axis=1)
+    prefix = np.cumsum(sorted_mags, axis=1)
+    scores = prefix * prefix / np.arange(1, n + 1, dtype=np.float64)
 
-    prefix = np.cumsum(sorted_mags[:nnz])
-    counts = np.arange(1, nnz + 1, dtype=np.float64)
-    scores = prefix * prefix / counts
+    # A cut after position m is a real threshold only if it keeps a nonzero
+    # magnitude and separates two distinct magnitudes (ties are kept or
+    # dropped together).
+    valid = sorted_mags > 0.0
+    valid[:, :-1] &= sorted_mags[:, :-1] > sorted_mags[:, 1:]
+    scores[~valid] = -np.inf
 
-    # A cut after position m is a real threshold only if it separates two
-    # distinct magnitudes (ties are kept or dropped together).
-    valid = np.empty(nnz, dtype=bool)
-    valid[-1] = True
-    if nnz > 1:
-        valid[:-1] = sorted_mags[:nnz - 1] > sorted_mags[1:nnz]
-    scores = np.where(valid, scores, -np.inf)
+    rowix = np.arange(b)
+    m = np.argmax(scores, axis=1) + 1  # first max = smallest support = largest T
+    alpha = (prefix[rowix, m - 1] / m).astype(np.float32).astype(np.float64)
+    threshold = np.where(m < n, sorted_mags[rowix, np.minimum(m, n - 1)], 0.0)
+    dead = alpha == 0.0  # all-zero row, or magnitudes below float32 range
+    threshold[dead] = 0.0
 
-    m = int(np.argmax(scores)) + 1  # first max = smallest support = largest T
-    alpha = float(np.float32(prefix[m - 1] / m))
-    if alpha == 0.0:  # magnitudes below float32 denormal range
-        return TernaryLevel(0.0, np.zeros(w.size, dtype=np.int8), 0.0)
-    threshold = float(sorted_mags[m]) if m < w.size else 0.0
+    # The top-m magnitudes are exactly those above the cut.
+    kept = (mags > threshold[:, None]) & ~dead[:, None]
+    signs = np.where(kept, np.sign(rows), 0.0).astype(np.int8)
+    return alpha, signs, threshold
 
-    signs = np.zeros(w.size, dtype=np.int8)
-    kept = order[:m]
-    signs[kept] = np.sign(w[kept]).astype(np.int8)
-    return TernaryLevel(alpha, signs, threshold)
+
+def ternarize(w: np.ndarray) -> TernaryLevel:
+    """Best ternary level for the vector ``w``: the one-row ternarize_rows."""
+    w = np.asarray(w, dtype=np.float64).reshape(1, -1)
+    if w.size == 0:
+        raise ValueError("cannot ternarize an empty vector")
+    alpha, signs, threshold = ternarize_rows(w)
+    return TernaryLevel(float(alpha[0]), signs[0], float(threshold[0]))
 
 
 def level_error(w: np.ndarray, level: TernaryLevel) -> float:

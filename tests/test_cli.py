@@ -5,7 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from ternres import Tensor, load_quantized, load_tensor, save_tensor
+from ternres import (
+    QuantizedModel,
+    Tensor,
+    forward_quantized,
+    load_manifest,
+    load_quantized,
+    load_tensor,
+    load_weights,
+    save_quantized,
+    save_tensor,
+    ternary_residual,
+)
 from ternres.cli import main
 
 from nets import conv_net, mlp_net, write_net
@@ -87,6 +98,17 @@ def test_quantize_scales_flag(net_dir):
             q = a / 2.0 ** e
             assert abs(q - round(q)) < 1e-6
             assert 1 <= round(q) <= 127
+
+
+def test_quantize_scales_report_keeps_flop_weighting(net_dir, capsys):
+    tmp, manifest_path, _ = net_dir
+    report = tmp / "report.json"
+    assert main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+                 "--quantize-scales", "-o", str(tmp / "q8.tq"),
+                 "--report", str(report)]) == 0
+    assert "FLOP-weighted compute factor" in capsys.readouterr().out
+    weighted = json.loads(report.read_text())["totals"]["compute_factor_weighted"]
+    assert weighted is not None and weighted >= 1.0
 
 
 def test_stats_closed_form(capsys):
@@ -172,6 +194,42 @@ def test_infer_trace_and_lemma_check(net_dir, capsys, tmp_path):
     assert main(["lemma-check", str(tmp / "net.tq"), "-m", manifest_path,
                  "-i", input_path]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_depth_sensitivity_uses_container_block_size(net_dir, capsys):
+    tmp, manifest_path, input_path = net_dir
+    main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+          "-o", str(tmp / "net.tq")])
+    capsys.readouterr()
+    assert main(["trace", str(tmp / "net.tq"), "-m", manifest_path,
+                 "-i", input_path, "--depth-sensitivity", "0.02"]) == 0
+    out = capsys.readouterr().out
+
+    manifest = load_manifest(manifest_path)
+    weights = load_weights(manifest)
+    x = load_tensor(input_path).data[None, ...]
+
+    def report_line(block_size):
+        q = ternary_residual(weights["conv1"][0], block_size, epsilon_sq=0.02)
+        _, _, trace = forward_quantized(manifest, weights, QuantizedModel({}, (q,), {}), x)
+        return (f"quantizing only the first parametric layer (conv1) at "
+                f"eps^2=0.02: final delta {trace.final_delta:.6g}")
+
+    assert report_line(16) in out
+    assert report_line(64) not in out
+
+
+def test_depth_sensitivity_without_block_size_exits_1(net_dir, capsys):
+    tmp, manifest_path, input_path = net_dir
+    main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+          "-o", str(tmp / "net.tq")])
+    model = load_quantized(tmp / "net.tq")
+    save_quantized(QuantizedModel(model.manifest_doc, model.layers, {}),
+                   tmp / "bare.tq")
+    capsys.readouterr()
+    assert main(["trace", str(tmp / "bare.tq"), "-m", manifest_path,
+                 "-i", input_path, "--depth-sensitivity", "0.02"]) == 1
+    assert "block size" in capsys.readouterr().err
 
 
 def test_lemma_check_random_trials(capsys):

@@ -171,17 +171,15 @@ class TestConvertModel:
         assert info.value.layer in ("fc1", "fc2")
         assert info.value.delta > 1e-12
 
-    def test_threaded_conversion_matches_serial(self, tmp_path, monkeypatch):
+    def test_repeated_conversions_save_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(12)
         manifest, weights = conv_net(rng)
         schedule = make_schedule(manifest, "uniform", epsilon_sq=0.01)
-        model, _ = convert_model(manifest, weights, 16, schedule)
-        save_quantized(model, tmp_path / "serial.tq")
-        monkeypatch.setenv("TERNRES_THREADS", "4")
-        model2, _ = convert_model(manifest, weights, 16, schedule)
-        save_quantized(model2, tmp_path / "threaded.tq")
-        assert (tmp_path / "serial.tq").read_bytes() == (
-            tmp_path / "threaded.tq").read_bytes()
+        for tag in ("first", "second"):
+            model, _ = convert_model(manifest, weights, 16, schedule)
+            save_quantized(model, tmp_path / f"{tag}.tq")
+        assert (tmp_path / "first.tq").read_bytes() == (
+            tmp_path / "second.tq").read_bytes()
 
     def test_report_weighted_factor_present_with_shapes(self):
         rng = np.random.default_rng(13)

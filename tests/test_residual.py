@@ -13,15 +13,147 @@ from ternres import (
     partition_blocks,
     quantize_scales_8bit,
     reconstruct,
+    ternarize,
     ternary_residual,
     write_trace_csv,
 )
+from ternres.residual import TraceRow
 
 from nets import exact_ternary_array
 
 
 def random_tensor(rng, n, name="w", scale=1.0):
     return Tensor(name, (scale * rng.normal(size=n)).astype(np.float32))
+
+
+def sequential_greedy(w, block_size, eps_sq, r_max):
+    """The one-block-at-a-time greedy loop, kept as the oracle of the batched one.
+
+    Each iteration recounts the levels of every block, picks the eligible
+    block of largest residual norm (ties to the lowest index) and fits its
+    next level on the spot. Returns ``(levels, recons, delta, deltas, trace,
+    exhausted)``, or raises ConvergenceError.
+    """
+    flat = w.unrolled().astype(np.float64)
+    blocks = partition_blocks(w, block_size)
+    total_sq = float(flat @ flat)
+    levels, recons = [], []
+    errs = np.empty(len(blocks))
+    for k, bv in enumerate(blocks):
+        level = ternarize(flat[bv.start:bv.stop])
+        levels.append([level])
+        recons.append(level.dense())
+        diff = flat[bv.start:bv.stop] - recons[k].astype(np.float64)
+        errs[k] = np.sqrt(diff @ diff)
+    if total_sq == 0.0:
+        return levels, recons, 0.0, [0.0], [], False
+    delta = float(np.sum(errs * errs)) / total_sq
+    deltas, trace, exhausted = [delta], [], False
+    while delta > eps_sq:
+        counts = np.array([len(lv) for lv in levels])
+        eligible = (counts < r_max) & (errs > 0.0)
+        if not eligible.any():
+            if np.any((counts >= r_max) & (errs > 0.0)):
+                raise ConvergenceError(w.name, delta, eps_sq, r_max)
+            exhausted = True
+            break
+        k = int(np.argmax(np.where(eligible, errs, -np.inf)))
+        bv = blocks[k]
+        level = ternarize(flat[bv.start:bv.stop] - recons[k].astype(np.float64))
+        if level.alpha == 0.0:
+            exhausted = True
+            break
+        e_before = float(errs[k])
+        new_recon = recons[k] + level.dense()
+        diff = flat[bv.start:bv.stop] - new_recon.astype(np.float64)
+        new_err = np.sqrt(diff @ diff)
+        new_delta = (float(np.sum(errs * errs)) - errs[k] ** 2 + new_err ** 2) / total_sq
+        if new_delta >= delta:
+            exhausted = True
+            break
+        levels[k].append(level)
+        recons[k] = new_recon
+        errs[k] = new_err
+        delta = new_delta
+        deltas.append(delta)
+        trace.append(TraceRow(len(trace) + 1, w.name, k, e_before, delta))
+    return levels, recons, delta, deltas, trace, exhausted
+
+
+def stalling_tensor(rng):
+    """One block of unit-scale weights next to one of weights near 1e-12.
+
+    Once the first block is capped, a level on the second changes the
+    block-error sum by less than its float64 resolution, so delta stalls.
+    """
+    data = np.concatenate([rng.normal(size=8), 1e-12 * rng.normal(size=8)])
+    return Tensor("w", data.astype(np.float32))
+
+
+class TestBatchedMatchesSequential:
+    """Batched candidates plus heap selection reproduce the sequential loop bit for bit."""
+
+    def assert_same(self, t, block_size, eps_sq, r_max=16):
+        try:
+            levels, recons, delta, deltas, trace, exhausted = sequential_greedy(
+                t, block_size, eps_sq, r_max)
+        except ConvergenceError as expected:
+            with pytest.raises(ConvergenceError) as info:
+                ternary_residual(t, block_size, epsilon_sq=eps_sq, r_max=r_max)
+            assert info.value.delta == expected.delta
+            return "converge-error"
+        layer = ternary_residual(t, block_size, epsilon_sq=eps_sq, r_max=r_max)
+        assert list(layer.trace) == trace
+        assert list(layer.delta_sequence) == deltas
+        assert layer.delta == delta
+        assert layer.exhausted == exhausted
+        assert layer.levels_per_block() == [len(lv) for lv in levels]
+        assert reconstruct(layer).data.tobytes() == np.concatenate(recons).tobytes()
+        for stack, block_levels in zip(layer.stacks, levels):
+            for got, want in zip(stack.levels, block_levels):
+                assert got.alpha == want.alpha and got.threshold == want.threshold
+                assert got.signs.tobytes() == want.signs.tobytes()
+        return "exhausted" if exhausted else "converged"
+
+    def test_remainder_block(self):
+        rng = np.random.default_rng(40)
+        t = random_tensor(rng, 1000)  # 15 blocks of 64 and a tail of 40
+        assert self.assert_same(t, 64, 0.005) == "converged"
+        assert self.assert_same(t, 2048, 0.005) == "converged"  # the tail only
+
+    def test_tied_errors_pick_the_lowest_block(self):
+        rng = np.random.default_rng(41)
+        # Dyadic weights repeated across blocks give many equal block errors.
+        pattern = np.round(rng.normal(size=16) * 4) / 4
+        t = Tensor("w", np.tile(pattern, 40).astype(np.float32))
+        assert self.assert_same(t, 16, 0.01) == "converged"
+        assert len(ternary_residual(t, 16, epsilon_sq=0.01).trace) > 40
+
+    def test_r_max_one_and_two_raise(self):
+        rng = np.random.default_rng(42)
+        t = random_tensor(rng, 500)
+        assert self.assert_same(t, 32, 0.01, r_max=1) == "converge-error"
+        assert self.assert_same(t, 32, 1e-12, r_max=2) == "converge-error"
+
+    def test_r_max_two_stall_exhausts(self):
+        t = stalling_tensor(np.random.default_rng(0))
+        assert self.assert_same(t, 8, 1e-14, r_max=2) == "exhausted"
+
+    def test_stall_exhausts(self):
+        t = stalling_tensor(np.random.default_rng(0))
+        assert self.assert_same(t, 8, 1e-30) == "exhausted"
+
+    def test_all_zero_tensor(self):
+        t = Tensor("w", np.zeros(100, dtype=np.float32))
+        assert self.assert_same(t, 16, 0.01) == "converged"
+
+    def test_random_layers(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            t = random_tensor(rng, int(rng.integers(1, 3000)),
+                              scale=float(rng.choice([1e-3, 1.0, 1e3])))
+            block = int(rng.choice([1, 7, 16, 64]))
+            self.assert_same(t, block, float(rng.choice([0.05, 0.005, 1e-4])))
 
 
 class TestTernaryResidual:

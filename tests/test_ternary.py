@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternres import TernaryLevel, level_error, oracle_best_support, ternarize
+from ternres.ternary import ternarize_rows
 
 
 def scan_all_prefixes(w, float32_alpha=True):
@@ -29,6 +30,95 @@ def scan_all_prefixes(w, float32_alpha=True):
         approx[kept] = alpha * np.sign(w[kept])
         best = min(best, float(np.sum((w - approx) ** 2)))
     return best
+
+
+def scan_one_row(w):
+    """The one-vector threshold scan, used row by row as the kernel's reference.
+
+    Returns ``(alpha, signs, threshold)``; the row kernel must reproduce
+    every bit of it.
+    """
+    mags = np.abs(w)
+    order = np.argsort(-mags, kind="stable")
+    sorted_mags = mags[order]
+    nnz = int(np.count_nonzero(sorted_mags))
+    zero = (0.0, np.zeros(w.size, dtype=np.int8), 0.0)
+    if nnz == 0:
+        return zero
+    prefix = np.cumsum(sorted_mags[:nnz])
+    scores = prefix * prefix / np.arange(1, nnz + 1, dtype=np.float64)
+    valid = np.append(sorted_mags[:nnz - 1] > sorted_mags[1:nnz], True)
+    m = int(np.argmax(np.where(valid, scores, -np.inf))) + 1
+    alpha = float(np.float32(prefix[m - 1] / m))
+    if alpha == 0.0:
+        return zero
+    signs = np.zeros(w.size, dtype=np.int8)
+    signs[order[:m]] = np.sign(w[order[:m]]).astype(np.int8)
+    return alpha, signs, float(sorted_mags[m]) if m < w.size else 0.0
+
+
+# Few distinct values, so rows carry tied magnitudes and zeros.
+TIED_VALUES = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 0.75, -0.25])
+
+
+@st.composite
+def row_matrices(draw, max_n=64):
+    """A (B, n) matrix whose rows are plain, tied, all-zero or so small that
+    every alpha rounds to zero in float32."""
+    n = draw(st.integers(1, max_n))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["plain", "tied", "zero", "tiny"]))
+        values = st.floats(-1e3, 1e3, allow_nan=False) if kind == "plain" else TIED_VALUES
+        row = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind == "tiny":
+            row *= 1e-46  # below half the smallest float32 denormal
+        rows.append(row)
+    return np.stack(rows)
+
+
+class TestTernarizeRows:
+    @given(row_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_one_row_scan(self, rows):
+        alpha, signs, threshold = ternarize_rows(rows)
+        assert alpha.shape == threshold.shape == (rows.shape[0],)
+        assert signs.shape == rows.shape and signs.dtype == np.int8
+        for i, row in enumerate(rows):
+            want_alpha, want_signs, want_threshold = scan_one_row(row)
+            assert alpha[i] == want_alpha
+            assert threshold[i] == want_threshold
+            assert signs[i].tobytes() == want_signs.tobytes()
+            level = ternarize(row)
+            assert level.alpha == want_alpha and level.threshold == want_threshold
+            assert level.signs.tobytes() == want_signs.tobytes()
+
+    @given(row_matrices(max_n=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_exhaustive_oracle(self, rows):
+        alpha, signs, _ = ternarize_rows(rows)
+        for i, row in enumerate(rows):
+            oracle_alpha, oracle_signs = oracle_best_support(row)
+            if np.float32(oracle_alpha) == 0.0:
+                assert alpha[i] == 0.0 and not signs[i].any()
+                continue
+            got = float(np.sum((row - alpha[i] * signs[i]) ** 2))
+            want = float(np.sum((row - oracle_alpha * oracle_signs) ** 2))
+            # The float32 rounding of alpha (relative, or absolute among the
+            # denormals) is the only gap to the exact optimum, up to float64
+            # noise in the scores.
+            rounding = 2.0 ** -24 * np.abs(row).max() + 2.0 ** -150
+            assert abs(got - want) <= row.size * rounding ** 2 + 1e-12 * float(row @ row)
+
+    def test_rejects_bad_shapes_and_values(self):
+        with pytest.raises(ValueError):
+            ternarize_rows(np.zeros(4))
+        with pytest.raises(ValueError):
+            ternarize_rows(np.zeros((2, 0)))
+        with pytest.raises(ValueError):
+            ternarize_rows(np.array([[1.0, np.inf]]))
 
 
 class TestTernarize:
