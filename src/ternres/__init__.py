@@ -37,7 +37,6 @@ from .planner import (
     make_schedule,
 )
 from .residual import (
-    BlockStack,
     QuantizedLayer,
     QuantizedModel,
     block_sensitivity,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActQuantSpec",
-    "BlockStack",
     "BlockView",
     "BudgetSchedule",
     "ConvergenceError",

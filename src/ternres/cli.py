@@ -129,6 +129,17 @@ def _load_inference_inputs(args):
     return manifest, weights, qmodel, arr
 
 
+def _stored_flops(model: QuantizedModel) -> dict[str, int] | None:
+    """FLOP weights from the manifest a container stores, when it resolves."""
+    if not model.manifest_doc.get("layers"):
+        return None
+    try:
+        manifest = manifest_from_dict(model.manifest_doc)
+        return flops_per_layer(manifest, {l.layer: l.shape for l in model.layers})
+    except (ValueError, FormatError):
+        return None
+
+
 def _cmd_quantize(args) -> int:
     if not args.schedule and args.mode == "uniform" and (
             args.eps_sq is None and args.eps is None):
@@ -182,15 +193,8 @@ def _cmd_stats(args) -> int:
         return 0
     if args.container:
         model = load_quantized(args.container)
-        flops = None
-        if model.manifest_doc.get("layers"):
-            try:
-                manifest = manifest_from_dict(model.manifest_doc)
-                shapes = {l.layer: l.shape for l in model.layers}
-                flops = flops_per_layer(manifest, shapes)
-            except (ValueError, FormatError):
-                flops = None
-        report = cost_report(model, x=args.x, c_ratio=args.c_ratio, flops=flops)
+        report = cost_report(model, x=args.x, c_ratio=args.c_ratio,
+                             flops=_stored_flops(model))
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True)
               if args.as_json else report.to_text())
         return 0
@@ -224,7 +228,7 @@ def _cmd_downgrade(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     save_quantized(new_model, args.output)
-    report = cost_report(new_model)
+    report = cost_report(new_model, flops=_stored_flops(new_model))
     print(report.to_text())
     return 0
 

@@ -1,11 +1,13 @@
 """Serialization of quantized models.
 
-One file holds a little magic header, a JSON index and a binary blob. Signs
-pack 2 bits per weight (little-endian within a byte: 00 zero, 01 plus one,
-10 minus one, 11 reserved and rejected on read); scaling factors are
-consecutive little-endian float32 values. Offsets in the index address the
-blob. Writing is fully deterministic: identical models produce identical
-bytes.
+One file holds a little magic header, a JSON index and a binary blob. Per
+layer the blob holds the layer's ``alphas`` as consecutive little-endian
+float32 values, then its sign rows, 2 bits per weight (little-endian within
+a byte: 00 zero, 01 plus one, 10 minus one, 11 reserved and rejected on
+read), each level's row padded to whole bytes. Both sections are
+block-major, each block's base level first; the index gives each block's
+level count and the offsets of its scales and sign rows in the blob. Writing
+is fully deterministic: identical models produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,62 +18,60 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .residual import BlockStack, QuantizedLayer, QuantizedModel
-from .tensors import BlockView
-from .ternary import TernaryLevel
+from .residual import QuantizedLayer, QuantizedModel
+from .tensors import block_lengths
 
 MAGIC = b"TRQ0"
 FORMAT_VERSION = 1
 
-_CODE_OF_SIGN = {0: 0, 1: 1, -1: 2}
+_SIGN_OF_CODE = np.array([0, 1, -1, 0], dtype=np.int8)
+_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
 
 
 def pack_signs(signs: np.ndarray) -> bytes:
-    """Pack a {-1,0,+1} vector, 4 weights per byte, first weight in low bits."""
+    """Pack {-1,0,+1} rows, 4 weights per byte, first weight in low bits.
+
+    ``signs`` is one vector or an ``(L, n)`` matrix; each row is padded to
+    whole bytes and the packed rows follow each other.
+    """
     signs = np.asarray(signs, dtype=np.int8)
-    codes = np.zeros(signs.size, dtype=np.uint8)
-    codes[signs == 1] = 1
-    codes[signs == -1] = 2
-    pad = (-signs.size) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    quads = codes.reshape(-1, 4)
-    packed = quads[:, 0] | (quads[:, 1] << 2) | (quads[:, 2] << 4) | (quads[:, 3] << 6)
-    return packed.astype(np.uint8).tobytes()
+    *rows, n = signs.shape
+    codes = np.zeros((*rows, -(-n // 4) * 4), dtype=np.uint8)
+    codes[..., :n] = np.where(signs == 1, 1, np.where(signs == -1, 2, 0))
+    quads = codes.reshape(*rows, codes.shape[-1] // 4, 4) << _SHIFTS
+    return np.bitwise_or.reduce(quads, axis=-1).tobytes()
 
 
-def unpack_signs(payload: bytes, length: int) -> np.ndarray:
-    """Inverse of pack_signs; rejects the reserved code 11."""
-    if len(payload) != (length + 3) // 4:
+def unpack_signs(payload, length: int) -> np.ndarray:
+    """Inverse of pack_signs; rejects the reserved code 11.
+
+    ``payload`` is the bytes of one row, giving a vector, or a uint8
+    ``(L, (length+3)//4)`` matrix of packed rows, giving an int8 ``(L,
+    length)`` matrix.
+    """
+    packed = payload if isinstance(payload, np.ndarray) else np.frombuffer(payload, np.uint8)
+    if packed.shape[-1] != (length + 3) // 4:
         raise FormatError(
-            f"sign payload holds {len(payload)} bytes, expected {(length + 3) // 4}"
+            f"sign payload holds {packed.shape[-1]} bytes, expected {(length + 3) // 4}"
         )
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    codes = np.empty((raw.size, 4), dtype=np.uint8)
-    codes[:, 0] = raw & 0b11
-    codes[:, 1] = (raw >> 2) & 0b11
-    codes[:, 2] = (raw >> 4) & 0b11
-    codes[:, 3] = (raw >> 6) & 0b11
-    codes = codes.reshape(-1)[:length]
+    codes = (packed[..., None] >> _SHIFTS) & 0b11
+    codes = codes.reshape(*packed.shape[:-1], 4 * packed.shape[-1])[..., :length]
     if np.any(codes == 3):
         raise FormatError("sign payload uses the reserved code 0b11")
-    signs = np.zeros(length, dtype=np.int8)
-    signs[codes == 1] = 1
-    signs[codes == 2] = -1
-    return signs
+    return _SIGN_OF_CODE[codes]
 
 
 def _layer_index_and_blob(layer: QuantizedLayer, blob: bytearray) -> dict:
-    scale_offsets = []
-    for stack in layer.stacks:
-        scale_offsets.append(len(blob))
-        for level in stack.levels:
-            blob.extend(struct.pack("<f", level.alpha))
-    sign_offsets = []
-    for stack in layer.stacks:
-        sign_offsets.append(len(blob))
-        for level in stack.levels:
-            blob.extend(pack_signs(level.signs))
+    starts = layer.level_starts()
+    scale_offsets = len(blob) + 4 * starts
+    blob.extend(layer.alphas.astype("<f4").tobytes())
+    # Blocks before the tail are full, so a block's sign rows start at its
+    # first level times the packed width of a full row.
+    sign_offsets = len(blob) + (layer.block_size + 3) // 4 * starts
+    full, tail = divmod(layer.num_weights, layer.block_size)
+    full_rows = int(layer.counts[:full].sum())
+    blob.extend(pack_signs(layer.signs[:full_rows, :layer.block_size]))
+    blob.extend(pack_signs(layer.signs[full_rows:, :tail]))
     return {
         "name": layer.layer,
         "shape": list(layer.shape),
@@ -81,8 +81,8 @@ def _layer_index_and_blob(layer: QuantizedLayer, blob: bytearray) -> dict:
         "source_norm_sq": layer.source_norm_sq,
         "exhausted": layer.exhausted,
         "levels_per_block": layer.levels_per_block(),
-        "scale_offsets": scale_offsets,
-        "sign_offsets": sign_offsets,
+        "scale_offsets": scale_offsets.tolist(),
+        "sign_offsets": sign_offsets.tolist(),
     }
 
 
@@ -103,54 +103,50 @@ def save_quantized(model: QuantizedModel, path) -> None:
         fp.write(bytes(blob))
 
 
-def _read_layer(entry: dict, blob: bytes) -> QuantizedLayer:
+def _read_layer(entry: dict, blob: np.ndarray) -> QuantizedLayer:
     name = entry["name"]
     shape = tuple(int(d) for d in entry["shape"])
     block_size = int(entry["N"])
-    size = 1
-    for d in shape:
-        size *= d
-    levels_per_block = [int(c) for c in entry["levels_per_block"]]
-    scale_offsets = entry["scale_offsets"]
-    sign_offsets = entry["sign_offsets"]
-    num_blocks = (size + block_size - 1) // block_size
-    if not (len(levels_per_block) == len(scale_offsets) == len(sign_offsets) == num_blocks):
+    if block_size < 1:
+        raise FormatError(f"layer {name!r}: block size N must be >= 1, got {block_size}")
+    size = int(np.prod(shape, dtype=np.int64))
+    lengths = block_lengths(size, block_size)
+    num_blocks = len(lengths)
+    counts = np.asarray(entry["levels_per_block"], dtype=np.int64)
+    scale_offsets = np.asarray(entry["scale_offsets"], dtype=np.int64)
+    sign_offsets = np.asarray(entry["sign_offsets"], dtype=np.int64)
+    if not (counts.shape == scale_offsets.shape == sign_offsets.shape == (num_blocks,)):
         raise FormatError(f"layer {name!r}: index does not match {num_blocks} blocks")
+    if np.any(counts < 1) or np.any(scale_offsets < 0) or np.any(sign_offsets < 0):
+        raise FormatError(f"layer {name!r}: level counts must be >= 1 and offsets >= 0")
+    row_bytes = (lengths + 3) // 4
+    if np.any(scale_offsets + 4 * counts > len(blob)):
+        raise FormatError(f"layer {name!r}: truncated scale payload")
+    if np.any(sign_offsets + row_bytes * counts > len(blob)):
+        raise FormatError(f"layer {name!r}: truncated sign payload")
 
-    stacks = []
-    for k in range(num_blocks):
-        start = k * block_size
-        length = min(block_size, size - start)
-        count = levels_per_block[k]
-        s_off = int(scale_offsets[k])
-        if s_off + 4 * count > len(blob):
-            raise FormatError(f"layer {name!r}: truncated scale payload")
-        alphas = np.frombuffer(blob, dtype="<f4", count=count, offset=s_off)
-        packed_len = (length + 3) // 4
-        g_off = int(sign_offsets[k])
-        if g_off + packed_len * count > len(blob):
-            raise FormatError(f"layer {name!r}: truncated sign payload")
-        levels = []
-        for t in range(count):
-            signs = unpack_signs(
-                blob[g_off + t * packed_len : g_off + (t + 1) * packed_len], length
-            )
-            try:
-                levels.append(TernaryLevel(float(alphas[t]), signs))
-            except ValueError as exc:
-                raise FormatError(f"layer {name!r}: inconsistent level ({exc})") from exc
-        stacks.append(BlockStack(BlockView(name, k, start, length), tuple(levels)))
+    # Level i is at depth depth[i] of block owner[i].
+    owner = np.repeat(np.arange(num_blocks), counts)
+    depth = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    scale_at = scale_offsets[owner] + 4 * depth
+    alphas = blob[scale_at[:, None] + np.arange(4)].view("<f4").reshape(-1)
+    sign_at = sign_offsets[owner] + row_bytes[owner] * depth
+    signs = np.zeros((len(owner), min(block_size, size)), dtype=np.int8)
+    full, tail = divmod(size, block_size)
+    full_rows = int(counts[:full].sum())
+    for rows, n in ((slice(None, full_rows), block_size), (slice(full_rows, None), tail)):
+        at = sign_at[rows]
+        if at.size:
+            signs[rows, :n] = unpack_signs(blob[at[:, None] + np.arange((n + 3) // 4)], n)
+    if np.any(alphas < 0) or np.any((alphas == 0) == signs.any(axis=1)):
+        raise FormatError(
+            f"layer {name!r}: inconsistent level (alpha must be >= 0, and zero "
+            f"exactly when all signs are zero)")
 
     return QuantizedLayer(
-        layer=name,
-        shape=shape,
-        block_size=block_size,
-        stacks=tuple(stacks),
-        delta=float(entry["delta"]),
-        epsilon_sq=float(entry["epsilon_sq"]),
-        source_norm_sq=float(entry["source_norm_sq"]),
-        exhausted=bool(entry.get("exhausted", False)),
-    )
+        name, shape, block_size, counts.astype(np.int32), alphas.astype(np.float32),
+        signs, float(entry["delta"]), float(entry["epsilon_sq"]),
+        float(entry["source_norm_sq"]), exhausted=bool(entry.get("exhausted", False)))
 
 
 def load_quantized(path) -> QuantizedModel:
@@ -171,10 +167,10 @@ def load_quantized(path) -> QuantizedModel:
     version = index.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: format_version {version!r}, expected {FORMAT_VERSION}")
-    blob = raw[8 + json_len :]
+    blob = np.frombuffer(raw, dtype=np.uint8, offset=8 + json_len)
     try:
         layers = tuple(_read_layer(entry, blob) for entry in index["layers"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed layer index ({exc})") from exc
     return QuantizedModel(
         manifest_doc=index.get("manifest") or {},

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .residual import QuantizedModel
+from .tensors import block_lengths
 
 DEFAULT_X = 5.5  # estimated 8-2 over 8-8 power-performance gain at N=64
 DEFAULT_C_RATIO = 5.0  # cost of one 8-8 op in units of one 8-2 op
@@ -213,12 +214,13 @@ def measured_layer_cost(layer, x: float = DEFAULT_X,
     Unlike the closed formula, the remainder block is charged its true
     length (2 bits per actual weight per level, 8 bits per alpha).
     """
-    size_bits = 0
-    capacity = 1 - layer.num_blocks
-    for stack in layer.stacks:
-        levels = len(stack.levels)
-        size_bits += levels * (8 + 2 * stack.block.length)
-        capacity += 3 ** levels
+    counts = layer.counts.astype(np.int64)
+    size_bits = int(counts @ (8 + 2 * block_lengths(layer.num_weights, layer.block_size)))
+    # 3**count overflows int64 past 40 levels, so capacity sums Python ints,
+    # one term per distinct depth.
+    depths, blocks = np.unique(counts, return_counts=True)
+    capacity = 1 - layer.num_blocks + sum(
+        int(b) * 3 ** int(d) for d, b in zip(depths, blocks))
     blocks_factor = layer.num_levels / layer.num_blocks
     num_weights = layer.num_weights
     pi_c, pi_m = throughput_gains(c_ratio, layer.block_size,

@@ -7,9 +7,13 @@ receives one more ternary level fitted to its remaining residual. Every
 appended level strictly shrinks the block's residual (the fitted level is
 orthogonal to what it leaves behind), so ``delta`` decreases monotonically.
 
+A converted layer is three block-major arrays (see ``QuantizedLayer``):
+levels per block, one scale per level and one sign row per level. Every
+stage works on them directly, looping at most over depth.
+
 Block residuals are measured against the float32-accumulated reconstruction,
 so the stored ``delta`` is exactly what a recomputation from the saved
-stacks yields.
+levels yields.
 
 The loop is batched without changing a bit of its result. A block's next
 level depends only on that block's own residual, so it can be fitted ahead
@@ -34,33 +38,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError
-from .tensors import BlockView, Tensor, partition_blocks
-from .ternary import TernaryLevel, ternarize_rows
+from .tensors import BlockView, Tensor
+from .ternary import ternarize_rows
 from .ternary import ternarize  # noqa: F401  (bench/workloads.py traces this name)
 
 DEFAULT_R_MAX = 16
-
-
-@dataclass(frozen=True)
-class BlockStack:
-    """Ordered ternary levels for one block: level 1 base, the rest residuals."""
-
-    block: BlockView
-    levels: tuple[TernaryLevel, ...]
-
-    def __post_init__(self):
-        if not self.levels:
-            raise ValueError("a converted block has at least one level")
-        for level in self.levels:
-            if level.signs.size != self.block.length:
-                raise ValueError("level length does not match block length")
-
-    def reconstruct(self) -> np.ndarray:
-        """Float32 accumulation of alpha_t * signs_t over the levels."""
-        acc = np.zeros(self.block.length, dtype=np.float32)
-        for level in self.levels:
-            acc += level.dense()
-        return acc
 
 
 @dataclass(frozen=True)
@@ -72,33 +54,57 @@ class TraceRow:
     delta_after: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedLayer:
+    """A converted layer, block-major with each block's base level first.
+
+    ``counts`` (int32[K]) holds the levels per block, ``alphas`` (float32[L])
+    one scale per level and ``signs`` (int8[L, min(N, size)]) one sign row
+    per level; a ragged tail block's rows are zero past its length.
+    """
+
     layer: str
     shape: tuple[int, ...]
     block_size: int
-    stacks: tuple[BlockStack, ...]
+    counts: np.ndarray
+    alphas: np.ndarray
+    signs: np.ndarray
     delta: float
     epsilon_sq: float
     source_norm_sq: float
     exhausted: bool = False
-    trace: tuple[TraceRow, ...] = field(default=(), repr=False, compare=False)
-    delta_sequence: tuple[float, ...] = field(default=(), repr=False, compare=False)
+    trace: tuple[TraceRow, ...] = field(default=(), repr=False)
+    delta_sequence: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def num_weights(self) -> int:
-        return sum(s.block.length for s in self.stacks)
+        return int(np.prod(self.shape, dtype=np.int64))
 
     @property
     def num_blocks(self) -> int:
-        return len(self.stacks)
+        return len(self.counts)
 
     @property
     def num_levels(self) -> int:
-        return sum(len(s.levels) for s in self.stacks)
+        return len(self.alphas)
 
     def levels_per_block(self) -> list[int]:
-        return [len(s.levels) for s in self.stacks]
+        return self.counts.tolist()
+
+    def level_starts(self) -> np.ndarray:
+        """Row of each block's base level in ``alphas`` and ``signs``."""
+        return np.cumsum(self.counts) - self.counts
+
+    def depth_rows(self):
+        """Per depth t: the blocks holding a level t and that level's rows."""
+        starts = self.level_starts()
+        for t in range(int(self.counts.max(initial=0))):
+            blocks = np.flatnonzero(self.counts > t)
+            yield blocks, starts[blocks] + t
+
+    def unblock(self, blocked: np.ndarray) -> np.ndarray:
+        """A ``(K, W)`` block-major array back in the layer's shape."""
+        return blocked.reshape(-1)[:self.num_weights].reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -145,29 +151,31 @@ def ternary_residual(
         raise ValueError(f"tolerance^2 must be in (0, 1], got {eps_sq}")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
+    if block_size < 1:
+        raise ValueError(f"block size must be >= 1, got {block_size}")
     if w.size == 0:
         raise ValueError("cannot convert an empty tensor")
 
     flat = w.unrolled().astype(np.float64)
-    blocks = partition_blocks(w, block_size)
     total_sq = float(flat @ flat)
-    num_blocks = len(blocks)
-    full = w.size // block_size  # blocks of length N; a ragged tail follows
-    tail = w.size - full * block_size
-    width = blocks[0].length  # N, or the whole tensor when it is shorter
+    full, tail = divmod(w.size, block_size)  # blocks of length N, then a ragged tail
+    num_blocks = full + (tail > 0)
+    width = min(block_size, w.size)
 
     # Block-major state, zero-padded to full width for the ragged tail.
     target = np.zeros((num_blocks, width))
     target.reshape(-1)[:w.size] = flat
     recons = np.zeros((num_blocks, width), dtype=np.float32)
-    counts = np.zeros(num_blocks, dtype=np.int64)
+    counts = np.zeros(num_blocks, dtype=np.int32)
     errs = np.zeros(num_blocks)
-    levels: list[list[TernaryLevel]] = [[] for _ in blocks]
+    # Levels past the base ones, in the order they were accepted.
+    extra_blocks: list[int] = []
+    extra_alphas: list[float] = []
+    extra_signs: list[np.ndarray] = []
 
     # The candidate is the next level of each block, fitted to its current
     # residual; ``has_cand`` goes False once the block's state moves on.
     cand_alpha = np.zeros(num_blocks)
-    cand_threshold = np.zeros(num_blocks)
     cand_signs = np.zeros((num_blocks, width), dtype=np.int8)
     cand_recons = np.zeros((num_blocks, width), dtype=np.float32)
     cand_errs = np.zeros(num_blocks)
@@ -179,38 +187,23 @@ def ternary_residual(
             if part.size == 0:
                 continue
             recon = recons[part, :n]
-            alpha, signs, threshold = ternarize_rows(
-                target[part, :n] - recon.astype(np.float64))
+            alpha, signs, _ = ternarize_rows(target[part, :n] - recon.astype(np.float64))
             new_recon = recon + alpha.astype(np.float32)[:, None] * signs.astype(np.float32)
             diff = target[part, :n] - new_recon.astype(np.float64)
             # Stacked 1xn @ nx1 products sum each row exactly as ``diff @ diff``.
             cand_errs[part] = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
             cand_alpha[part] = alpha
-            cand_threshold[part] = threshold
             cand_signs[part, :n] = signs
             cand_recons[part, :n] = new_recon
             has_cand[part] = True
 
-    def accept(k: int) -> None:
-        n = blocks[k].length
-        levels[k].append(TernaryLevel(
-            float(cand_alpha[k]), cand_signs[k, :n].copy(), float(cand_threshold[k])))
-        recons[k] = cand_recons[k]
-        errs[k] = cand_errs[k]
-        counts[k] += 1
-        has_cand[k] = False
-
     fit(np.arange(num_blocks))
-    for k in range(num_blocks):
-        accept(k)
+    base_alphas, base_signs = cand_alpha.copy(), cand_signs.copy()
+    recons[:], errs[:] = cand_recons, cand_errs
+    counts[:], has_cand[:] = 1, False
 
-    if total_sq == 0.0:
-        # All-zero tensor: one alpha=0 level per block, delta 0 by convention.
-        stacks = tuple(BlockStack(bv, tuple(lv)) for bv, lv in zip(blocks, levels))
-        return QuantizedLayer(w.name, w.shape, block_size, stacks, 0.0, eps_sq,
-                              0.0, delta_sequence=(0.0,))
-
-    delta = float(np.sum(errs * errs)) / total_sq
+    # An all-zero tensor keeps its alpha=0 base levels, delta 0 by convention.
+    delta = float(np.sum(errs * errs)) / total_sq if total_sq > 0.0 else 0.0
     deltas = [delta]
     trace: list[TraceRow] = []
     exhausted = False
@@ -242,7 +235,13 @@ def ternary_residual(
             break
         heapq.heappop(heap)
         iteration += 1
-        accept(k)
+        extra_blocks.append(k)
+        extra_alphas.append(cand_alpha[k])
+        extra_signs.append(cand_signs[k].copy())
+        recons[k] = cand_recons[k]
+        errs[k] = cand_errs[k]
+        counts[k] += 1
+        has_cand[k] = False
         delta = new_delta
         deltas.append(delta)
         trace.append(TraceRow(iteration, w.name, k, e_before, delta))
@@ -251,24 +250,32 @@ def ternary_residual(
         else:
             in_heap[k] = False
 
-    stacks = tuple(BlockStack(bv, tuple(lv)) for bv, lv in zip(blocks, levels))
+    # A block's levels were accepted shallowest first, so a stable sort by
+    # block gives the block-major order.
+    owners = np.concatenate([np.arange(num_blocks), np.array(extra_blocks, dtype=int)])
+    order = np.argsort(owners, kind="stable")
+    alphas = np.concatenate([base_alphas, extra_alphas])[order].astype(np.float32)
+    signs = np.concatenate(
+        [base_signs, np.array(extra_signs, dtype=np.int8).reshape(-1, width)])[order]
     return QuantizedLayer(
-        w.name, w.shape, block_size, stacks, delta, eps_sq, total_sq,
+        w.name, w.shape, block_size, counts, alphas, signs, delta, eps_sq, total_sq,
         exhausted=exhausted, trace=tuple(trace), delta_sequence=tuple(deltas),
     )
 
 
 def reconstruct(layer: QuantizedLayer) -> Tensor:
-    """Sum the ternary levels of every block back into the original shape."""
-    flat = np.empty(layer.num_weights, dtype=np.float32)
-    for stack in layer.stacks:
-        bv = stack.block
-        flat[bv.start:bv.stop] = stack.reconstruct()
-    return Tensor(layer.layer, flat.reshape(layer.shape))
+    """Sum the ternary levels of every block back into the original shape.
+
+    Accumulates in float32, depth by depth, shallowest level first.
+    """
+    acc = np.zeros((layer.num_blocks, layer.signs.shape[1]), dtype=np.float32)
+    for blocks, rows in layer.depth_rows():
+        acc[blocks] += layer.alphas[rows, None] * layer.signs[rows]
+    return Tensor(layer.layer, layer.unblock(acc))
 
 
 def layer_delta(w: Tensor, layer: QuantizedLayer) -> float:
-    """Recompute ``||W - reconstruction||^2 / ||W||^2`` from the stacks."""
+    """Recompute ``||W - reconstruction||^2 / ||W||^2`` from the levels."""
     base = w.unrolled().astype(np.float64)
     diff = base - reconstruct(layer).unrolled().astype(np.float64)
     total_sq = float(base @ base)
@@ -297,11 +304,6 @@ def block_sensitivity(w: Tensor, perturbed: Tensor, blocks: list[BlockView]) -> 
     return out
 
 
-def _level_mass(level: TernaryLevel) -> float:
-    """Squared l2 norm of alpha * signs."""
-    return float(level.alpha) ** 2 * level.nnz
-
-
 def downgrade(
     model: QuantizedModel,
     *,
@@ -315,8 +317,9 @@ def downgrade(
     (and never the base level); peeling deepest-first keeps the remaining
     stack identical to an earlier state of the conversion, so each removal
     raises the layer's delta by exactly the removed level's importance.
-    Removal order is globally smallest-importance-first over that frontier.
-    Returns a new model; the input model is untouched.
+    Removal order is globally smallest-importance-first over that frontier,
+    kept in a heap with one entry per block keyed ``(importance, layer,
+    block)``. Returns a new model; the input model is untouched.
     """
     if (keep_levels is None) == (target_factor is None):
         raise ValueError("give exactly one of keep_levels or target_factor")
@@ -328,43 +331,59 @@ def downgrade(
             f"budget of {keep_levels} levels is below the {base_blocks} base levels"
         )
 
-    stacks: list[list[list[TernaryLevel]]] = [
-        [list(s.levels) for s in l.stacks] for l in model.layers
-    ]
+    counts = [l.counts.tolist() for l in model.layers]
     deltas = [l.delta for l in model.layers]
+    ends: list[list[int]] = []  # each block's deepest row
+    importance: list[list[float]] = []
+    heap = []
+    for li, l in enumerate(model.layers):
+        last = np.cumsum(l.counts) - 1
+        ends.append(last.tolist())
+        if l.source_norm_sq <= 0.0:
+            importance.append([])
+            continue
+        nnz = np.count_nonzero(l.signs, axis=1)
+        imp = l.alphas.astype(np.float64) ** 2 * nnz / l.source_norm_sq
+        importance.append(imp.tolist())
+        ks = np.flatnonzero(l.counts > 1)
+        heap += zip(imp[last[ks]].tolist(), [li] * len(ks), ks.tolist())
+    heapq.heapify(heap)
 
     total = model.num_levels
-    while total > keep_levels:
-        best = None
-        for li, l in enumerate(model.layers):
-            if l.source_norm_sq <= 0.0:
-                continue
-            for k, level_list in enumerate(stacks[li]):
-                if len(level_list) <= 1:
-                    continue
-                imp = _level_mass(level_list[-1]) / l.source_norm_sq
-                key = (imp, li, k)
-                if best is None or key < best[0]:
-                    best = (key, li, k)
-        if best is None:
-            break  # nothing but base levels left
-        (imp, _, _), li, k = best
-        stacks[li][k].pop()
+    while total > keep_levels and heap:
+        imp, li, k = heapq.heappop(heap)
+        counts[li][k] -= 1
+        ends[li][k] -= 1
         deltas[li] += imp
         total -= 1
+        if counts[li][k] > 1:
+            heapq.heappush(heap, (importance[li][ends[li][k]], li, k))
 
     new_layers = []
     for li, l in enumerate(model.layers):
-        new_stacks = tuple(
-            BlockStack(s.block, tuple(levels))
-            for s, levels in zip(l.stacks, stacks[li])
-        )
+        depth = np.arange(l.num_levels) - np.repeat(l.level_starts(), l.counts)
+        keep = depth < np.repeat(counts[li], l.counts)
         new_layers.append(replace(
-            l, stacks=new_stacks, delta=deltas[li], trace=(), delta_sequence=(),
+            l, counts=np.array(counts[li], dtype=np.int32), alphas=l.alphas[keep],
+            signs=l.signs[keep], delta=deltas[li], trace=(), delta_sequence=(),
         ))
     provenance = dict(model.provenance)
     provenance["downgraded_to_levels"] = keep_levels
     return QuantizedModel(model.manifest_doc, tuple(new_layers), provenance)
+
+
+def fixed_point_exponent(peak: float) -> int:
+    """The smallest integer e with ``peak <= 127 * 2^e``, for ``peak > 0``.
+
+    ``2^e`` is the step of the 8-bit dynamic fixed-point grid covering
+    ``[-peak, peak]``.
+    """
+    e = int(np.ceil(np.log2(peak / 127.0)))
+    while peak > 127.0 * 2.0 ** e:  # guard against log2 rounding
+        e += 1
+    while peak <= 127.0 * 2.0 ** (e - 1):
+        e -= 1
+    return e
 
 
 def quantize_scales_8bit(
@@ -373,42 +392,23 @@ def quantize_scales_8bit(
     """Snap every scaling factor to dynamic fixed point with 8-bit mantissa.
 
     Per layer, a shared power-of-two step makes the largest alpha fit in 127
-    units: ``alpha_hat = min(round(alpha / 2^e), 127) * 2^e``. Deltas are
-    recomputed from the modified stacks against the source tensors. Layers
-    whose scales are all zero pass through untouched.
+    units: ``alpha_hat = min(round(alpha / 2^e), 127) * 2^e``. A level whose
+    alpha snaps to zero loses its signs. Deltas are recomputed from the
+    modified levels against the source tensors. Layers whose scales are all
+    zero pass through untouched.
     """
     new_layers = []
     for l in model.layers:
-        alphas = [lvl.alpha for s in l.stacks for lvl in s.levels]
-        amax = max(alphas) if alphas else 0.0
+        amax = float(l.alphas.max(initial=0.0))
         if amax == 0.0:
             new_layers.append(l)
             continue
-        e = int(np.ceil(np.log2(amax / 127.0)))
-        while amax > 127.0 * 2.0 ** e:  # guard against log2 rounding
-            e += 1
-        while amax <= 127.0 * 2.0 ** (e - 1):
-            e -= 1
-        step = 2.0 ** e
-        new_stacks = []
-        for s in l.stacks:
-            new_levels = []
-            for lvl in s.levels:
-                if lvl.alpha == 0.0:
-                    new_levels.append(lvl)
-                    continue
-                q = min(round(lvl.alpha / step), 127)
-                a_hat = float(np.float32(q * step))
-                if a_hat == 0.0:
-                    new_levels.append(TernaryLevel(
-                        0.0, np.zeros_like(lvl.signs), lvl.threshold))
-                else:
-                    new_levels.append(replace(lvl, alpha=a_hat))
-            new_stacks.append(BlockStack(s.block, tuple(new_levels)))
-        new_stacks = tuple(new_stacks)
-        probe = replace(l, stacks=new_stacks, trace=(), delta_sequence=())
-        delta = layer_delta(weights[l.layer], probe)
-        new_layers.append(replace(probe, delta=delta))
+        step = 2.0 ** fixed_point_exponent(amax)
+        q = np.minimum(np.round(l.alphas.astype(np.float64) / step), 127.0)
+        alphas = (q * step).astype(np.float32)
+        signs = np.where((alphas == 0.0)[:, None], np.int8(0), l.signs)
+        probe = replace(l, alphas=alphas, signs=signs, trace=(), delta_sequence=())
+        new_layers.append(replace(probe, delta=layer_delta(weights[l.layer], probe)))
     provenance = dict(model.provenance)
     provenance["scales_8bit"] = True
     return QuantizedModel(model.manifest_doc, tuple(new_layers), provenance)

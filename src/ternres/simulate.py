@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifest import LayerDecl, ModelManifest
-from .residual import QuantizedLayer, QuantizedModel, reconstruct
+from .residual import QuantizedLayer, QuantizedModel, fixed_point_exponent, reconstruct
 from .tensors import Tensor
 
 DECOMPOSITION_RTOL = 1e-5
@@ -46,11 +46,7 @@ def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, ActQuantSpec]:
     peak = float(np.max(np.abs(x))) if x.size else 0.0
     if peak == 0.0:
         return x.copy(), ActQuantSpec(exponent=0)
-    e = int(np.ceil(np.log2(peak / 127.0)))
-    while peak > 127.0 * 2.0 ** e:
-        e += 1
-    while peak <= 127.0 * 2.0 ** (e - 1):
-        e -= 1
+    e = fixed_point_exponent(peak)
     step = np.float32(2.0 ** e)
     q = np.clip(np.round(x / step), -128, 127).astype(np.float32)
     return q * step, ActQuantSpec(exponent=e)
@@ -191,16 +187,11 @@ def _rel_norm(diff: np.ndarray, ref: np.ndarray) -> float:
 def _level_slices(qlayer: QuantizedLayer) -> list[np.ndarray]:
     """Per-level-index dense weight arrays: slice t holds alpha_t * signs_t
     of every block that has at least t+1 levels."""
-    depth = max(len(s.levels) for s in qlayer.stacks)
-    size = qlayer.num_weights
     slices = []
-    for t in range(depth):
-        flat = np.zeros(size, dtype=np.float32)
-        for stack in qlayer.stacks:
-            if t < len(stack.levels):
-                bv = stack.block
-                flat[bv.start:bv.stop] = stack.levels[t].dense()
-        slices.append(flat.reshape(qlayer.shape))
+    for blocks, rows in qlayer.depth_rows():
+        blocked = np.zeros((qlayer.num_blocks, qlayer.signs.shape[1]), dtype=np.float32)
+        blocked[blocks] = qlayer.alphas[rows, None] * qlayer.signs[rows]
+        slices.append(qlayer.unblock(blocked))
     return slices
 
 

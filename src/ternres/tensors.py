@@ -67,6 +67,12 @@ def partition_blocks(t: Tensor, block_size: int) -> list[BlockView]:
     return blocks
 
 
+def block_lengths(size: int, block_size: int) -> np.ndarray:
+    """Lengths of the ``partition_blocks`` blocks of a ``size``-weight tensor."""
+    starts = np.arange(0, size, block_size, dtype=np.int64)
+    return np.minimum(block_size, size - starts)
+
+
 def load_tensor(path, name: str | None = None) -> Tensor:
     """Read one NPY v1.0 file holding a little-endian float32 array.
 

@@ -97,21 +97,22 @@ def test_criterion_03_orthogonality_identities():
         layer = ternary_residual(t, 64, epsilon_sq=0.01)
         flat = t.unrolled().astype(np.float64)
 
-        per_block_sq = 0.0
-        for stack in layer.stacks:
-            b = stack.block
-            acc = np.zeros(b.length, dtype=np.float32)
-            for lvl in stack.levels:
-                before = flat[b.start:b.stop] - acc.astype(np.float64)
-                norm_sq = float(before @ before)
-                dense = lvl.dense().astype(np.float64)
-                after = before - dense
-                assert abs(float(dense @ after)) <= 1e-5 * norm_sq
-                pyth = float(dense @ dense) + float(after @ after)
-                assert abs(pyth - norm_sq) <= 1e-5 * norm_sq
-                acc += lvl.dense()
-            final = flat[b.start:b.stop] - acc.astype(np.float64)
-            per_block_sq += float(final @ final)
+        # Walk all blocks depth by depth: row k of each array is block k.
+        target = np.zeros((layer.num_blocks, layer.signs.shape[1]))
+        target.reshape(-1)[:n] = flat
+        acc = np.zeros(target.shape, dtype=np.float32)
+        for blocks, rows in layer.depth_rows():
+            before = target[blocks] - acc[blocks].astype(np.float64)
+            norm_sq = np.sum(before * before, axis=1)
+            level = layer.alphas[rows, None] * layer.signs[rows]
+            dense = level.astype(np.float64)
+            after = before - dense
+            assert np.all(np.abs(np.sum(dense * after, axis=1)) <= 1e-5 * norm_sq)
+            pyth = np.sum(dense * dense, axis=1) + np.sum(after * after, axis=1)
+            assert np.all(np.abs(pyth - norm_sq) <= 1e-5 * norm_sq)
+            acc[blocks] += level
+        final = target - acc.astype(np.float64)
+        per_block_sq = float(np.sum(final * final))
 
         whole = flat - reconstruct(layer).unrolled().astype(np.float64)
         total_sq = float(whole @ whole)
@@ -273,7 +274,7 @@ def test_criterion_12_round_trip_and_downgrade(tmp_path):
     for layer in base.layers:
         fresh = ternary_residual(weights[layer.layer][0], 16, epsilon=1.0)
         assert layer.levels_per_block() == fresh.levels_per_block()
-        for sa, sb in zip(layer.stacks, fresh.stacks):
-            assert sa.levels[0].alpha == sb.levels[0].alpha
-            assert np.array_equal(sa.levels[0].signs, sb.levels[0].signs)
+        base, fresh_base = layer.level_starts(), fresh.level_starts()
+        assert np.array_equal(layer.alphas[base], fresh.alphas[fresh_base])
+        assert np.array_equal(layer.signs[base], fresh.signs[fresh_base])
     _report(12, "bitwise container round trip; base downgrade == eps=1 run")

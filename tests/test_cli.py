@@ -83,8 +83,7 @@ def test_quantize_scales_flag(net_dir):
     model = load_quantized(tmp / "q8.tq")
     assert model.provenance.get("scales_8bit") is True
     for layer in model.layers:
-        alphas = [lvl.alpha for s in layer.stacks for lvl in s.levels
-                  if lvl.alpha > 0]
+        alphas = layer.alphas[layer.alphas > 0].astype(np.float64).tolist()
         if not alphas:
             continue
         amax = max(alphas)
@@ -154,6 +153,21 @@ def test_downgrade_roundtrip(net_dir, capsys):
                      "-o", str(tmp / "mid.tq")]) == 0
         mid = load_quantized(tmp / "mid.tq")
         assert mid.num_levels / mid.num_blocks <= 1.2
+
+
+def test_downgrade_report_keeps_flop_weighting(net_dir, capsys):
+    tmp, manifest_path, _ = net_dir
+    main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.05",
+          "-o", str(tmp / "net.tq")])
+    capsys.readouterr()
+    assert main(["downgrade", str(tmp / "net.tq"), "--target-compute", "1.2",
+                 "-o", str(tmp / "mid.tq")]) == 0
+    downgraded = capsys.readouterr().out.splitlines()
+    assert main(["stats", str(tmp / "mid.tq")]) == 0
+    stats = capsys.readouterr().out.splitlines()
+    line = [l for l in stats if l.startswith("FLOP-weighted compute factor")]
+    assert len(line) == 1
+    assert line[0] in downgraded
 
 
 def test_downgrade_below_base_exits_2(net_dir, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ternres import (
+    QuantizedLayer,
     QuantizedModel,
     Tensor,
     cost_report,
@@ -147,22 +148,33 @@ class TestMeasuredReport:
         assert report.model_size_bits == (8 + 2 * 64) + (8 + 2 * 36)
         assert report.num_scaling_factors == 2
 
+    def test_capacity_stays_exact_past_int64(self):
+        # 3**41 exceeds the int64 range; capacity must stay an exact integer.
+        layer = QuantizedLayer(
+            "deep", (8,), 4, counts=np.array([41, 1], dtype=np.int32),
+            alphas=np.ones(42, dtype=np.float32), signs=np.ones((42, 4), dtype=np.int8),
+            delta=0.0, epsilon_sq=0.01, source_norm_sq=1.0)
+        report = cost_report(QuantizedModel({}, (layer,), {}))
+        assert report.capacity == 3 ** 41 + 3 - 2 + 1
+        assert report.capacity == table2_stats(8, 2, [40, 0])[1]
+        assert report.model_size_bits == 42 * (8 + 2 * 4)
+
     def test_report_consistent_with_bookkeeping(self):
         rng = np.random.default_rng(4)
         model = self._model(rng, [512, 300], 32, 0.01)
         report = cost_report(model)
-        levels = sum(len(s.levels) for l in model.layers for s in l.stacks)
-        blocks = sum(len(l.stacks) for l in model.layers)
+        levels = sum(int(l.counts.sum()) for l in model.layers)
+        blocks = sum(len(l.counts) for l in model.layers)
         assert report.total_levels == levels
         assert report.num_scaling_factors == levels
         assert report.blocks_factor == pytest.approx(levels / blocks, rel=1e-12)
         size = sum(
-            len(s.levels) * (8 + 2 * s.block.length)
-            for l in model.layers for s in l.stacks
+            int(c) * (8 + 2 * min(l.block_size, l.num_weights - k * l.block_size))
+            for l in model.layers for k, c in enumerate(l.counts)
         )
         assert report.model_size_bits == size
         capacity = sum(
-            sum(3 ** len(s.levels) for s in l.stacks) - len(l.stacks) + 1
+            sum(3 ** int(c) for c in l.counts) - len(l.counts) + 1
             for l in model.layers
         )
         assert report.capacity == capacity

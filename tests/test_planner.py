@@ -128,9 +128,7 @@ class TestConvertModel:
         schedule = make_schedule(manifest, "uniform", epsilon_sq=1.0)
         model, report = convert_model(manifest, weights, 16, schedule)
         assert report.blocks_factor == 1.0
-        assert all(
-            len(s.levels) == 1 for l in model.layers for s in l.stacks
-        )
+        assert all(np.all(l.counts == 1) for l in model.layers)
 
     def test_budgets_respected(self):
         rng = np.random.default_rng(8)

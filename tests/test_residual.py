@@ -109,10 +109,11 @@ class TestBatchedMatchesSequential:
         assert layer.exhausted == exhausted
         assert layer.levels_per_block() == [len(lv) for lv in levels]
         assert reconstruct(layer).data.tobytes() == np.concatenate(recons).tobytes()
-        for stack, block_levels in zip(layer.stacks, levels):
-            for got, want in zip(stack.levels, block_levels):
-                assert got.alpha == want.alpha and got.threshold == want.threshold
-                assert got.signs.tobytes() == want.signs.tobytes()
+        want = [lvl for block_levels in levels for lvl in block_levels]
+        assert layer.alphas.tolist() == [lvl.alpha for lvl in want]
+        width = layer.signs.shape[1]  # the tail block's rows are zero-padded
+        assert layer.signs.tobytes() == b"".join(
+            np.pad(lvl.signs, (0, width - lvl.signs.size)).tobytes() for lvl in want)
         return "exhausted" if exhausted else "converged"
 
     def test_remainder_block(self):
@@ -187,7 +188,7 @@ class TestTernaryResidual:
         layer = ternary_residual(t, 64, epsilon_sq=0.01)
         assert layer.delta == 0.0
         assert layer.levels_per_block() == [1, 1]
-        assert all(s.levels[0].alpha == 0.0 for s in layer.stacks)
+        assert not layer.alphas.any() and not layer.signs.any()
 
     def test_r_max_exhaustion_raises_with_delta(self):
         rng = np.random.default_rng(3)
@@ -210,6 +211,8 @@ class TestTernaryResidual:
             ternary_residual(t, 4)
         with pytest.raises(ValueError):
             ternary_residual(t, 4, epsilon=0.1, r_max=0)
+        with pytest.raises(ValueError, match="block size"):
+            ternary_residual(t, 0, epsilon=0.1)
 
     def test_delta_matches_recomputation(self):
         rng = np.random.default_rng(4)
@@ -255,8 +258,7 @@ class TestTernaryResidual:
             lvl = ternarize(flat[b.start:b.stop] - recons[row.block].astype(np.float64))
             recons[row.block] = recons[row.block] + lvl.dense()
             counts[row.block] += 1
-        stacked = [len(s.levels) for s in layer.stacks]
-        assert stacked == counts
+        assert layer.levels_per_block() == counts
 
     def test_block_orthogonality_every_iteration(self):
         # Total squared error equals the sum of per-block squared residual
@@ -267,6 +269,7 @@ class TestTernaryResidual:
         flat = t.unrolled().astype(np.float64)
         total_sq = float(flat @ flat)
         blocks = partition_blocks(t, 64)
+        starts = layer.level_starts()
         depth = [0] * len(blocks)
 
         def current_state_delta():
@@ -274,8 +277,8 @@ class TestTernaryResidual:
             per_block_sq = 0.0
             for k, b in enumerate(blocks):
                 acc = np.zeros(b.length, dtype=np.float32)
-                for lvl in layer.stacks[k].levels[:depth[k]]:
-                    acc += lvl.dense()
+                for row in range(starts[k], starts[k] + depth[k]):
+                    acc += layer.alphas[row] * layer.signs[row, :b.length]
                 recon[b.start:b.stop] = acc
                 d = flat[b.start:b.stop] - acc.astype(np.float64)
                 per_block_sq += float(d @ d)
@@ -296,19 +299,18 @@ class TestTernaryResidual:
         rng = np.random.default_rng(7)
         t = random_tensor(rng, 640)
         layer = ternary_residual(t, 64, epsilon_sq=0.005)
-        flat = t.unrolled().astype(np.float64)
-        for stack in layer.stacks:
-            b = stack.block
-            acc = np.zeros(b.length, dtype=np.float32)
-            for lvl in stack.levels:
-                before = flat[b.start:b.stop] - acc.astype(np.float64)
-                norm_sq = float(before @ before)
-                dense = lvl.dense().astype(np.float64)
-                after = before - dense
-                assert abs(float(dense @ after)) <= 1e-5 * norm_sq
-                pyth = float(dense @ dense) + float(after @ after)
-                assert abs(pyth - norm_sq) <= 1e-5 * norm_sq
-                acc += lvl.dense()
+        target = t.unrolled().astype(np.float64).reshape(10, 64)  # row k is block k
+        acc = np.zeros(target.shape, dtype=np.float32)
+        for blocks, rows in layer.depth_rows():
+            before = target[blocks] - acc[blocks].astype(np.float64)
+            norm_sq = np.sum(before * before, axis=1)
+            level = layer.alphas[rows, None] * layer.signs[rows]
+            dense = level.astype(np.float64)
+            after = before - dense
+            assert np.all(np.abs(np.sum(dense * after, axis=1)) <= 1e-5 * norm_sq)
+            pyth = np.sum(dense * dense, axis=1) + np.sum(after * after, axis=1)
+            assert np.all(np.abs(pyth - norm_sq) <= 1e-5 * norm_sq)
+            acc[blocks] += level
 
     def test_adding_levels_never_increases_delta(self):
         rng = np.random.default_rng(8)
@@ -387,6 +389,15 @@ class TestBlockSensitivity:
             block_sensitivity(a, b, partition_blocks(a, 2))
 
 
+def removed_importance(before, after):
+    """Energy share of the one level a downgrade took from layer ``before``."""
+    (k,) = np.flatnonzero(before.counts != after.counts)
+    assert after.counts[k] == before.counts[k] - 1
+    row = before.level_starts()[k] + before.counts[k] - 1  # the block's deepest level
+    nnz = np.count_nonzero(before.signs[row])
+    return float(before.alphas[row]) ** 2 * nnz / before.source_norm_sq
+
+
 def _two_layer_model(rng, sizes=(300, 200), block=32, eps_sq=0.02):
     tensors = {}
     layers = []
@@ -405,11 +416,9 @@ class TestDowngrade:
         assert same.num_levels == model.num_levels
         for a, b in zip(model.layers, same.layers):
             assert a.delta == b.delta
-            assert all(
-                np.array_equal(x.signs, y.signs) and x.alpha == y.alpha
-                for sa, sb in zip(a.stacks, b.stacks)
-                for x, y in zip(sa.levels, sb.levels)
-            )
+            assert np.array_equal(a.counts, b.counts)
+            assert np.array_equal(a.alphas, b.alphas)
+            assert np.array_equal(a.signs, b.signs)
 
     def test_each_removal_costs_its_importance(self):
         rng = np.random.default_rng(15)
@@ -421,12 +430,7 @@ class TestDowngrade:
         ]
         assert len(changed) == 1
         before, after = changed[0]
-        removed = next(
-            sa.levels[-1]
-            for sa, sb in zip(before.stacks, after.stacks)
-            if len(sa.levels) != len(sb.levels)
-        )
-        importance = float(removed.alpha) ** 2 * removed.nnz / before.source_norm_sq
+        importance = removed_importance(before, after)
         # Recomputing delta from the source tensor confirms the increase is
         # exactly the removed level's importance mass (orthogonality of the
         # deepest level), and the stored delta tracks it.
@@ -442,11 +446,9 @@ class TestDowngrade:
         assert base.num_levels == base.num_blocks
         for layer in base.layers:
             fresh = ternary_residual(tensors[layer.layer], 32, epsilon=1.0)
-            for sa, sb in zip(layer.stacks, fresh.stacks):
-                assert len(sa.levels) == len(sb.levels) == 1
-                assert sa.levels[0].alpha == sb.levels[0].alpha
-                assert np.array_equal(sa.levels[0].signs, sb.levels[0].signs)
-                assert sa.levels[0].threshold == sb.levels[0].threshold
+            assert np.all(layer.counts == 1) and np.all(fresh.counts == 1)
+            assert np.array_equal(layer.alphas, fresh.alphas)
+            assert np.array_equal(layer.signs, fresh.signs)
             assert layer.delta == pytest.approx(fresh.delta, rel=1e-6)
 
     def test_budget_below_base_rejected(self):
@@ -480,12 +482,8 @@ class TestDowngrade:
         for _ in range(3):
             nxt = downgrade(current, keep_levels=current.num_levels - 1)
             for a, b in zip(current.layers, nxt.layers):
-                for sa, sb in zip(a.stacks, b.stacks):
-                    if len(sa.levels) != len(sb.levels):
-                        lvl = sa.levels[-1]
-                        removed.append(
-                            float(lvl.alpha) ** 2 * lvl.nnz / a.source_norm_sq
-                        )
+                if a.num_levels != b.num_levels:
+                    removed.append(removed_importance(a, b))
             current = nxt
         assert removed == sorted(removed)
 
@@ -501,8 +499,8 @@ class TestQuantizeScales8bit:
             layer = ternary_residual(t, 16, epsilon=1.0)
             model = QuantizedModel({}, (layer,), {})
             q = quantize_scales_8bit(model, {"w": t})
-            a = layer.stacks[0].levels[0].alpha
-            ah = q.layers[0].stacks[0].levels[0].alpha
+            a = float(layer.alphas[0])
+            ah = float(q.layers[0].alphas[0])
             assert abs(a - ah) <= a / 127.0 * (1 + 1e-6)
 
     def test_alpha_zero_levels_unchanged(self):
@@ -510,7 +508,7 @@ class TestQuantizeScales8bit:
         layer = ternary_residual(t, 8, epsilon_sq=0.5)
         model = QuantizedModel({}, (layer,), {})
         q = quantize_scales_8bit(model, {"w": t})
-        assert q.layers[0].stacks[0].levels[0].alpha == 0.0
+        assert q.layers[0].alphas[0] == 0.0
 
     def test_base_only_model_delta_never_decreases(self):
         # With a single level per block the residual is orthogonal to the
@@ -534,12 +532,11 @@ class TestQuantizeScales8bit:
             layer = ternary_residual(t, 32, epsilon_sq=0.01)
             model = QuantizedModel({}, (layer,), {})
             q = quantize_scales_8bit(model, {"w": t})
-            d_sq = 0.0
-            for sa, sb in zip(layer.stacks, q.layers[0].stacks):
-                shift = 0.0
-                for la, lb in zip(sa.levels, sb.levels):
-                    shift += abs(la.alpha - lb.alpha) * np.sqrt(la.nnz)
-                d_sq += shift ** 2
+            moved = np.abs(layer.alphas.astype(np.float64)
+                           - q.layers[0].alphas.astype(np.float64))
+            per_level = moved * np.sqrt(np.count_nonzero(layer.signs, axis=1))
+            shift = np.add.reduceat(per_level, layer.level_starts())  # per block
+            d_sq = float(np.sum(shift ** 2))
             window = np.sqrt(d_sq / layer.source_norm_sq)
             lo = max(0.0, np.sqrt(layer.delta) - window) ** 2
             hi = (np.sqrt(layer.delta) + window) ** 2

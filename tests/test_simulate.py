@@ -15,6 +15,7 @@ from ternres import (
     layer_lemma_checks,
     make_schedule,
     margin_check,
+    partition_blocks,
     quantize_activations,
     reconstruct,
     ternary_residual,
@@ -240,13 +241,14 @@ class TestForwardQuantized:
         qlayer = ternary_residual(w, 16, epsilon_sq=0.01)
         x = rng.normal(size=(3, 40)).astype(np.float32)
         dense = x @ reconstruct(qlayer).data.T.astype(np.float32)
-        depth = max(len(s.levels) for s in qlayer.stacks)
+        starts = qlayer.level_starts()
         acc = np.zeros_like(dense)
-        for t in range(depth):
+        for t in range(int(qlayer.counts.max())):
             level_w = np.zeros(240, dtype=np.float32)
-            for s in qlayer.stacks:
-                if t < len(s.levels):
-                    level_w[s.block.start:s.block.stop] = s.levels[t].dense()
+            for k, b in enumerate(partition_blocks(w, 16)):
+                if t < qlayer.counts[k]:
+                    row = starts[k] + t
+                    level_w[b.start:b.stop] = qlayer.alphas[row] * qlayer.signs[row, :b.length]
             acc += x @ level_w.reshape(6, 40).T
         rel = np.linalg.norm(dense - acc) / np.linalg.norm(dense)
         assert rel <= 1e-5

@@ -1,5 +1,8 @@
 """Tensor I/O, blocking, and quantized-container serialization."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from ternres import (
     ternary_residual,
     unpack_signs,
 )
+from ternres.cli import main
 
 
 class TestTensor:
@@ -135,6 +139,15 @@ class TestSignPacking:
         with pytest.raises(FormatError):
             unpack_signs(bytes([0, 0]), 1)
 
+    def test_rows_pack_one_after_another(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 4, 6, 10, 64):
+            rows = rng.integers(-1, 2, size=(5, n)).astype(np.int8)
+            packed = pack_signs(rows)
+            assert packed == b"".join(pack_signs(r) for r in rows)
+            matrix = np.frombuffer(packed, dtype=np.uint8).reshape(5, -1)
+            assert np.array_equal(unpack_signs(matrix, n), rows)
+
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, signs):
@@ -169,11 +182,9 @@ class TestContainer:
             assert a.epsilon_sq == b.epsilon_sq
             assert a.source_norm_sq == b.source_norm_sq
             assert np.array_equal(reconstruct(a).data, reconstruct(b).data)
-            for sa, sb in zip(a.stacks, b.stacks):
-                assert len(sa.levels) == len(sb.levels)
-                for la, lb in zip(sa.levels, sb.levels):
-                    assert la.alpha == lb.alpha
-                    assert np.array_equal(la.signs, lb.signs)
+            assert np.array_equal(a.counts, b.counts)
+            assert np.array_equal(a.alphas, b.alphas)
+            assert np.array_equal(a.signs, b.signs)
 
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -205,3 +216,36 @@ class TestContainer:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="truncated"):
             load_quantized(path)
+
+
+def _rewrite_first_layer(path, key, value):
+    """Set one field of the first layer entry in a saved container's index."""
+    raw = path.read_bytes()
+    (json_len,) = struct.unpack("<I", raw[4:8])
+    index = json.loads(raw[8:8 + json_len])
+    entry = index["layers"][0]
+    if isinstance(entry[key], list):
+        entry[key] = [value] + entry[key][1:]
+    else:
+        entry[key] = value
+    encoded = json.dumps(index).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<I", len(encoded)) + encoded
+                     + raw[8 + json_len:])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("N", 0),
+    ("levels_per_block", 0),
+    ("levels_per_block", -1),
+    ("scale_offsets", -4),
+    ("sign_offsets", -1),
+])
+def test_malformed_layer_entry_is_a_format_error(tmp_path, key, value):
+    rng = np.random.default_rng(6)
+    model, _ = _random_model(rng, [100, 40])
+    path = tmp_path / "m.tq"
+    save_quantized(model, path)
+    _rewrite_first_layer(path, key, value)
+    with pytest.raises(FormatError, match="'l0'"):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
