@@ -143,10 +143,14 @@ def _read_layer(entry: dict, blob: np.ndarray) -> QuantizedLayer:
             f"layer {name!r}: inconsistent level (alpha must be >= 0, and zero "
             f"exactly when all signs are zero)")
 
+    numbers = [float(entry[key]) for key in ("delta", "epsilon_sq", "source_norm_sq")]
+    if not np.all(np.isfinite(numbers)):
+        raise FormatError(
+            f"layer {name!r}: delta, epsilon_sq and source_norm_sq must be finite")
+
     return QuantizedLayer(
         name, shape, block_size, counts.astype(np.int32), alphas.astype(np.float32),
-        signs, float(entry["delta"]), float(entry["epsilon_sq"]),
-        float(entry["source_norm_sq"]), exhausted=bool(entry.get("exhausted", False)))
+        signs, *numbers, exhausted=bool(entry.get("exhausted", False)))
 
 
 def load_quantized(path) -> QuantizedModel:

@@ -239,6 +239,10 @@ def _rewrite_first_layer(path, key, value):
     ("levels_per_block", -1),
     ("scale_offsets", -4),
     ("sign_offsets", -1),
+    ("delta", "nan"),
+    ("delta", float("inf")),
+    ("epsilon_sq", float("nan")),
+    ("source_norm_sq", "-inf"),
 ])
 def test_malformed_layer_entry_is_a_format_error(tmp_path, key, value):
     rng = np.random.default_rng(6)
