@@ -1,11 +1,14 @@
 """Toy forward-pass engine running paired FP32/quantized inference.
 
-The engine supports fully-connected, direct 2-D convolution, ReLU, max/avg
-pooling, and folded batch-norm+scale (an affine ``a*y + b`` per channel).
-A paired run measures, per layer, the relative output perturbation, the
+The engine supports fully-connected, 2-D convolution through im2col (the
+flat kernel times each image's patch matrix), ReLU, max/avg pooling, and
+folded batch-norm+scale (an affine ``a*y + b`` per channel). A paired run
+measures, per layer, the relative output perturbation, the
 activation-quantization perturbation, and the weight perturbation, and
 cross-checks that accumulating the per-level ternary contributions matches
-a dense multiply with the reconstructed weights.
+a dense multiply with the reconstructed weights; for fc and conv both sides
+come from one product whose outputs stack the dense weights and every depth
+slice.
 
 Everything computes in float32 (the toolkit's native precision) while norms
 and ratios accumulate in float64.
@@ -18,6 +21,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .manifest import LayerDecl, ModelManifest
 from .residual import QuantizedLayer, QuantizedModel, fixed_point_exponent, reconstruct
@@ -69,6 +73,8 @@ def _fc(w: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
 
 def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
             stride: int, pad: int) -> np.ndarray:
+    """im2col convolution: one batched GEMM of the flat kernel with the
+    per-image patch matrices."""
     if x.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ValueError(f"conv2d expects (B,{w.shape[1]},H,W), got {x.shape}")
     c_out, _, kh, kw = w.shape
@@ -78,11 +84,12 @@ def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
     ow = (x.shape[3] - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError("conv2d kernel larger than padded input")
-    y = np.zeros((x.shape[0], c_out, oh, ow), dtype=np.float32)
-    for u in range(kh):
-        for v in range(kw):
-            patch = x[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
-            y += np.einsum("oc,bchw->bohw", w[:, :, u, v], patch)
+    # Windows are (B, C, OH, OW, kh, kw); each image's (C*kh*kw, OH*OW) patch
+    # matrix has its rows ordered like the columns of ``w.reshape(c_out, -1)``,
+    # so the product comes out in (B, c_out, OH*OW) order.
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], -1, oh * ow)
+    y = (w.reshape(c_out, -1) @ cols).reshape(x.shape[0], c_out, oh, ow)
     if b is not None:
         y = y + b.reshape(1, c_out, 1, 1)
     return y.astype(np.float32, copy=False)
@@ -184,40 +191,51 @@ def _rel_norm(diff: np.ndarray, ref: np.ndarray) -> float:
     return d / r
 
 
-def _level_slices(qlayer: QuantizedLayer) -> list[np.ndarray]:
-    """Per-level-index dense weight arrays: slice t holds alpha_t * signs_t
+def _level_slices(qlayer: QuantizedLayer) -> np.ndarray:
+    """``(R, *shape)`` per-depth dense weights: slice t holds alpha_t * signs_t
     of every block that has at least t+1 levels."""
-    slices = []
-    for blocks, rows in qlayer.depth_rows():
-        blocked = np.zeros((qlayer.num_blocks, qlayer.signs.shape[1]), dtype=np.float32)
-        blocked[blocks] = qlayer.alphas[rows, None] * qlayer.signs[rows]
-        slices.append(qlayer.unblock(blocked))
-    return slices
+    blocked = np.zeros((int(qlayer.counts.max(initial=0)), qlayer.num_blocks,
+                        qlayer.signs.shape[1]), dtype=np.float32)
+    for t, (blocks, rows) in enumerate(qlayer.depth_rows()):
+        blocked[t, blocks] = qlayer.alphas[rows, None] * qlayer.signs[rows]
+    flat = blocked.reshape(len(blocked), -1)[:, :qlayer.num_weights]
+    return flat.reshape((len(blocked),) + qlayer.shape)
 
 
-def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer,
+def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarray,
                      bias: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """Dense pass with reconstructed weights, cross-checked against the
-    level-decomposed accumulation."""
-    dense_w = reconstruct(qlayer).data
-    y_dense = apply_layer(layer, dense_w, bias, x)
+    """Dense pass with the reconstructed weights ``dense_w``, cross-checked
+    against the level-decomposed accumulation.
 
-    y_dec = None
-    for level_w in _level_slices(qlayer):
-        part = apply_layer(layer, level_w, None, x)
-        y_dec = part if y_dec is None else y_dec + part
+    For fc and conv2d the dense weights and the R depth slices are stacked
+    along the output axis and run as one ``(1+R)*c_out``-output product:
+    the first ``c_out`` outputs are the dense result, the remaining ``(R,
+    c_out)`` are the per-level products, summed for the decomposed result.
+    Each output is its own dot product, so the two sides stay independent.
+    bn_scale scales per channel and keeps one pass per depth.
+    """
+    levels = _level_slices(qlayer)
+    c_out = dense_w.shape[0]
+    if layer.kind in ("fc", "conv2d"):
+        stacked = np.concatenate([dense_w[None], levels])
+        out = apply_layer(layer, stacked.reshape((-1,) + dense_w.shape[1:]), None, x)
+        y_dense = out[:, :c_out]
+        y_dec = out[:, c_out:].reshape(
+            (out.shape[0], len(levels), c_out) + out.shape[2:]).sum(axis=1)
+    else:
+        y_dense = apply_layer(layer, dense_w, None, x)
+        y_dec = sum(apply_layer(layer, level_w, None, x) for level_w in levels)
     if bias is not None:
-        if layer.kind == "fc":
-            y_dec = y_dec + bias
-        else:
-            y_dec = y_dec + bias.reshape((1, bias.shape[0]) + (1,) * (y_dec.ndim - 2))
+        shape = (1, c_out) + (1,) * (y_dense.ndim - 2)
+        y_dense = y_dense + bias.reshape(shape)
+        y_dec = y_dec + bias.reshape(shape)
     rel = _rel_norm(y_dense - y_dec, y_dense)
     if rel > DECOMPOSITION_RTOL:
         raise RuntimeError(
             f"layer {layer.name!r}: level-decomposed accumulation deviates from "
             f"the dense reconstruction by {rel:.3g} relative"
         )
-    return y_dense
+    return np.ascontiguousarray(y_dense)
 
 
 @dataclass(frozen=True)
@@ -315,11 +333,9 @@ def forward_quantized(
         epsilon = 0.0
         if layer.weight_ref is not None and layer.name in qlayers:
             qlayer = qlayers[layer.name]
-            cur = _apply_quantized(layer, qlayer, b, x_in)
-            epsilon = _rel_norm(
-                weights[layer.name][0].data - reconstruct(qlayer).data,
-                weights[layer.name][0].data,
-            )
+            dense_w = reconstruct(qlayer).data
+            cur = _apply_quantized(layer, qlayer, dense_w, b, x_in)
+            epsilon = _rel_norm(w - dense_w, w)
         else:
             cur = apply_layer(layer, w, b, x_in)
         acts.append(cur)

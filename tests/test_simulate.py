@@ -20,6 +20,7 @@ from ternres import (
     reconstruct,
     ternary_residual,
 )
+import ternres.simulate as simulate
 from ternres.simulate import (
     avgpool_bound,
     matmul_bound,
@@ -131,6 +132,50 @@ class TestForward:
         manifest, weights = mlp_net(np.random.default_rng(2))
         with pytest.raises(ValueError):
             forward(manifest, weights, np.zeros((1, 7), dtype=np.float32))
+
+
+def _single_conv(rng, c_in, c_out, k, stride, pad, h, w):
+    manifest = ModelManifest(
+        (LayerDecl("conv", "conv2d", weight_ref="conv.w.npy", bias_ref="conv.b.npy",
+                   hyperparams={"stride": stride, "pad": pad}),),
+        input_shape=(c_in, h, w))
+    weights = {"conv": (
+        Tensor("conv", rng.normal(size=(c_out, c_in, k, k)).astype(np.float32)),
+        Tensor("conv.b", rng.normal(size=(c_out,)).astype(np.float32)),
+    )}
+    return manifest, weights
+
+
+# (kernel, stride, pad, H, W): strides 1-3, pads 0-2, 1x1 to 5x5 kernels,
+# non-square inputs whose sizes the stride does not divide.
+CONV_SHAPES = [
+    (3, 2, 1, 9, 7),
+    (1, 1, 0, 5, 8),
+    (1, 2, 0, 6, 5),
+    (5, 1, 2, 6, 9),
+    (5, 2, 2, 11, 6),
+    (5, 3, 0, 7, 12),
+    (3, 2, 2, 4, 10),
+]
+
+
+@pytest.mark.parametrize("k, stride, pad, h, w", CONV_SHAPES)
+def test_conv_shapes_match_reference(k, stride, pad, h, w):
+    rng = np.random.default_rng(k * 100 + stride * 10 + pad)
+    manifest, weights = _single_conv(rng, 3, 5, k, stride, pad, h, w)
+    x = rng.normal(size=(2,) + manifest.input_shape).astype(np.float32)
+    fast = forward(manifest, weights, x)[-1]
+    slow = reference_forward(manifest, weights, x)[-1]
+    assert fast.shape == slow.shape == (2, 5, (h + 2 * pad - k) // stride + 1,
+                                        (w + 2 * pad - k) // stride + 1)
+    assert np.linalg.norm(fast - slow) <= 1e-5 * np.linalg.norm(slow)
+
+    # The stacked quantized product matches the reference on the same shape.
+    model = _convert(manifest, weights, 16, 0.01)
+    _, logits, _ = forward_quantized(manifest, weights, model, x)
+    dense = {"conv": (reconstruct(model.layers[0]), weights["conv"][1])}
+    slow_q = reference_forward(manifest, dense, x)[-1]
+    assert np.linalg.norm(logits - slow_q) <= 1e-5 * np.linalg.norm(slow_q)
 
 
 class TestActivationQuantization:
@@ -252,6 +297,48 @@ class TestForwardQuantized:
             acc += x @ level_w.reshape(6, 40).T
         rel = np.linalg.norm(dense - acc) / np.linalg.norm(dense)
         assert rel <= 1e-5
+
+    @pytest.mark.parametrize("make_net", [mlp_net, conv_net])
+    def test_perturbed_dense_weight_fails_decomposition_check(self, monkeypatch, make_net):
+        # The dense and per-level products must come from separate weights:
+        # one changed dense weight has to trip the check.
+        rng = np.random.default_rng(16)
+        manifest, weights = make_net(rng)
+        model = _convert(manifest, weights, 16, 0.01)
+        x = rng.normal(size=(2,) + manifest.input_shape).astype(np.float32)
+        forward_quantized(manifest, weights, model, x)
+
+        def perturbed(qlayer):
+            w = reconstruct(qlayer)
+            w.data.reshape(-1)[0] += np.float32(1.0)
+            return w
+
+        monkeypatch.setattr(simulate, "reconstruct", perturbed)
+        with pytest.raises(RuntimeError, match="deviates"):
+            forward_quantized(manifest, weights, model, x)
+
+    @pytest.mark.parametrize("make_net", [mlp_net, conv_net])
+    def test_one_stacked_pass_per_quantized_layer(self, monkeypatch, make_net):
+        rng = np.random.default_rng(17)
+        manifest, weights = make_net(rng)
+        model = _convert(manifest, weights, 16, 0.001)
+        assert all(int(l.counts.max()) > 1 for l in model.layers)
+        calls = {}
+        apply_layer = simulate.apply_layer
+
+        def counted(layer, *args):
+            calls[layer.name] = calls.get(layer.name, 0) + 1
+            return apply_layer(layer, *args)
+
+        monkeypatch.setattr(simulate, "apply_layer", counted)
+        x = rng.normal(size=(2,) + manifest.input_shape).astype(np.float32)
+        forward_quantized(manifest, weights, model, x, act_quant=True)
+        # fc and conv2d: one clean pass and one stacked dense-plus-levels
+        # pass, not 1+R; bn_scale: clean, dense and one pass per depth.
+        kinds = {layer.name: layer.kind for layer in manifest.layers}
+        expected = {l.layer: 2 if kinds[l.layer] in ("fc", "conv2d")
+                    else 2 + int(l.counts.max()) for l in model.layers}
+        assert {name: calls[name] for name in expected} == expected
 
     def test_misaligned_model_rejected(self):
         rng = np.random.default_rng(9)
