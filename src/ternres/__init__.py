@@ -4,11 +4,15 @@ Converts full-precision weights into fine-grained blocks of stacked ternary
 levels (no retraining), models the size/compute/power trade-offs of the
 result, and verifies its error behavior with a toy paired-inference
 simulator.
+
+The package re-exports what the demos and the README's example use, the
+exception classes, and ``QuantizedModel`` and ``quantize_scales_8bit`` (the
+pinned golden tests import them from here). Everything else is imported
+from its own module, e.g. ``from ternres.residual import level_index``.
 """
 
-from .container import load_quantized, pack_signs, save_quantized, unpack_signs
+from .container import load_quantized, save_quantized
 from .costs import (
-    CostReport,
     cost_report,
     enumerate_capacity,
     mult_reduction,
@@ -18,67 +22,30 @@ from .costs import (
     throughput_gains,
 )
 from .errors import ConvergenceError, FormatError, TernresError, UnsupportedDtypeError
-from .manifest import (
-    LayerDecl,
-    ModelManifest,
-    load_manifest,
-    load_weights,
-    manifest_from_dict,
-    manifest_to_dict,
-    resolve_shapes,
-    save_manifest,
-)
-from .planner import (
-    BudgetSchedule,
-    ScheduleEntry,
-    convert_model,
-    flops_per_layer,
-    load_schedule,
-    make_schedule,
-)
+from .manifest import LayerDecl, ModelManifest, load_manifest, load_weights
+from .planner import convert_model, flops_per_layer, make_schedule
 from .residual import (
-    QuantizedLayer,
     QuantizedModel,
-    block_sensitivity,
     downgrade,
-    layer_delta,
     quantize_scales_8bit,
     reconstruct,
     ternary_residual,
-    write_trace_csv,
 )
-from .simulate import (
-    ActQuantSpec,
-    PerturbationTrace,
-    forward,
-    forward_quantized,
-    layer_lemma_checks,
-    margin_check,
-    quantize_activations,
-)
-from .tensors import BlockView, Tensor, load_tensor, partition_blocks, save_tensor
-from .ternary import TernaryLevel, level_error, oracle_best_support, ternarize
+from .simulate import forward, forward_quantized, margin_check, quantize_activations
+from .tensors import Tensor, save_tensor
+from .ternary import level_error, ternarize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActQuantSpec",
-    "BlockView",
-    "BudgetSchedule",
     "ConvergenceError",
-    "CostReport",
     "FormatError",
     "LayerDecl",
     "ModelManifest",
-    "PerturbationTrace",
-    "QuantizedLayer",
     "QuantizedModel",
-    "ScheduleEntry",
     "Tensor",
-    "TernaryLevel",
     "TernresError",
     "UnsupportedDtypeError",
-    "block_sensitivity",
     "convert_model",
     "cost_report",
     "downgrade",
@@ -86,28 +53,17 @@ __all__ = [
     "flops_per_layer",
     "forward",
     "forward_quantized",
-    "layer_delta",
-    "layer_lemma_checks",
     "level_error",
     "load_manifest",
     "load_quantized",
-    "load_schedule",
-    "load_tensor",
     "load_weights",
     "make_schedule",
-    "manifest_from_dict",
-    "manifest_to_dict",
     "margin_check",
     "mult_reduction",
-    "oracle_best_support",
-    "pack_signs",
-    "partition_blocks",
     "power_perf_gain",
     "quantize_activations",
     "quantize_scales_8bit",
     "reconstruct",
-    "resolve_shapes",
-    "save_manifest",
     "save_quantized",
     "save_tensor",
     "size_reduction_vs_88",
@@ -115,6 +71,4 @@ __all__ = [
     "ternarize",
     "ternary_residual",
     "throughput_gains",
-    "unpack_signs",
-    "write_trace_csv",
 ]

@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .residual import QuantizedLayer, QuantizedModel
+from .residual import QuantizedLayer, QuantizedModel, level_index
 from .tensors import block_lengths
 
 MAGIC = b"TRQ0"
@@ -125,9 +125,7 @@ def _read_layer(entry: dict, blob: np.ndarray) -> QuantizedLayer:
     if np.any(sign_offsets + row_bytes * counts > len(blob)):
         raise FormatError(f"layer {name!r}: truncated sign payload")
 
-    # Level i is at depth depth[i] of block owner[i].
-    owner = np.repeat(np.arange(num_blocks), counts)
-    depth = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    owner, depth = level_index(counts)
     scale_at = scale_offsets[owner] + 4 * depth
     alphas = blob[scale_at[:, None] + np.arange(4)].view("<f4").reshape(-1)
     sign_at = sign_offsets[owner] + row_bytes[owner] * depth

@@ -8,7 +8,7 @@ assumed from its settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,10 +127,9 @@ class CostReport:
     pi_m: float
     x: float = DEFAULT_X
     c_ratio: float = DEFAULT_C_RATIO
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "totals": {
                 "weights": self.total_weights,
                 "blocks": self.total_blocks,
@@ -169,8 +168,6 @@ class CostReport:
                 for l in self.layers
             ],
         }
-        doc["totals"].update(self.extras)
-        return doc
 
     def to_text(self) -> str:
         headers = ["layer", "weights", "N", "blocks", "levels", "factor",

@@ -8,8 +8,10 @@ appended level strictly shrinks the block's residual (the fitted level is
 orthogonal to what it leaves behind), so ``delta`` decreases monotonically.
 
 A converted layer is three block-major arrays (see ``QuantizedLayer``):
-levels per block, one scale per level and one sign row per level. Every
-stage works on them directly, looping at most over depth.
+levels per block, one scale per level and one sign row per level.
+``level_index`` is the one map from a level row to its block and depth;
+``QuantizedLayer.depth_slices`` scatters every level into its depth's dense
+slice with one assignment, and ``reconstruct`` adds those slices.
 
 Block residuals are measured against the float32-accumulated reconstruction,
 so the stored ``delta`` is exactly what a recomputation from the saved
@@ -54,6 +56,17 @@ class TraceRow:
     delta_after: float
 
 
+def level_index(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Block and depth of every level row in the block-major layout.
+
+    Row i is level ``depth[i]`` (0 for the base level) of block ``owner[i]``.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    depth = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    return owner, depth
+
+
 @dataclass(frozen=True, eq=False)
 class QuantizedLayer:
     """A converted layer, block-major with each block's base level first.
@@ -95,16 +108,15 @@ class QuantizedLayer:
         """Row of each block's base level in ``alphas`` and ``signs``."""
         return np.cumsum(self.counts) - self.counts
 
-    def depth_rows(self):
-        """Per depth t: the blocks holding a level t and that level's rows."""
-        starts = self.level_starts()
-        for t in range(int(self.counts.max(initial=0))):
-            blocks = np.flatnonzero(self.counts > t)
-            yield blocks, starts[blocks] + t
-
-    def unblock(self, blocked: np.ndarray) -> np.ndarray:
-        """A ``(K, W)`` block-major array back in the layer's shape."""
-        return blocked.reshape(-1)[:self.num_weights].reshape(self.shape)
+    def depth_slices(self) -> np.ndarray:
+        """``(R, *shape)`` float32 per-depth weights: slice t holds alpha * signs
+        of each block's level t, zero where a block has fewer than t+1 levels."""
+        owner, depth = level_index(self.counts)
+        blocked = np.zeros((int(self.counts.max(initial=0)), self.num_blocks,
+                            self.signs.shape[1]), dtype=np.float32)
+        blocked[depth, owner] = self.alphas[:, None] * self.signs
+        flat = blocked.reshape(len(blocked), -1)[:, :self.num_weights]
+        return flat.reshape((len(blocked),) + self.shape)
 
 
 @dataclass(frozen=True)
@@ -266,12 +278,15 @@ def ternary_residual(
 def reconstruct(layer: QuantizedLayer) -> Tensor:
     """Sum the ternary levels of every block back into the original shape.
 
-    Accumulates in float32, depth by depth, shallowest level first.
+    Adds the per-depth slices in float32, shallowest level first. (A
+    ``sum(axis=0)`` would not keep that order: on a single weight numpy sums
+    eight or more levels pairwise.)
     """
-    acc = np.zeros((layer.num_blocks, layer.signs.shape[1]), dtype=np.float32)
-    for blocks, rows in layer.depth_rows():
-        acc[blocks] += layer.alphas[rows, None] * layer.signs[rows]
-    return Tensor(layer.layer, layer.unblock(acc))
+    slices = layer.depth_slices()
+    acc = slices[0].copy()
+    for level in slices[1:]:
+        acc += level
+    return Tensor(layer.layer, acc)
 
 
 def layer_delta(w: Tensor, layer: QuantizedLayer) -> float:
@@ -361,8 +376,8 @@ def downgrade(
 
     new_layers = []
     for li, l in enumerate(model.layers):
-        depth = np.arange(l.num_levels) - np.repeat(l.level_starts(), l.counts)
-        keep = depth < np.repeat(counts[li], l.counts)
+        owner, depth = level_index(l.counts)
+        keep = depth < np.asarray(counts[li])[owner]
         new_layers.append(replace(
             l, counts=np.array(counts[li], dtype=np.int32), alphas=l.alphas[keep],
             signs=l.signs[keep], delta=deltas[li], trace=(), delta_sequence=(),

@@ -6,9 +6,10 @@ folded batch-norm+scale (an affine ``a*y + b`` per channel). A paired run
 measures, per layer, the relative output perturbation, the
 activation-quantization perturbation, and the weight perturbation, and
 cross-checks that accumulating the per-level ternary contributions matches
-a dense multiply with the reconstructed weights; for fc and conv both sides
-come from one product whose outputs stack the dense weights and every depth
-slice.
+a dense multiply with the reconstructed weights. For every parametric layer
+both sides come from one product whose outputs stack the dense weights and
+every depth slice (``QuantizedLayer.depth_slices``); bn_scale, which scales
+each channel by its own weight, sees its input repeated once per slice.
 
 Everything computes in float32 (the toolkit's native precision) while norms
 and ratios accumulate in float64.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -95,23 +96,29 @@ def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
     return y.astype(np.float32, copy=False)
 
 
-def _pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """(B, C, OH, OW, window*window) view of the pooling regions."""
+def _pool_taps(x: np.ndarray, window: int, stride: int) -> list[np.ndarray]:
+    """One strided (B, C, OH, OW) view per tap of the pooling window."""
     if x.ndim != 4:
         raise ValueError(f"pooling expects (B,C,H,W), got {x.shape}")
     oh = (x.shape[2] - window) // stride + 1
     ow = (x.shape[3] - window) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError("pooling window larger than input")
-    cols = []
-    for u in range(window):
-        for v in range(window):
-            cols.append(x[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride])
-    return np.stack(cols, axis=-1)
+    return [x[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
+            for u in range(window) for v in range(window)]
+
+
+def _pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """(B, C, OH, OW, window*window) array of the pooling regions."""
+    return np.stack(_pool_taps(x, window, stride), axis=-1)
 
 
 def _maxpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    return _pool_windows(x, window, stride).max(axis=-1)
+    taps = _pool_taps(x, window, stride)
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    return out
 
 
 def _avgpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
@@ -191,40 +198,28 @@ def _rel_norm(diff: np.ndarray, ref: np.ndarray) -> float:
     return d / r
 
 
-def _level_slices(qlayer: QuantizedLayer) -> np.ndarray:
-    """``(R, *shape)`` per-depth dense weights: slice t holds alpha_t * signs_t
-    of every block that has at least t+1 levels."""
-    blocked = np.zeros((int(qlayer.counts.max(initial=0)), qlayer.num_blocks,
-                        qlayer.signs.shape[1]), dtype=np.float32)
-    for t, (blocks, rows) in enumerate(qlayer.depth_rows()):
-        blocked[t, blocks] = qlayer.alphas[rows, None] * qlayer.signs[rows]
-    flat = blocked.reshape(len(blocked), -1)[:, :qlayer.num_weights]
-    return flat.reshape((len(blocked),) + qlayer.shape)
-
-
 def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarray,
                      bias: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """Dense pass with the reconstructed weights ``dense_w``, cross-checked
     against the level-decomposed accumulation.
 
-    For fc and conv2d the dense weights and the R depth slices are stacked
-    along the output axis and run as one ``(1+R)*c_out``-output product:
-    the first ``c_out`` outputs are the dense result, the remaining ``(R,
-    c_out)`` are the per-level products, summed for the decomposed result.
-    Each output is its own dot product, so the two sides stay independent.
-    bn_scale scales per channel and keeps one pass per depth.
+    The dense weights and the R depth slices are stacked along the output
+    axis and run as one ``(1+R)*c_out``-output product: the first ``c_out``
+    outputs are the dense result, the remaining ``(R, c_out)`` are the
+    per-level products, summed for the decomposed result. Each output is its
+    own product, so the two sides stay independent. bn_scale scales each
+    channel by its own weight, so its input is repeated once per stacked
+    slice.
     """
-    levels = _level_slices(qlayer)
+    levels = qlayer.depth_slices()
     c_out = dense_w.shape[0]
-    if layer.kind in ("fc", "conv2d"):
-        stacked = np.concatenate([dense_w[None], levels])
-        out = apply_layer(layer, stacked.reshape((-1,) + dense_w.shape[1:]), None, x)
-        y_dense = out[:, :c_out]
-        y_dec = out[:, c_out:].reshape(
-            (out.shape[0], len(levels), c_out) + out.shape[2:]).sum(axis=1)
-    else:
-        y_dense = apply_layer(layer, dense_w, None, x)
-        y_dec = sum(apply_layer(layer, level_w, None, x) for level_w in levels)
+    stacked = np.concatenate([dense_w[None], levels])
+    if layer.kind == "bn_scale":
+        x = np.concatenate([x] * len(stacked), axis=1)
+    out = apply_layer(layer, stacked.reshape((-1,) + dense_w.shape[1:]), None, x)
+    y_dense = out[:, :c_out]
+    y_dec = out[:, c_out:].reshape(
+        (out.shape[0], len(levels), c_out) + out.shape[2:]).sum(axis=1)
     if bias is not None:
         shape = (1, c_out) + (1,) * (y_dense.ndim - 2)
         y_dense = y_dense + bias.reshape(shape)
@@ -307,25 +302,15 @@ def forward_quantized(
     x0 = cur
 
     qlayers = {l.layer: l for l in qmodel.layers}
-    for layer in manifest.parametric_layers():
-        q = qlayers.get(layer.name)
-        if q is None:
-            continue
-        w, _ = weights[layer.name]
-        if q.shape != w.shape:
-            raise ValueError(
-                f"layer {layer.name!r}: quantized shape {q.shape} does not match "
-                f"weight shape {w.shape}"
-            )
-
     entries = [TraceEntry(0, "input", "input", 0.0, 0.0, 0.0)]
     acts = []
-    gamma_pending: dict[int, float] = {}
     for li, layer in enumerate(manifest.layers):
         if act_quant:
+            # gamma of entry li: the quantization error of the activation
+            # handed to this layer, i.e. of layer li-1's output.
             x_in, _ = quantize_activations(cur)
             ref = x0 if li == 0 else clean[li - 1]
-            gamma_pending[li] = _rel_norm(cur - x_in, ref)
+            entries[li] = replace(entries[li], gamma=_rel_norm(cur - x_in, ref))
         else:
             x_in = cur
 
@@ -333,6 +318,11 @@ def forward_quantized(
         epsilon = 0.0
         if layer.weight_ref is not None and layer.name in qlayers:
             qlayer = qlayers[layer.name]
+            if qlayer.shape != w.shape:
+                raise ValueError(
+                    f"layer {layer.name!r}: quantized shape {qlayer.shape} does not "
+                    f"match weight shape {w.shape}"
+                )
             dense_w = reconstruct(qlayer).data
             cur = _apply_quantized(layer, qlayer, dense_w, b, x_in)
             epsilon = _rel_norm(w - dense_w, w)
@@ -342,14 +332,7 @@ def forward_quantized(
         delta = _rel_norm(clean[li] - cur, clean[li])
         entries.append(TraceEntry(li + 1, layer.name, layer.kind, delta, 0.0, epsilon))
 
-    # gamma of entry i is the quantization error of layer i's output, i.e.
-    # what was measured while preparing the input of layer i+1.
-    final = []
-    for e in entries:
-        gamma = gamma_pending.get(e.index, 0.0)
-        final.append(TraceEntry(e.index, e.name, e.kind, e.delta, gamma, e.epsilon))
-
-    trace = PerturbationTrace(tuple(final), clean[-1].copy(), acts[-1].copy())
+    trace = PerturbationTrace(tuple(entries), clean[-1].copy(), acts[-1].copy())
     return acts, acts[-1], trace
 
 

@@ -12,7 +12,6 @@ import pytest
 from ternres import (
     QuantizedModel,
     Tensor,
-    block_sensitivity,
     convert_model,
     downgrade,
     enumerate_capacity,
@@ -22,7 +21,6 @@ from ternres import (
     make_schedule,
     margin_check,
     mult_reduction,
-    partition_blocks,
     power_perf_gain,
     reconstruct,
     save_quantized,
@@ -32,7 +30,9 @@ from ternres import (
     ternary_residual,
     throughput_gains,
 )
+from ternres.residual import block_sensitivity, level_index
 from ternres.simulate import avgpool_bound, matmul_bound, maxpool_bound, relu_bound
+from ternres.tensors import partition_blocks
 
 from nets import conv_net, exact_ternary_net, random_net
 
@@ -101,7 +101,10 @@ def test_criterion_03_orthogonality_identities():
         target = np.zeros((layer.num_blocks, layer.signs.shape[1]))
         target.reshape(-1)[:n] = flat
         acc = np.zeros(target.shape, dtype=np.float32)
-        for blocks, rows in layer.depth_rows():
+        owner, depth = level_index(layer.counts)
+        for t in range(int(depth.max()) + 1):
+            rows = np.flatnonzero(depth == t)
+            blocks = owner[rows]
             before = target[blocks] - acc[blocks].astype(np.float64)
             norm_sq = np.sum(before * before, axis=1)
             level = layer.alphas[rows, None] * layer.signs[rows]

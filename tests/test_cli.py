@@ -11,12 +11,12 @@ from ternres import (
     forward_quantized,
     load_manifest,
     load_quantized,
-    load_tensor,
     load_weights,
     save_quantized,
     save_tensor,
     ternary_residual,
 )
+from ternres.tensors import load_tensor
 from ternres.cli import main
 
 from nets import conv_net, mlp_net, write_net

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ternres import (
-    QuantizedLayer,
     QuantizedModel,
     Tensor,
     cost_report,
@@ -16,6 +15,7 @@ from ternres import (
     ternary_residual,
     throughput_gains,
 )
+from ternres.residual import QuantizedLayer
 
 
 class TestTable2:

@@ -12,11 +12,13 @@ from ternres import (
     Tensor,
     load_manifest,
     load_weights,
+    save_tensor,
+)
+from ternres.manifest import (
     manifest_from_dict,
     manifest_to_dict,
     resolve_shapes,
     save_manifest,
-    save_tensor,
 )
 
 from nets import conv_net, write_net

@@ -12,10 +12,10 @@ from ternres import (
     Tensor,
     convert_model,
     flops_per_layer,
-    load_schedule,
     make_schedule,
     save_quantized,
 )
+from ternres.planner import load_schedule
 
 from nets import conv_net, mlp_net, random_net
 

@@ -7,17 +7,21 @@ from ternres import (
     ConvergenceError,
     QuantizedModel,
     Tensor,
-    block_sensitivity,
     downgrade,
-    layer_delta,
-    partition_blocks,
     quantize_scales_8bit,
     reconstruct,
     ternarize,
     ternary_residual,
+)
+from ternres.residual import (
+    QuantizedLayer,
+    TraceRow,
+    block_sensitivity,
+    layer_delta,
+    level_index,
     write_trace_csv,
 )
-from ternres.residual import TraceRow
+from ternres.tensors import partition_blocks
 
 from nets import exact_ternary_array
 
@@ -301,7 +305,10 @@ class TestTernaryResidual:
         layer = ternary_residual(t, 64, epsilon_sq=0.005)
         target = t.unrolled().astype(np.float64).reshape(10, 64)  # row k is block k
         acc = np.zeros(target.shape, dtype=np.float32)
-        for blocks, rows in layer.depth_rows():
+        owner, depth = level_index(layer.counts)
+        for t in range(int(depth.max()) + 1):
+            rows = np.flatnonzero(depth == t)
+            blocks = owner[rows]
             before = target[blocks] - acc[blocks].astype(np.float64)
             norm_sq = np.sum(before * before, axis=1)
             level = layer.alphas[rows, None] * layer.signs[rows]
@@ -343,6 +350,102 @@ class TestReconstruct:
         t = Tensor("w", rng.normal(size=(6, 5, 2)).astype(np.float32))
         layer = ternary_residual(t, 16, epsilon_sq=0.2)
         assert reconstruct(layer).shape == (6, 5, 2)
+
+    @pytest.mark.parametrize("shape, block_size, max_levels", [
+        ((10,), 4, 3),        # ragged tail block of 2
+        ((3, 5), 64, 4),      # N larger than the tensor: one short block
+        ((1,), 1, 12),        # a single weight with a deep stack
+        ((1,), 8, 9),
+        ((2, 3, 4), 5, 16),   # deep stacks over many blocks
+    ])
+    def test_matches_per_block_accumulation(self, shape, block_size, max_levels):
+        rng = np.random.default_rng(11)
+        num_blocks = -(-int(np.prod(shape)) // block_size)
+        counts = rng.integers(1, max_levels + 1, size=num_blocks)
+        counts[-1] = max_levels
+        layer = synthetic_layer(rng, shape, block_size, counts)
+        assert reconstruct(layer).data.tobytes() == per_block_reconstruction(layer).tobytes()
+
+    def test_levels_are_added_in_depth_order(self):
+        # Each 2^-24 level alone rounds away against the 1.0 base; summed
+        # pairwise first they would survive. Depth order keeps exactly 1.0.
+        alphas = np.array([1.0] + [2.0 ** -24] * 11, dtype=np.float32)
+        signs = np.ones((12, 1), dtype=np.int8)
+        layer = QuantizedLayer("w", (1,), 1, np.array([12], dtype=np.int32),
+                               alphas, signs, 0.0, 0.01, 1.0)
+        assert per_block_reconstruction(layer)[0] == 1.0
+        assert reconstruct(layer).data.tobytes() == per_block_reconstruction(layer).tobytes()
+
+    def test_converted_layers_match_per_block_accumulation(self):
+        rng = np.random.default_rng(12)
+        for n, block_size in ((650, 64), (97, 10), (5, 64)):
+            t = random_tensor(rng, n)
+            layer = ternary_residual(t, block_size, epsilon_sq=0.002)
+            expected = per_block_reconstruction(layer)
+            assert reconstruct(layer).data.tobytes() == expected.tobytes()
+
+
+def synthetic_layer(rng, shape, block_size, counts):
+    """A layer with the given level counts, positive scales and random signs."""
+    size = int(np.prod(shape))
+    full, tail = divmod(size, block_size)
+    counts = np.asarray(counts, dtype=np.int32)
+    alphas = (rng.random(int(counts.sum())) + 0.01).astype(np.float32)
+    signs = rng.integers(-1, 2, size=(len(alphas), min(block_size, size))).astype(np.int8)
+    if tail:
+        signs[int(counts[:full].sum()):, tail:] = 0
+    return QuantizedLayer("w", shape, block_size, counts, alphas, signs, 0.0, 0.01, 1.0)
+
+
+def per_block_reconstruction(layer):
+    """Each block's levels added one by one in float32, base level first."""
+    flat = np.zeros(layer.num_weights, dtype=np.float32)
+    row = 0
+    for k, count in enumerate(layer.counts):
+        start = k * layer.block_size
+        length = min(layer.block_size, layer.num_weights - start)
+        acc = np.zeros(length, dtype=np.float32)
+        for _ in range(count):
+            acc += layer.alphas[row] * layer.signs[row, :length]
+            row += 1
+        flat[start:start + length] = acc
+    return flat.reshape(layer.shape)
+
+
+class TestLevelIndex:
+    def test_inverts_level_starts_and_counts(self):
+        rng = np.random.default_rng(13)
+        for counts in ([1], [3], [1, 1, 1], [2, 1, 4, 1, 3], rng.integers(1, 9, size=50)):
+            counts = np.asarray(counts, dtype=np.int32)
+            owner, depth = level_index(counts)
+            starts = np.cumsum(counts) - counts
+            assert np.array_equal(starts[owner] + depth, np.arange(counts.sum()))
+            assert np.array_equal(np.bincount(owner, minlength=len(counts)), counts)
+            assert np.all((depth >= 0) & (depth < counts[owner]))
+
+    def test_matches_a_converted_layer(self):
+        rng = np.random.default_rng(14)
+        layer = ternary_residual(random_tensor(rng, 700), 64, epsilon_sq=0.003)
+        owner, depth = level_index(layer.counts)
+        assert np.array_equal(layer.level_starts()[owner] + depth, np.arange(layer.num_levels))
+        assert int(depth.max()) + 1 == int(layer.counts.max())
+
+    def test_depth_slices_zero_fill_missing_depths(self):
+        rng = np.random.default_rng(15)
+        layer = synthetic_layer(rng, (2, 5), 4, [1, 3, 2])  # blocks of 4, 4, then 2
+        slices = layer.depth_slices()
+        assert slices.shape == (3, 2, 5) and slices.dtype == np.float32
+        flat = slices.reshape(3, -1)
+        row = 0
+        for k, count in enumerate(layer.counts):
+            span = slice(4 * k, min(4 * k + 4, 10))
+            for t in range(3):
+                if t < count:
+                    expected = layer.alphas[row] * layer.signs[row, :span.stop - span.start]
+                    row += 1
+                else:
+                    expected = np.zeros(span.stop - span.start, dtype=np.float32)
+                assert flat[t, span].tobytes() == expected.tobytes()
 
 
 class TestBlockSensitivity:

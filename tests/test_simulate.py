@@ -12,10 +12,8 @@ from ternres import (
     convert_model,
     forward,
     forward_quantized,
-    layer_lemma_checks,
     make_schedule,
     margin_check,
-    partition_blocks,
     quantize_activations,
     reconstruct,
     ternary_residual,
@@ -23,10 +21,12 @@ from ternres import (
 import ternres.simulate as simulate
 from ternres.simulate import (
     avgpool_bound,
+    layer_lemma_checks,
     matmul_bound,
     maxpool_bound,
     relu_bound,
 )
+from ternres.tensors import partition_blocks
 
 from nets import conv_net, exact_ternary_net, mlp_net, random_net
 
@@ -92,6 +92,15 @@ def reference_forward(manifest, weights, x):
 
 
 class TestForward:
+    @pytest.mark.parametrize("window, stride", [(1, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+    def test_maxpool_is_the_exact_window_max(self, window, stride):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(2, 3, 7, 8)).astype(np.float32)
+        out = simulate._maxpool(x, window, stride)
+        expected = simulate._pool_windows(x, window, stride).max(axis=-1)
+        assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
+        assert not np.shares_memory(out, x)
+
     def test_identity_fc(self):
         manifest = ModelManifest(
             (LayerDecl("fc", "fc", weight_ref="w"),), input_shape=(4,))
@@ -333,11 +342,9 @@ class TestForwardQuantized:
         monkeypatch.setattr(simulate, "apply_layer", counted)
         x = rng.normal(size=(2,) + manifest.input_shape).astype(np.float32)
         forward_quantized(manifest, weights, model, x, act_quant=True)
-        # fc and conv2d: one clean pass and one stacked dense-plus-levels
-        # pass, not 1+R; bn_scale: clean, dense and one pass per depth.
-        kinds = {layer.name: layer.kind for layer in manifest.layers}
-        expected = {l.layer: 2 if kinds[l.layer] in ("fc", "conv2d")
-                    else 2 + int(l.counts.max()) for l in model.layers}
+        # Every parametric kind: one clean pass and one stacked
+        # dense-plus-levels pass, not 1+R.
+        expected = {l.layer: 2 for l in model.layers}
         assert {name: calls[name] for name in expected} == expected
 
     def test_misaligned_model_rejected(self):

@@ -14,15 +14,13 @@ from ternres import (
     Tensor,
     UnsupportedDtypeError,
     load_quantized,
-    load_tensor,
-    pack_signs,
-    partition_blocks,
     reconstruct,
     save_quantized,
     save_tensor,
     ternary_residual,
-    unpack_signs,
 )
+from ternres.container import pack_signs, unpack_signs
+from ternres.tensors import load_tensor, partition_blocks
 from ternres.cli import main
 
 

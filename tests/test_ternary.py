@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternres import TernaryLevel, level_error, oracle_best_support, ternarize
-from ternres.ternary import ternarize_rows
+from ternres import level_error, ternarize
+from ternres.ternary import TernaryLevel, oracle_best_support, ternarize_rows
 
 
 def scan_all_prefixes(w, float32_alpha=True):
