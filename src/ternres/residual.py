@@ -3,9 +3,9 @@
 A layer's weight tensor is unrolled, split into contiguous blocks, and each
 block ternarized once. While the squared relative reconstruction error
 ``delta`` exceeds ``epsilon^2``, the block with the largest residual norm
-receives one more ternary level fitted to its remaining residual. Every
-appended level strictly shrinks the block's residual (the fitted level is
-orthogonal to what it leaves behind), so ``delta`` decreases monotonically.
+(ties to the lowest index) receives one more ternary level fitted to its
+remaining residual. A fitted level is orthogonal to the residual it leaves,
+so ``delta`` decreases, and the loop stops once a level would not lower it.
 
 A converted layer is three block-major arrays (see ``QuantizedLayer``):
 levels per block, one scale per level and one sign row per level.
@@ -17,24 +17,38 @@ Block residuals are measured against the float32-accumulated reconstruction,
 so the stored ``delta`` is exactly what a recomputation from the saved
 levels yields.
 
-The loop is batched without changing a bit of its result. A block's next
-level depends only on that block's own residual, so it can be fitted ahead
-of time: each block holds one precomputed candidate level, and whenever the
-block picked next has none, ``ternarize_rows`` fits candidates for every
-eligible block lacking one in a single call (the ragged tail block, if any,
-as a one-row call). The row kernel does per row exactly the float
-operations of the one-vector scan, and the candidate's residual norm is
-summed like ``diff @ diff``, so candidates equal what the sequential loop
-would fit on the spot. The pick comes off a heap keyed on ``(-error,
-block)``, which is the sequential argmax with ties to the lowest index, and
-``delta`` is still updated with the same expression, so the stop decisions,
-trace rows and stored floats match the sequential greedy loop exactly.
+``ternary_residual`` decides the whole greedy order with array operations
+and gives, bit for bit, what the one-step-at-a-time loop gives:
+
+- Merge order. A block's next level depends only on its own residual, so
+  its error after each level is fixed in advance. The loop takes block k
+  past depth d when its error after levels 0..d is the largest, so the
+  accept order is one sort of the keys ``(-running min of that error, k,
+  d)``. The running min repeats what the loop does when an error does not
+  fall: the block is still the largest and is taken again at once. A key
+  exists while ``d + 1 < r_max`` and the block's errors are positive.
+- Rounds. Levels are fitted depth by depth, one ``ternarize_rows`` call per
+  round over the blocks whose next level an estimate of ``delta`` along the
+  order says may be reached. The sorted keys hold up to the first key whose
+  next level is not fitted; that prefix is final, and the next round picks
+  up where it ends.
+- Exact deltas. The loop stores ``(np.sum(errs * errs) - errs[k] ** 2 +
+  new ** 2) / ||W||^2`` per step. ``pairwise_version_sums`` replays numpy's
+  pairwise summation (chains of at most 16 strided elements under spans of
+  128, halves split on multiples of 8) for every step at once. The scalar
+  ``** 2`` calls libm ``pow``, which can differ from ``x * x`` in the last
+  bit; ``np.float_power(x, 2.0)`` gives the same bits.
+- Stop rules are masks along the order: ``delta <= epsilon^2``, a zero
+  alpha, a ``delta`` that does not fall, and running out of keys (which
+  raises ConvergenceError if a capped block still carries error).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +59,7 @@ from .ternary import ternarize_rows
 from .ternary import ternarize  # noqa: F401  (bench/workloads.py traces this name)
 
 DEFAULT_R_MAX = 16
+_PW_SPAN = 128  # numpy sums at most this many elements without halving
 
 
 @dataclass(frozen=True)
@@ -54,6 +69,28 @@ class TraceRow:
     block: int
     e_k_before: float
     delta_after: float
+
+
+class Trace(Sequence):
+    """The greedy iteration log of one conversion, held as arrays.
+
+    Row i is the ``TraceRow`` of iteration i+1: the block that received a
+    level, its residual norm before, and ``delta`` after.
+    """
+
+    def __init__(self, layer: str, blocks, e_before, delta_after):
+        self.layer = layer
+        self.blocks = np.asarray(blocks, dtype=np.int64)
+        self.e_before = np.asarray(e_before, dtype=np.float64)
+        self.delta_after = np.asarray(delta_after, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, i: int) -> TraceRow:
+        i = range(len(self))[i]
+        return TraceRow(i + 1, self.layer, int(self.blocks[i]),
+                        float(self.e_before[i]), float(self.delta_after[i]))
 
 
 def level_index(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +123,7 @@ class QuantizedLayer:
     epsilon_sq: float
     source_norm_sq: float
     exhausted: bool = False
-    trace: tuple[TraceRow, ...] = field(default=(), repr=False)
+    trace: Sequence[TraceRow] = field(default=(), repr=False)
     delta_sequence: tuple[float, ...] = field(default=(), repr=False)
 
     @property
@@ -140,6 +177,144 @@ class QuantizedModel:
         return sum(l.num_levels for l in self.layers)
 
 
+@functools.lru_cache(maxsize=8)
+def _pairwise_tree(n: int):
+    """numpy's pairwise summation order over ``n`` elements, as a binary tree.
+
+    The leaves are chains, runs of elements added left to right. A span of
+    at most 128 elements is 8 chains of every 8th element combined as a
+    balanced tree, to which the elements past its last multiple of 8 are
+    added one at a time (a span under 8 elements is one chain). A longer
+    span adds its two halves, split at half its length rounded down to a
+    multiple of 8.
+
+    Returns ``(table, chain_of, col_of, kids, parent, depth)``: each chain's
+    elements as a row padded with -1, the chain and the column of every
+    element, each binary node's two children, and each node's parent and
+    depth. Chains are numbered first, then binary nodes; the root is last.
+    """
+    chains: list[range] = []
+    kids: list[tuple[int, int]] = []  # binary node b is -1 - b until renumbered
+
+    def chain(elems):
+        chains.append(elems)
+        return len(chains) - 1
+
+    def add(a, b):
+        kids.append((a, b))
+        return -len(kids)
+
+    def span(s, m):
+        if m > _PW_SPAN:
+            half = m // 2 - m // 2 % 8
+            return add(span(s, half), span(s + half, m - half))
+        if m < 8:
+            return chain(range(s, s + m))
+        whole = s + m - m % 8
+        r = [chain(range(s + j, whole, 8)) for j in range(8)]
+        node = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
+        for i in range(whole, s + m):
+            node = add(node, chain(range(i, i + 1)))
+        return node
+
+    span(0, n)
+    c = len(chains)
+    kids = np.array(kids, dtype=np.int64).reshape(-1, 2)
+    kids = np.where(kids < 0, c - 1 - kids, kids)
+    parent = np.full(c + len(kids), -1)
+    parent[kids] = np.arange(c, c + len(kids))[:, None]
+    depth = np.zeros(c + len(kids), dtype=np.int64)
+    for b in range(len(kids) - 1, -1, -1):  # a parent is numbered after its children
+        depth[kids[b]] = depth[c + b] + 1
+    table = np.full((c, max(map(len, chains))), -1)
+    chain_of, col_of = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for i, ch in enumerate(chains):
+        table[i, :len(ch)] = ch
+        chain_of[ch.start:ch.stop:ch.step] = i
+        col_of[ch.start:ch.stop:ch.step] = np.arange(len(ch))
+    tree = (table, chain_of, col_of, kids, parent, depth)
+    for a in tree:  # cached and shared by every caller
+        a.setflags(write=False)
+    return tree
+
+
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """Index where each entry's run of equal ``ids`` begins."""
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    return np.maximum.accumulate(np.where(first, np.arange(len(ids)), 0))
+
+
+def _stable_argsort(ids: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of ids in ``[0, bound)``: a radix sort when they fit 16 bits."""
+    return np.argsort(ids.astype(np.uint16) if bound <= 1 << 16 else ids, kind="stable")
+
+
+def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``np.sum`` of the non-negative float64 vector ``x`` after each prefix
+    of the updates ``x[pos[j]] = new[j]``, bit for bit.
+
+    Entry v is the sum with updates ``0..v-1`` applied. An update changes
+    one chain of numpy's summation tree (see ``_pairwise_tree``): the chain
+    is re-added from its elements' latest values, and each node above it
+    adds its sibling's latest value before that update. All updates go up
+    together, one tree level at a time.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    pos = np.asarray(pos, dtype=np.int64)
+    new = np.asarray(new, dtype=np.float64)
+    table, chain_of, col_of, kids, parent, depth = _pairwise_tree(len(x))
+    c, nodes = len(table), len(parent)
+    padded = np.append(x, 0.0)  # a short chain's -1 columns read 0.0, which adds nothing
+
+    def chain_sums(rows):
+        out = rows[:, 0].copy()
+        for i in range(1, rows.shape[1]):
+            out += rows[:, i]
+        return out
+
+    # Every node's value before the first update, children before parents.
+    value = np.empty(nodes)
+    value[:c] = chain_sums(padded[table])
+    for t in range(int(depth.max()) - 1, -1, -1):
+        b = np.flatnonzero(depth[c:] == t)
+        value[c + b] = value[kids[b, 0]] + value[kids[b, 1]]
+    m = len(pos)
+    if m == 0:
+        return value[-1:].copy()
+    sibling = np.empty(nodes, dtype=np.int64)
+    sibling[kids[:, 0]], sibling[kids[:, 1]] = kids[:, 1], kids[:, 0]
+
+    # Each updated chain from its elements' latest values: updates grouped
+    # by chain in order, each column's latest writer by a running max.
+    node = chain_of[pos]
+    order = _stable_argsort(node, c)
+    writer = np.full((m, table.shape[1]), -1)
+    writer[np.arange(m), col_of[pos[order]]] = np.arange(m)
+    np.maximum.accumulate(writer, axis=0, out=writer)
+    fresh = writer >= _run_starts(node[order])[:, None]
+    val = np.empty(m)
+    val[order] = chain_sums(np.where(fresh, new[order][writer], padded[table[node[order]]]))
+
+    # Up the tree: the updates at one depth, grouped by parent in order; a
+    # node's sibling holds the value of the last earlier update through it.
+    for t in range(int(depth[node].max()), 0, -1):
+        at = np.flatnonzero(depth[node] == t)
+        here = node[at]
+        order = _stable_argsort(parent[here] - c, nodes - c)
+        at, here = at[order], here[order]
+        up = parent[here]
+        left = kids[up - c, 0] == here
+        rows = np.arange(len(at))
+        last_left = np.maximum.accumulate(np.where(left, rows, -1))
+        last_right = np.maximum.accumulate(np.where(left, -1, rows))
+        other = np.where(left, last_right, last_left)
+        own = val[at]
+        val[at] = own + np.where(other >= _run_starts(up), own[other], value[sibling[here]])
+        node[at] = up
+    return np.concatenate([value[-1:], val])
+
+
 def ternary_residual(
     w: Tensor,
     block_size: int,
@@ -173,106 +348,131 @@ def ternary_residual(
     full, tail = divmod(w.size, block_size)  # blocks of length N, then a ragged tail
     num_blocks = full + (tail > 0)
     width = min(block_size, w.size)
+    every = np.arange(num_blocks)
 
-    # Block-major state, zero-padded to full width for the ragged tail.
+    # Block-major state, zero-padded to full width for the ragged tail;
+    # ``recons`` is each block's reconstruction from the levels fitted so far.
     target = np.zeros((num_blocks, width))
     target.reshape(-1)[:w.size] = flat
     recons = np.zeros((num_blocks, width), dtype=np.float32)
-    counts = np.zeros(num_blocks, dtype=np.int32)
-    errs = np.zeros(num_blocks)
-    # Levels past the base ones, in the order they were accepted.
-    extra_blocks: list[int] = []
-    extra_alphas: list[float] = []
-    extra_signs: list[np.ndarray] = []
-
-    # The candidate is the next level of each block, fitted to its current
-    # residual; ``has_cand`` goes False once the block's state moves on.
-    cand_alpha = np.zeros(num_blocks)
-    cand_signs = np.zeros((num_blocks, width), dtype=np.int8)
-    cand_recons = np.zeros((num_blocks, width), dtype=np.float32)
-    cand_errs = np.zeros(num_blocks)
-    has_cand = np.zeros(num_blocks, dtype=bool)
+    # errs[k, d] is block k's residual norm after its levels 0..d and
+    # alphas[k, d] the scale of its level d, both set below fitted[k].
+    errs = np.zeros((num_blocks, 0))
+    alphas = np.zeros((num_blocks, 0))
+    fitted = np.zeros(num_blocks, dtype=np.int64)
+    fits = []  # (blocks, depths, signs) of each round
 
     def fit(ks: np.ndarray) -> None:
-        """Fit candidates for blocks ``ks``, one kernel call per block length."""
-        for part, n in ((ks[ks < full], block_size), (ks[ks >= full], tail)):
+        """Fit the next level of blocks ``ks`` (ascending), one kernel call per block length."""
+        nonlocal errs, alphas
+        depth = fitted[ks]
+        if depth.max() == errs.shape[1]:
+            errs = np.hstack([errs, np.full((num_blocks, 1), np.inf)])
+            alphas = np.hstack([alphas, np.zeros((num_blocks, 1))])
+        signs = np.zeros((len(ks), width), dtype=np.int8)
+        split = np.searchsorted(ks, full)
+        for rows, n in ((slice(0, split), block_size), (slice(split, None), tail)):
+            part = ks[rows]
             if part.size == 0:
                 continue
             recon = recons[part, :n]
-            alpha, signs, _ = ternarize_rows(target[part, :n] - recon.astype(np.float64))
-            new_recon = recon + alpha.astype(np.float32)[:, None] * signs.astype(np.float32)
+            alpha, s, _ = ternarize_rows(target[part, :n] - recon.astype(np.float64))
+            new_recon = recon + alpha.astype(np.float32)[:, None] * s.astype(np.float32)
             diff = target[part, :n] - new_recon.astype(np.float64)
             # Stacked 1xn @ nx1 products sum each row exactly as ``diff @ diff``.
-            cand_errs[part] = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-            cand_alpha[part] = alpha
-            cand_signs[part, :n] = signs
-            cand_recons[part, :n] = new_recon
-            has_cand[part] = True
+            errs[part, depth[rows]] = np.sqrt(
+                np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+            alphas[part, depth[rows]] = alpha
+            signs[rows, :n] = s
+            recons[part, :n] = new_recon
+        fits.append((ks, depth, signs))
+        fitted[ks] += 1
 
-    fit(np.arange(num_blocks))
-    base_alphas, base_signs = cand_alpha.copy(), cand_signs.copy()
-    recons[:], errs[:] = cand_recons, cand_errs
-    counts[:], has_cand[:] = 1, False
-
+    fit(every)
+    counts = np.ones(num_blocks, dtype=np.int64)
+    current = errs[:, 0]
     # An all-zero tensor keeps its alpha=0 base levels, delta 0 by convention.
-    delta = float(np.sum(errs * errs)) / total_sq if total_sq > 0.0 else 0.0
-    deltas = [delta]
-    trace: list[TraceRow] = []
+    delta = float(np.sum(current * current)) / total_sq if total_sq > 0.0 else 0.0
+    delta0 = delta
+    steps = []  # (blocks, errors before, deltas after) of the accepted levels
     exhausted = False
-    iteration = 0
-
-    # Eligible blocks (below r_max, residual left), largest error first and
-    # ties to the lowest index: the pick of an argmax over ``errs``.
-    in_heap = (counts < r_max) & (errs > 0.0)
-    heap = [(-float(errs[k]), k) for k in np.flatnonzero(in_heap).tolist()]
-    heapq.heapify(heap)
+    done = 0  # levels accepted past the base ones: a prefix of the key order
 
     while delta > eps_sq:
-        if not heap:
-            if np.any((counts >= r_max) & (errs > 0.0)):
+        # Every fitted key in the loop's order; the order holds up to the
+        # first key whose next level is not fitted yet.
+        depth = np.arange(errs.shape[1])
+        ok = (errs > 0.0) & ((alphas != 0.0) | (depth == 0))
+        live = (np.logical_and.accumulate(ok, axis=1) & (depth < fitted[:, None])
+                & (depth + 1 < r_max))
+        kb, kd = np.nonzero(live)
+        order = np.lexsort((kd, kb, -np.minimum.accumulate(errs, axis=1)[kb, kd]))
+        kb, kd = kb[order], kd[order]
+        unfitted = kd + 1 == fitted[kb]
+        stop = int(np.argmax(unfitted)) if unfitted.any() else len(kb)
+
+        b, d = kb[done:stop], kd[done:stop]
+        if len(b):
+            old, new, alpha = errs[b, d], errs[b, d + 1], alphas[b, d + 1]
+            sums = pairwise_version_sums(current * current, b[:-1], (new * new)[:-1])
+            after = (sums - np.float_power(old, 2.0) + np.float_power(new, 2.0)) / total_sq
+            before = np.concatenate([[delta], after[:-1]])
+            halt = (before <= eps_sq) | (alpha == 0.0) | (after >= before)
+            taken = int(np.argmax(halt)) if halt.any() else len(b)
+            steps.append((b[:taken], old[:taken], after[:taken]))
+            counts += np.bincount(b[:taken], minlength=num_blocks)
+            if taken < len(b):
+                delta = float(before[taken])
+                exhausted = delta > eps_sq  # a zero alpha, or delta stalled
+                break
+            delta = float(after[-1])
+            done = stop
+        current = errs[every, counts - 1]
+        if delta <= eps_sq:
+            break
+        if stop == len(kb):
+            if np.any((counts >= r_max) & (current > 0.0)):
                 raise ConvergenceError(w.name, delta, eps_sq, r_max)
             exhausted = True  # every residual is exactly zero yet delta > eps^2
             break
-        k = heap[0][1]
-        if not has_cand[k]:
-            fit(np.flatnonzero(in_heap & ~has_cand))
-        if cand_alpha[k] == 0.0:  # residual below float32 range, cannot improve
-            exhausted = True
-            break
-        e_before = float(errs[k])
-        new_err = cand_errs[k]
-        new_delta = (float(np.sum(errs * errs)) - errs[k] ** 2 + new_err ** 2) / total_sq
-        if new_delta >= delta:  # float32 accumulation stalled
-            exhausted = True
-            break
-        heapq.heappop(heap)
-        iteration += 1
-        extra_blocks.append(k)
-        extra_alphas.append(cand_alpha[k])
-        extra_signs.append(cand_signs[k].copy())
-        recons[k] = cand_recons[k]
-        errs[k] = cand_errs[k]
-        counts[k] += 1
-        has_cand[k] = False
-        delta = new_delta
-        deltas.append(delta)
-        trace.append(TraceRow(iteration, w.name, k, e_before, delta))
-        if counts[k] < r_max and errs[k] > 0.0:
-            heapq.heappush(heap, (-float(errs[k]), k))
-        else:
-            in_heap[k] = False
+        fit(_blocks_to_fit(errs, kb, kd, unfitted, stop, delta, eps_sq, total_sq))
 
-    # A block's levels were accepted shallowest first, so a stable sort by
-    # block gives the block-major order.
-    owners = np.concatenate([np.arange(num_blocks), np.array(extra_blocks, dtype=int)])
-    order = np.argsort(owners, kind="stable")
-    alphas = np.concatenate([base_alphas, extra_alphas])[order].astype(np.float32)
-    signs = np.concatenate(
-        [base_signs, np.array(extra_signs, dtype=np.int8).reshape(-1, width)])[order]
+    # Keep the accepted levels, block-major with each block's base level first.
+    ks, ds, signs = (np.concatenate(part) for part in zip(*fits))
+    keep = ds < counts[ks]
+    rows = (np.cumsum(counts) - counts)[ks[keep]] + ds[keep]
+    out_alphas = np.empty(int(counts.sum()), dtype=np.float32)
+    out_alphas[rows] = alphas[ks[keep], ds[keep]]
+    out_signs = np.empty((len(out_alphas), width), dtype=np.int8)
+    out_signs[rows] = signs[keep]
+    blocks, e_before, after = (np.concatenate(part) for part in zip(
+        (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)), *steps))
     return QuantizedLayer(
-        w.name, w.shape, block_size, counts, alphas, signs, delta, eps_sq, total_sq,
-        exhausted=exhausted, trace=tuple(trace), delta_sequence=tuple(deltas),
+        w.name, w.shape, block_size, counts.astype(np.int32), out_alphas, out_signs,
+        delta, eps_sq, total_sq, exhausted=exhausted,
+        trace=Trace(w.name, blocks, e_before, after),
+        delta_sequence=tuple(np.concatenate([[delta0], after]).tolist()),
     )
+
+
+def _blocks_to_fit(errs, kb, kd, unfitted, stop, delta, eps_sq, total_sq) -> np.ndarray:
+    """Blocks whose next level the greedy loop may reach from key ``stop`` on.
+
+    ``delta`` is estimated along the keys: a fitted level lowers it by its
+    drop in squared error, a level not fitted yet by its block's squared
+    error times one minus the mean ratio the fitted levels achieved. The
+    unfitted keys up to where the estimate meets ``eps_sq``, and an eighth
+    more, are fitted; all of them if it never does.
+    """
+    old = errs[kb, kd] ** 2
+    nxt = errs[kb, np.minimum(kd + 1, errs.shape[1] - 1)] ** 2
+    known = ~unfitted
+    ratio = nxt[known].sum() / old[known].sum() if known.any() else 0.0
+    gain = np.where(unfitted, old * ratio, nxt)[stop:] - old[stop:]
+    met = delta + np.cumsum(gain) / total_sq <= eps_sq
+    reach = int(np.argmax(met)) + 1 if met.any() else len(met)
+    reach += reach // 8
+    return np.unique(kb[stop:stop + reach][unfitted[stop:stop + reach]])
 
 
 def reconstruct(layer: QuantizedLayer) -> Tensor:

@@ -65,8 +65,7 @@ def ternarize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     b, n = rows.shape
     mags = np.abs(rows)
-    order = np.argsort(-mags, axis=1, kind="stable")
-    sorted_mags = np.take_along_axis(mags, order, axis=1)
+    sorted_mags = np.sort(mags, axis=1)[:, ::-1]  # descending; only the values matter
     prefix = np.cumsum(sorted_mags, axis=1)
     scores = prefix * prefix / np.arange(1, n + 1, dtype=np.float64)
 
