@@ -28,10 +28,9 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
   fall: the block is still the largest and is taken again at once. A key
   exists while ``d + 1 < r_max`` and the block's errors are positive.
 - Rounds. Levels are fitted depth by depth, one ``ternarize_rows`` call per
-  round over the blocks whose next level an estimate of ``delta`` along the
-  order says may be reached. The sorted keys hold up to the first key whose
-  next level is not fitted; that prefix is final, and the next round picks
-  up where it ends.
+  round over every block whose live key lies past the final prefix. The
+  sorted keys hold up to the first key whose next level is not fitted; that
+  prefix is final, and the next round picks up where it ends.
 - Exact deltas. The loop stores ``(np.sum(errs * errs) - errs[k] ** 2 +
   new ** 2) / ||W||^2`` per step. ``pairwise_version_sums`` replays numpy's
   pairwise summation (chains of at most 16 strided elements under spans of
@@ -46,7 +45,6 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
 from __future__ import annotations
 
 import csv
-import functools
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -87,7 +85,9 @@ class Trace(Sequence):
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def __getitem__(self, i: int) -> TraceRow:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
         i = range(len(self))[i]
         return TraceRow(i + 1, self.layer, int(self.blocks[i]),
                         float(self.e_before[i]), float(self.delta_after[i]))
@@ -177,7 +177,6 @@ class QuantizedModel:
         return sum(l.num_levels for l in self.layers)
 
 
-@functools.lru_cache(maxsize=8)
 def _pairwise_tree(n: int):
     """numpy's pairwise summation order over ``n`` elements, as a binary tree.
 
@@ -232,10 +231,7 @@ def _pairwise_tree(n: int):
         table[i, :len(ch)] = ch
         chain_of[ch.start:ch.stop:ch.step] = i
         col_of[ch.start:ch.stop:ch.step] = np.arange(len(ch))
-    tree = (table, chain_of, col_of, kids, parent, depth)
-    for a in tree:  # cached and shared by every caller
-        a.setflags(write=False)
-    return tree
+    return table, chain_of, col_of, kids, parent, depth
 
 
 def _run_starts(ids: np.ndarray) -> np.ndarray:
@@ -245,17 +241,14 @@ def _run_starts(ids: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(first, np.arange(len(ids)), 0))
 
 
-def _stable_argsort(ids: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of ids in ``[0, bound)``: a radix sort when they fit 16 bits."""
-    return np.argsort(ids.astype(np.uint16) if bound <= 1 << 16 else ids, kind="stable")
-
-
-def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray) -> np.ndarray:
+def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray,
+                          tree=None) -> np.ndarray:
     """``np.sum`` of the non-negative float64 vector ``x`` after each prefix
     of the updates ``x[pos[j]] = new[j]``, bit for bit.
 
-    Entry v is the sum with updates ``0..v-1`` applied. An update changes
-    one chain of numpy's summation tree (see ``_pairwise_tree``): the chain
+    Entry v is the sum with updates ``0..v-1`` applied. ``tree`` is
+    ``_pairwise_tree(len(x))``, built here if not given. An update changes
+    one chain of numpy's summation tree: the chain
     is re-added from its elements' latest values, and each node above it
     adds its sibling's latest value before that update. All updates go up
     together, one tree level at a time.
@@ -263,7 +256,9 @@ def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray) -> np
     x = np.asarray(x, dtype=np.float64)
     pos = np.asarray(pos, dtype=np.int64)
     new = np.asarray(new, dtype=np.float64)
-    table, chain_of, col_of, kids, parent, depth = _pairwise_tree(len(x))
+    if tree is None:
+        tree = _pairwise_tree(len(x))
+    table, chain_of, col_of, kids, parent, depth = tree
     c, nodes = len(table), len(parent)
     padded = np.append(x, 0.0)  # a short chain's -1 columns read 0.0, which adds nothing
 
@@ -288,7 +283,7 @@ def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray) -> np
     # Each updated chain from its elements' latest values: updates grouped
     # by chain in order, each column's latest writer by a running max.
     node = chain_of[pos]
-    order = _stable_argsort(node, c)
+    order = np.argsort(node, kind="stable")
     writer = np.full((m, table.shape[1]), -1)
     writer[np.arange(m), col_of[pos[order]]] = np.arange(m)
     np.maximum.accumulate(writer, axis=0, out=writer)
@@ -301,7 +296,7 @@ def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray) -> np
     for t in range(int(depth[node].max()), 0, -1):
         at = np.flatnonzero(depth[node] == t)
         here = node[at]
-        order = _stable_argsort(parent[here] - c, nodes - c)
+        order = np.argsort(parent[here], kind="stable")
         at, here = at[order], here[order]
         up = parent[here]
         left = kids[up - c, 0] == here
@@ -396,6 +391,7 @@ def ternary_residual(
     delta0 = delta
     steps = []  # (blocks, errors before, deltas after) of the accepted levels
     exhausted = False
+    tree = _pairwise_tree(num_blocks)  # the order of every ``np.sum(errs * errs)``
     done = 0  # levels accepted past the base ones: a prefix of the key order
 
     while delta > eps_sq:
@@ -414,7 +410,7 @@ def ternary_residual(
         b, d = kb[done:stop], kd[done:stop]
         if len(b):
             old, new, alpha = errs[b, d], errs[b, d + 1], alphas[b, d + 1]
-            sums = pairwise_version_sums(current * current, b[:-1], (new * new)[:-1])
+            sums = pairwise_version_sums(current * current, b[:-1], (new * new)[:-1], tree)
             after = (sums - np.float_power(old, 2.0) + np.float_power(new, 2.0)) / total_sq
             before = np.concatenate([[delta], after[:-1]])
             halt = (before <= eps_sq) | (alpha == 0.0) | (after >= before)
@@ -435,7 +431,7 @@ def ternary_residual(
                 raise ConvergenceError(w.name, delta, eps_sq, r_max)
             exhausted = True  # every residual is exactly zero yet delta > eps^2
             break
-        fit(_blocks_to_fit(errs, kb, kd, unfitted, stop, delta, eps_sq, total_sq))
+        fit(np.unique(kb[stop:][unfitted[stop:]]))
 
     # Keep the accepted levels, block-major with each block's base level first.
     ks, ds, signs = (np.concatenate(part) for part in zip(*fits))
@@ -453,26 +449,6 @@ def ternary_residual(
         trace=Trace(w.name, blocks, e_before, after),
         delta_sequence=tuple(np.concatenate([[delta0], after]).tolist()),
     )
-
-
-def _blocks_to_fit(errs, kb, kd, unfitted, stop, delta, eps_sq, total_sq) -> np.ndarray:
-    """Blocks whose next level the greedy loop may reach from key ``stop`` on.
-
-    ``delta`` is estimated along the keys: a fitted level lowers it by its
-    drop in squared error, a level not fitted yet by its block's squared
-    error times one minus the mean ratio the fitted levels achieved. The
-    unfitted keys up to where the estimate meets ``eps_sq``, and an eighth
-    more, are fitted; all of them if it never does.
-    """
-    old = errs[kb, kd] ** 2
-    nxt = errs[kb, np.minimum(kd + 1, errs.shape[1] - 1)] ** 2
-    known = ~unfitted
-    ratio = nxt[known].sum() / old[known].sum() if known.any() else 0.0
-    gain = np.where(unfitted, old * ratio, nxt)[stop:] - old[stop:]
-    met = delta + np.cumsum(gain) / total_sq <= eps_sq
-    reach = int(np.argmax(met)) + 1 if met.any() else len(met)
-    reach += reach // 8
-    return np.unique(kb[stop:stop + reach][unfitted[stop:stop + reach]])
 
 
 def reconstruct(layer: QuantizedLayer) -> Tensor:

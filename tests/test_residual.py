@@ -439,6 +439,8 @@ class TestTernaryResidual:
         assert len(rows) == len(layer.trace) > 1
         assert [row.iteration for row in rows] == list(range(1, len(rows) + 1))
         assert layer.trace[-1] == rows[-1] and layer.trace[0] == rows[0]
+        assert layer.trace[1:3] == tuple(rows[1:3])
+        assert layer.trace[::-2] == tuple(rows[::-2])
         assert [row.delta_after for row in rows] == list(layer.delta_sequence[1:])
         with pytest.raises(IndexError):
             layer.trace[len(rows)]
