@@ -136,10 +136,11 @@ def _read_layer(entry: dict, blob: np.ndarray) -> QuantizedLayer:
         at = sign_at[rows]
         if at.size:
             signs[rows, :n] = unpack_signs(blob[at[:, None] + np.arange((n + 3) // 4)], n)
-    if np.any(alphas < 0) or np.any((alphas == 0) == signs.any(axis=1)):
+    if not np.all(np.isfinite(alphas) & (alphas >= 0)) or np.any(
+            (alphas == 0) == signs.any(axis=1)):
         raise FormatError(
-            f"layer {name!r}: inconsistent level (alpha must be >= 0, and zero "
-            f"exactly when all signs are zero)")
+            f"layer {name!r}: inconsistent level (alpha must be finite and >= 0, "
+            f"and zero exactly when all signs are zero)")
 
     numbers = [float(entry[key]) for key in ("delta", "epsilon_sq", "source_norm_sq")]
     if not np.all(np.isfinite(numbers)):

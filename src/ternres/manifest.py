@@ -54,12 +54,6 @@ class ModelManifest:
     def parametric_layers(self) -> list[LayerDecl]:
         return [l for l in self.layers if l.kind in PARAMETRIC_KINDS]
 
-    def layer(self, name: str) -> LayerDecl:
-        for l in self.layers:
-            if l.name == name:
-                return l
-        raise KeyError(name)
-
 
 _HP_KEYS = ("stride", "pad", "window")
 

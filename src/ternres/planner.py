@@ -6,8 +6,9 @@ import fnmatch
 import json
 from dataclasses import dataclass
 
-from .costs import CostReport, cost_report
-from .manifest import ModelManifest, resolve_shapes
+from .costs import DEFAULT_C_RATIO, DEFAULT_X, CostReport, cost_report
+from .errors import FormatError
+from .manifest import ModelManifest, manifest_to_dict, resolve_shapes
 from .residual import DEFAULT_R_MAX, QuantizedModel, ternary_residual
 from .tensors import Tensor
 
@@ -163,8 +164,6 @@ def make_schedule(
 
 def load_schedule(path) -> BudgetSchedule:
     """Read a JSON schedule: a list of {"pattern": ..., "epsilon_sq": ...}."""
-    from .errors import FormatError
-
     path = str(path)
     with open(path, "r", encoding="utf-8") as fp:
         try:
@@ -188,17 +187,14 @@ def convert_model(
     block_size: int,
     schedule: BudgetSchedule,
     r_max: int = DEFAULT_R_MAX,
-    x: float | None = None,
-    c_ratio: float | None = None,
+    x: float = DEFAULT_X,
+    c_ratio: float = DEFAULT_C_RATIO,
 ) -> tuple[QuantizedModel, CostReport]:
     """Quantize every parametric layer under its scheduled tolerance.
 
     Deterministic for fixed inputs; layers convert one after another in
     manifest order.
     """
-    from .costs import DEFAULT_C_RATIO, DEFAULT_X
-    from .manifest import manifest_to_dict
-
     schedule.validate_against(manifest)
     layers = manifest.parametric_layers()
 
@@ -218,10 +214,4 @@ def convert_model(
     }
     model = QuantizedModel(manifest_to_dict(manifest), qlayers, provenance)
 
-    report = cost_report(
-        model,
-        x=x if x is not None else DEFAULT_X,
-        c_ratio=c_ratio if c_ratio is not None else DEFAULT_C_RATIO,
-        flops=model_flops(manifest, weights),
-    )
-    return model, report
+    return model, cost_report(model, x=x, c_ratio=c_ratio, flops=model_flops(manifest, weights))

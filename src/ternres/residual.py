@@ -22,11 +22,10 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
 
 - Merge order. A block's next level depends only on its own residual, so
   its error after each level is fixed in advance. The loop takes block k
-  past depth d when its error after levels 0..d is the largest, so the
-  accept order is one sort of the keys ``(-running min of that error, k,
-  d)``. The running min repeats what the loop does when an error does not
-  fall: the block is still the largest and is taken again at once. A key
-  exists while ``d + 1 < r_max`` and the block's errors are positive.
+  past depth d when its error after levels 0..d is the largest (ties to the
+  lowest block), which is a heap over each block's chain of errors, so the
+  accept order is ``chain_order(-errs, live)``. A key exists while ``d + 1 <
+  r_max`` and the block's errors are positive.
 - Rounds. Levels are fitted depth by depth, one ``ternarize_rows`` call per
   round over every block whose live key lies past the final prefix. The
   sorted keys hold up to the first key whose next level is not fitted; that
@@ -45,7 +44,6 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
 from __future__ import annotations
 
 import csv
-import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -310,6 +308,22 @@ def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray,
     return np.concatenate([value[-1:], val])
 
 
+def chain_order(keys: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of every ``live`` entry in the order a min-heap pops them.
+
+    ``live`` is a prefix of each row. The heap holds one entry per row, keyed
+    ``(keys[r, c], r)``, starting at column 0; popping entry c of row r pushes
+    entry c+1. An entry cannot leave before the ones ahead of it in its row,
+    and once they have left, it leaves as soon as its row's largest key so far
+    is the smallest in the heap: a key that does not rise is popped at once,
+    since ``(key, r)`` is then at most the entry just popped. So the pop order
+    is one sort by (the row's running max of keys, row, column).
+    """
+    rows, cols = np.nonzero(live)
+    order = np.lexsort((cols, rows, np.maximum.accumulate(keys, axis=1)[rows, cols]))
+    return rows[order], cols[order]
+
+
 def ternary_residual(
     w: Tensor,
     block_size: int,
@@ -401,9 +415,7 @@ def ternary_residual(
         ok = (errs > 0.0) & ((alphas != 0.0) | (depth == 0))
         live = (np.logical_and.accumulate(ok, axis=1) & (depth < fitted[:, None])
                 & (depth + 1 < r_max))
-        kb, kd = np.nonzero(live)
-        order = np.lexsort((kd, kb, -np.minimum.accumulate(errs, axis=1)[kb, kd]))
-        kb, kd = kb[order], kd[order]
+        kb, kd = chain_order(-errs, live)
         unfitted = kd + 1 == fitted[kb]
         stop = int(np.argmax(unfitted)) if unfitted.any() else len(kb)
 
@@ -509,8 +521,9 @@ def downgrade(
     stack identical to an earlier state of the conversion, so each removal
     raises the layer's delta by exactly the removed level's importance.
     Removal order is globally smallest-importance-first over that frontier,
-    kept in a heap with one entry per block keyed ``(importance, layer,
-    block)``. Returns a new model; the input model is untouched.
+    ties to the earlier layer and block: each block's residual levels,
+    deepest first, form one row of ``chain_order``. Returns a new model; the
+    input model is untouched.
     """
     if (keep_levels is None) == (target_factor is None):
         raise ValueError("give exactly one of keep_levels or target_factor")
@@ -522,41 +535,35 @@ def downgrade(
             f"budget of {keep_levels} levels is below the {base_blocks} base levels"
         )
 
-    counts = [l.counts.tolist() for l in model.layers]
-    deltas = [l.delta for l in model.layers]
-    ends: list[list[int]] = []  # each block's deepest row
-    importance: list[list[float]] = []
-    heap = []
-    for li, l in enumerate(model.layers):
-        last = np.cumsum(l.counts) - 1
-        ends.append(last.tolist())
+    # Row b holds global block b's residual importances, deepest level first.
+    sizes = [l.num_blocks for l in model.layers]
+    starts = np.cumsum(sizes) - sizes
+    depth_max = max((int(l.counts.max(initial=1)) for l in model.layers), default=1)
+    keys = np.zeros((model.num_blocks, depth_max - 1))
+    live = np.zeros(keys.shape, dtype=bool)
+    for l, start in zip(model.layers, starts):
         if l.source_norm_sq <= 0.0:
-            importance.append([])
             continue
         nnz = np.count_nonzero(l.signs, axis=1)
         imp = l.alphas.astype(np.float64) ** 2 * nnz / l.source_norm_sq
-        importance.append(imp.tolist())
-        ks = np.flatnonzero(l.counts > 1)
-        heap += zip(imp[last[ks]].tolist(), [li] * len(ks), ks.tolist())
-    heapq.heapify(heap)
-
-    total = model.num_levels
-    while total > keep_levels and heap:
-        imp, li, k = heapq.heappop(heap)
-        counts[li][k] -= 1
-        ends[li][k] -= 1
-        deltas[li] += imp
-        total -= 1
-        if counts[li][k] > 1:
-            heapq.heappush(heap, (importance[li][ends[li][k]], li, k))
+        owner, depth = level_index(l.counts)
+        res = depth > 0
+        cols = l.counts[owner[res]] - 1 - depth[res]
+        keys[start + owner[res], cols] = imp[res]
+        live[start + owner[res], cols] = True
+    rows, cols = (a[:max(model.num_levels - keep_levels, 0)] for a in chain_order(keys, live))
 
     new_layers = []
-    for li, l in enumerate(model.layers):
+    for l, start in zip(model.layers, starts):
+        mine = (rows >= start) & (rows < start + l.num_blocks)
+        counts = l.counts - np.bincount(rows[mine] - start, minlength=l.num_blocks)
+        # Added one at a time in removal order, as ``np.sum`` would not.
+        delta = float(np.cumsum(np.append(l.delta, keys[rows[mine], cols[mine]]))[-1])
         owner, depth = level_index(l.counts)
-        keep = depth < np.asarray(counts[li])[owner]
+        keep = depth < counts[owner]
         new_layers.append(replace(
-            l, counts=np.array(counts[li], dtype=np.int32), alphas=l.alphas[keep],
-            signs=l.signs[keep], delta=deltas[li], trace=(), delta_sequence=(),
+            l, counts=counts.astype(np.int32), alphas=l.alphas[keep], signs=l.signs[keep],
+            delta=delta, trace=(), delta_sequence=(),
         ))
     provenance = dict(model.provenance)
     provenance["downgraded_to_levels"] = keep_levels

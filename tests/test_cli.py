@@ -8,10 +8,13 @@ import pytest
 from ternres import (
     QuantizedModel,
     Tensor,
+    convert_model,
+    flops_per_layer,
     forward_quantized,
     load_manifest,
     load_quantized,
     load_weights,
+    make_schedule,
     save_quantized,
     save_tensor,
     ternary_residual,
@@ -73,6 +76,19 @@ def test_quantize_non_convergence_exits_2(net_dir, capsys):
                  "--eps-sq", "1e-12", "--r-max", "2", "-o", str(tmp / "x.tq")])
     assert code == 2
     assert "delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["depth_graded", "compute_aware"])
+def test_quantize_mode_matches_the_library(net_dir, mode):
+    tmp, manifest_path, _ = net_dir
+    assert main(["quantize", "-m", manifest_path, "-N", "16", "--mode", mode,
+                 "-o", str(tmp / "cli.tq")]) == 0
+    manifest = load_manifest(manifest_path)
+    weights = load_weights(manifest)
+    flops = flops_per_layer(manifest, {n: weights[n][0].shape for n in weights})
+    schedule = make_schedule(manifest, mode, flops=flops)
+    save_quantized(convert_model(manifest, weights, 16, schedule)[0], tmp / "lib.tq")
+    assert (tmp / "cli.tq").read_bytes() == (tmp / "lib.tq").read_bytes()
 
 
 def test_quantize_scales_flag(net_dir):

@@ -1,5 +1,7 @@
 """Residual stacking: strict decrease, greedy audit, downgrade, 8-bit scales."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from ternres.residual import (
     QuantizedLayer,
     TraceRow,
     block_sensitivity,
+    chain_order,
     layer_delta,
     level_index,
     pairwise_version_sums,
@@ -629,6 +632,95 @@ def _two_layer_model(rng, sizes=(300, 200), block=32, eps_sq=0.02):
     return QuantizedModel({}, tuple(layers), {}), tensors
 
 
+def sequential_downgrade(model, keep_levels):
+    """The one-removal-at-a-time heap loop, kept as the oracle of ``downgrade``.
+
+    The heap holds each block's deepest residual level keyed ``(importance,
+    layer, block)``; a pop removes that level, adds its importance to the
+    layer's delta and pushes the block's next level. Returns each layer's
+    ``(counts, delta)``.
+    """
+    counts = [l.counts.tolist() for l in model.layers]
+    deltas = [l.delta for l in model.layers]
+    starts = [l.level_starts().tolist() for l in model.layers]
+    importance, heap = [], []
+    for li, l in enumerate(model.layers):
+        nnz = np.count_nonzero(l.signs, axis=1)
+        importance.append((l.alphas.astype(np.float64) ** 2 * nnz / l.source_norm_sq).tolist()
+                          if l.source_norm_sq > 0.0 else [])
+        heap += [(importance[li][starts[li][k] + c - 1], li, k)
+                 for k, c in enumerate(counts[li]) if c > 1 and importance[li]]
+    heapq.heapify(heap)
+    for _ in range(model.num_levels - keep_levels):
+        if not heap:
+            break
+        imp, li, k = heapq.heappop(heap)
+        counts[li][k] -= 1
+        deltas[li] += imp
+        if counts[li][k] > 1:
+            heapq.heappush(heap, (importance[li][starts[li][k] + counts[li][k] - 1], li, k))
+    return list(zip(counts, deltas))
+
+
+def heap_chain_order(keys, lengths):
+    """Pop order of a heap over each row's first ``lengths[r]`` keys, pushed in turn."""
+    heap = [(keys[r][0], r, 0) for r in range(len(keys)) if lengths[r]]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        _, r, c = heapq.heappop(heap)
+        out.append((r, c))
+        if c + 1 < lengths[r]:
+            heapq.heappush(heap, (keys[r][c + 1], r, c + 1))
+    return out
+
+
+def random_downgrade_model(rng):
+    """1-3 converted layers that mix normal, tied, exact-ternary and all-zero
+    weights, some with snapped scales, and at times a synthetic layer."""
+    layers, tensors = [], {}
+    for i in range(int(rng.integers(1, 4))):
+        n = int(rng.integers(1, 1200))
+        block, r_max = int(rng.choice([1, 3, 7, 16, 64])), int(rng.choice([2, 3, 16]))
+        kind = rng.choice(["normal", "tiled", "ternary", "zero"], p=[0.55, 0.15, 0.15, 0.15])
+        if kind == "normal":
+            data = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+        elif kind == "tiled":  # dyadic weights repeated: many equal importances
+            data = np.resize(np.round(rng.normal(size=16) * 4) / 4, n)
+        elif kind == "ternary":  # exact at its own block size, else tied residuals
+            data = exact_ternary_array(rng, n, int(rng.choice([block, 16])))
+        else:
+            data = np.zeros(n)
+        t = Tensor(f"l{i}", data.astype(np.float32))
+        tensors[t.name] = t
+        try:
+            layers.append(ternary_residual(t, block, epsilon_sq=float(
+                rng.choice([0.05, 0.005, 1e-4])), r_max=r_max))
+        except ConvergenceError:
+            layers.append(ternary_residual(t, block, epsilon=1.0, r_max=r_max))
+    model = QuantizedModel({}, tuple(layers), {})
+    if rng.random() < 0.3:
+        model = quantize_scales_8bit(model, tensors)
+    if rng.random() < 0.3:  # random scales: a deeper level may outweigh the one above it
+        n = int(rng.integers(1, 300))
+        extra = synthetic_layer(rng, (n,), 16, rng.integers(1, 6, size=-(-n // 16)))
+        model = QuantizedModel({}, model.layers + (extra,), {})
+    return model
+
+
+class TestChainOrder:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_heap_over_each_row(self, data):
+        rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 6))
+        keys = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows))
+        lengths = data.draw(st.lists(st.integers(0, cols), min_size=rows, max_size=rows))
+        live = np.arange(cols) < np.array(lengths)[:, None]
+        got = chain_order(np.array(keys, dtype=np.float64).reshape(rows, cols), live)
+        assert list(zip(*(a.tolist() for a in got))) == heap_chain_order(keys, lengths)
+
+
 class TestDowngrade:
     def test_noop_when_budget_matches(self):
         rng = np.random.default_rng(14)
@@ -707,6 +799,28 @@ class TestDowngrade:
                     removed.append(removed_importance(a, b))
             current = nxt
         assert removed == sorted(removed)
+
+
+    def test_matches_the_heap_loop(self):
+        rng = np.random.default_rng(47)
+        seen = {"zero-norm": 0, "single-level blocks": 0, "ties": 0}
+        for _ in range(60):
+            model = random_downgrade_model(rng)
+            seen["zero-norm"] += any(l.source_norm_sq == 0.0 for l in model.layers)
+            seen["single-level blocks"] += any(np.any(l.counts == 1) for l in model.layers)
+            seen["ties"] += any(len(np.unique(l.alphas)) < l.num_levels for l in model.layers)
+            budgets = {model.num_blocks, model.num_levels, model.num_levels + 2,
+                       int(rng.integers(model.num_blocks, model.num_levels + 1))}
+            for keep in budgets:
+                got = downgrade(model, keep_levels=keep)
+                for l, new, (counts, delta) in zip(
+                        model.layers, got.layers, sequential_downgrade(model, keep)):
+                    assert new.counts.tolist() == counts
+                    assert np.float64(new.delta).tobytes() == np.float64(delta).tobytes()
+                    kept = [r for s, c in zip(l.level_starts(), counts) for r in range(s, s + c)]
+                    assert new.alphas.tobytes() == l.alphas[kept].tobytes()
+                    assert new.signs.tobytes() == l.signs[kept].tobytes()
+        assert min(seen.values()) > 0, seen
 
 
 class TestQuantizeScales8bit:

@@ -251,3 +251,24 @@ def test_malformed_layer_entry_is_a_format_error(tmp_path, key, value):
     with pytest.raises(FormatError, match="'l0'"):
         load_quantized(path)
     assert main(["stats", str(path)]) == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_stored_scale_is_a_format_error(tmp_path, value):
+    rng = np.random.default_rng(7)
+    model, _ = _random_model(rng, [100, 40])
+    path = tmp_path / "m.tq"
+    save_quantized(model, path)
+    raw = bytearray(path.read_bytes())
+    (json_len,) = struct.unpack("<I", raw[4:8])
+    entry = json.loads(raw[8:8 + json_len])["layers"][0]
+    # The deepest level of the first block: a residual level when it has one.
+    at = 8 + json_len + entry["scale_offsets"][0] + 4 * (entry["levels_per_block"][0] - 1)
+    raw[at:at + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="'l0'.*finite"):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+    assert main(["downgrade", str(path), "--keep-levels", str(model.num_blocks),
+                 "-o", str(tmp_path / "out.tq")]) == 1
+    assert not (tmp_path / "out.tq").exists()
