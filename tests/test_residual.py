@@ -800,7 +800,6 @@ class TestDowngrade:
             current = nxt
         assert removed == sorted(removed)
 
-
     def test_matches_the_heap_loop(self):
         rng = np.random.default_rng(47)
         seen = {"zero-norm": 0, "single-level blocks": 0, "ties": 0}
