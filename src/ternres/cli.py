@@ -22,7 +22,7 @@ from .costs import (
     throughput_gains,
 )
 from .errors import ConvergenceError, FormatError
-from .manifest import load_manifest, load_weights, manifest_from_dict
+from .manifest import load_manifest, load_weights
 from .planner import (
     DEPTH_GRADED_HI,
     DEPTH_GRADED_LO,
@@ -32,7 +32,7 @@ from .planner import (
     make_schedule,
     model_flops,
 )
-from .residual import QuantizedModel
+from .residual import DEFAULT_R_MAX, QuantizedModel
 from .residual import downgrade as downgrade_model
 from .residual import quantize_scales_8bit, write_trace_csv
 from .simulate import forward_quantized, layer_lemma_checks, margin_check
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lo", type=float, default=DEPTH_GRADED_LO)
     q.add_argument("--hi", type=float, default=DEPTH_GRADED_HI)
     q.add_argument("--cap", type=float, default=None)
-    q.add_argument("--r-max", type=int, default=16)
+    q.add_argument("--r-max", type=int, default=DEFAULT_R_MAX)
     q.add_argument("--quantize-scales", action="store_true",
                    help="snap scaling factors to 8-bit dynamic fixed point")
     q.add_argument("-o", "--output", required=True)
@@ -129,17 +129,6 @@ def _load_inference_inputs(args):
     return manifest, weights, qmodel, arr
 
 
-def _stored_flops(model: QuantizedModel) -> dict[str, int] | None:
-    """FLOP weights from the manifest a container stores, when it resolves."""
-    if not model.manifest_doc.get("layers"):
-        return None
-    try:
-        manifest = manifest_from_dict(model.manifest_doc)
-        return flops_per_layer(manifest, {l.layer: l.shape for l in model.layers})
-    except (ValueError, FormatError):
-        return None
-
-
 def _cmd_quantize(args) -> int:
     if not args.schedule and args.mode == "uniform" and (
             args.eps_sq is None and args.eps is None):
@@ -171,7 +160,7 @@ def _cmd_quantize(args) -> int:
         tensors = {name: weights[name][0] for name in weights}
         model = quantize_scales_8bit(model, tensors)
         report = cost_report(model, x=args.x, c_ratio=args.c_ratio,
-                             flops=model_flops(manifest, weights))
+                             flops=model_flops(model))
     save_quantized(model, args.output)
     print(report.to_text())
     if args.report:
@@ -194,7 +183,7 @@ def _cmd_stats(args) -> int:
     if args.container:
         model = load_quantized(args.container)
         report = cost_report(model, x=args.x, c_ratio=args.c_ratio,
-                             flops=_stored_flops(model))
+                             flops=model_flops(model))
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True)
               if args.as_json else report.to_text())
         return 0
@@ -219,16 +208,12 @@ def _cmd_downgrade(args) -> int:
               file=sys.stderr)
         return 2
     model = load_quantized(args.container)
-    try:
-        if args.keep_levels is not None:
-            new_model = downgrade_model(model, keep_levels=args.keep_levels)
-        else:
-            new_model = downgrade_model(model, target_factor=args.target_compute)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.keep_levels is not None:
+        new_model = downgrade_model(model, keep_levels=args.keep_levels)
+    else:
+        new_model = downgrade_model(model, target_factor=args.target_compute)
     save_quantized(new_model, args.output)
-    report = cost_report(new_model, flops=_stored_flops(new_model))
+    report = cost_report(new_model, flops=model_flops(new_model))
     print(report.to_text())
     return 0
 

@@ -5,21 +5,24 @@ layer the blob holds the layer's ``alphas`` as consecutive little-endian
 float32 values, then its sign rows, 2 bits per weight (little-endian within
 a byte: 00 zero, 01 plus one, 10 minus one, 11 reserved and rejected on
 read), each level's row padded to whole bytes. Both sections are
-block-major, each block's base level first; the index gives each block's
-level count and the offsets of its scales and sign rows in the blob. Writing
-is fully deterministic: identical models produce identical bytes.
+block-major, each block's base level first, and each layer starts where the
+previous one ends. The index stores each block's level count and the blob
+offsets of its scales and sign rows, which must be the ones ``_layout``
+derives from the counts; no byte may follow the last layer. Writing is
+fully deterministic: identical models produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from .errors import FormatError
-from .residual import QuantizedLayer, QuantizedModel, level_index
-from .tensors import block_lengths
+from .manifest import manifest_from_dict
+from .residual import QuantizedLayer, QuantizedModel
 
 MAGIC = b"TRQ0"
 FORMAT_VERSION = 1
@@ -61,17 +64,29 @@ def unpack_signs(payload, length: int) -> np.ndarray:
     return _SIGN_OF_CODE[codes]
 
 
+def _layout(counts, block_size: int, size: int, start: int):
+    """The v1 layout of one layer whose payload starts at blob offset ``start``.
+
+    Returns each block's scale offset and sign-row offset, the number of sign
+    rows of full blocks and the offset where the layer's payload ends.
+    """
+    level_starts = np.cumsum(counts) - counts
+    num_levels = int(counts.sum())
+    full, tail = divmod(size, block_size)
+    full_rows = int(counts[:full].sum())
+    row_bytes = (block_size + 3) // 4
+    signs_at = start + 4 * num_levels
+    end = signs_at + row_bytes * full_rows + (tail + 3) // 4 * (num_levels - full_rows)
+    # Only the last block can be short, so all rows before a block are full rows.
+    return start + 4 * level_starts, signs_at + row_bytes * level_starts, full_rows, end
+
+
 def _layer_index_and_blob(layer: QuantizedLayer, blob: bytearray) -> dict:
-    starts = layer.level_starts()
-    scale_offsets = len(blob) + 4 * starts
+    scale_offsets, sign_offsets, full_rows, _ = _layout(
+        layer.counts, layer.block_size, layer.num_weights, len(blob))
     blob.extend(layer.alphas.astype("<f4").tobytes())
-    # Blocks before the tail are full, so a block's sign rows start at its
-    # first level times the packed width of a full row.
-    sign_offsets = len(blob) + (layer.block_size + 3) // 4 * starts
-    full, tail = divmod(layer.num_weights, layer.block_size)
-    full_rows = int(layer.counts[:full].sum())
     blob.extend(pack_signs(layer.signs[:full_rows, :layer.block_size]))
-    blob.extend(pack_signs(layer.signs[full_rows:, :tail]))
+    blob.extend(pack_signs(layer.signs[full_rows:, :layer.num_weights % layer.block_size]))
     return {
         "name": layer.layer,
         "shape": list(layer.shape),
@@ -103,39 +118,38 @@ def save_quantized(model: QuantizedModel, path) -> None:
         fp.write(bytes(blob))
 
 
-def _read_layer(entry: dict, blob: np.ndarray) -> QuantizedLayer:
+def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLayer, int]:
+    """One layer whose payload starts at ``start``, and where its payload ends."""
     name = entry["name"]
     shape = tuple(int(d) for d in entry["shape"])
     block_size = int(entry["N"])
-    if block_size < 1:
-        raise FormatError(f"layer {name!r}: block size N must be >= 1, got {block_size}")
-    size = int(np.prod(shape, dtype=np.int64))
-    lengths = block_lengths(size, block_size)
-    num_blocks = len(lengths)
+    if block_size < 1 or min(shape, default=1) < 1:
+        raise FormatError(f"layer {name!r}: N and every dimension must be >= 1, "
+                          f"got N={block_size}, shape {shape}")
+    size = math.prod(shape)
+    num_blocks = -(-size // block_size)
     counts = np.asarray(entry["levels_per_block"], dtype=np.int64)
-    scale_offsets = np.asarray(entry["scale_offsets"], dtype=np.int64)
-    sign_offsets = np.asarray(entry["sign_offsets"], dtype=np.int64)
-    if not (counts.shape == scale_offsets.shape == sign_offsets.shape == (num_blocks,)):
-        raise FormatError(f"layer {name!r}: index does not match {num_blocks} blocks")
-    if np.any(counts < 1) or np.any(scale_offsets < 0) or np.any(sign_offsets < 0):
-        raise FormatError(f"layer {name!r}: level counts must be >= 1 and offsets >= 0")
-    row_bytes = (lengths + 3) // 4
-    if np.any(scale_offsets + 4 * counts > len(blob)):
-        raise FormatError(f"layer {name!r}: truncated scale payload")
-    if np.any(sign_offsets + row_bytes * counts > len(blob)):
-        raise FormatError(f"layer {name!r}: truncated sign payload")
+    # No block holds more levels than the blob has bytes, so no sum overflows.
+    if counts.shape != (num_blocks,) or np.any((counts < 1) | (counts > len(blob))):
+        raise FormatError(f"layer {name!r}: levels_per_block must hold {num_blocks} "
+                          f"counts from 1 to the blob size")
+    scale_offsets, sign_offsets, full_rows, end = _layout(counts, block_size, size, start)
+    if (entry["scale_offsets"] != scale_offsets.tolist()
+            or entry["sign_offsets"] != sign_offsets.tolist()):
+        raise FormatError(
+            f"layer {name!r}: scale_offsets and sign_offsets differ from the v1 layout")
+    if end > len(blob):
+        raise FormatError(f"layer {name!r}: truncated payload")
 
-    owner, depth = level_index(counts)
-    scale_at = scale_offsets[owner] + 4 * depth
-    alphas = blob[scale_at[:, None] + np.arange(4)].view("<f4").reshape(-1)
-    sign_at = sign_offsets[owner] + row_bytes[owner] * depth
-    signs = np.zeros((len(owner), min(block_size, size)), dtype=np.int8)
-    full, tail = divmod(size, block_size)
-    full_rows = int(counts[:full].sum())
-    for rows, n in ((slice(None, full_rows), block_size), (slice(full_rows, None), tail)):
-        at = sign_at[rows]
-        if at.size:
-            signs[rows, :n] = unpack_signs(blob[at[:, None] + np.arange((n + 3) // 4)], n)
+    num_levels = int(counts.sum())
+    alphas = blob[start:start + 4 * num_levels].view("<f4")
+    packed = blob[start + 4 * num_levels:end]
+    split = full_rows * ((block_size + 3) // 4)
+    signs = np.zeros((num_levels, min(block_size, size)), dtype=np.int8)
+    for rows, n, part in ((slice(None, full_rows), block_size, packed[:split]),
+                          (slice(full_rows, None), size % block_size, packed[split:])):
+        if part.size:
+            signs[rows, :n] = unpack_signs(part.reshape(-1, (n + 3) // 4), n)
     if not np.all(np.isfinite(alphas) & (alphas >= 0)) or np.any(
             (alphas == 0) == signs.any(axis=1)):
         raise FormatError(
@@ -149,7 +163,7 @@ def _read_layer(entry: dict, blob: np.ndarray) -> QuantizedLayer:
 
     return QuantizedLayer(
         name, shape, block_size, counts.astype(np.int32), alphas.astype(np.float32),
-        signs, *numbers, exhausted=bool(entry.get("exhausted", False)))
+        signs, *numbers, exhausted=bool(entry.get("exhausted", False))), end
 
 
 def load_quantized(path) -> QuantizedModel:
@@ -167,16 +181,27 @@ def load_quantized(path) -> QuantizedModel:
         index = json.loads(raw[8 : 8 + json_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad index ({exc})") from exc
+    if not isinstance(index, dict):
+        raise FormatError(f"{path}: bad index (not a JSON object)")
     version = index.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: format_version {version!r}, expected {FORMAT_VERSION}")
+    manifest_doc, provenance = index.get("manifest", {}), index.get("provenance", {})
+    if not (isinstance(manifest_doc, dict) and isinstance(provenance, dict)):
+        raise FormatError(f"{path}: manifest and provenance must be JSON objects")
+    if manifest_doc:
+        try:
+            manifest_from_dict(manifest_doc)
+        except (FormatError, ValueError) as exc:
+            raise FormatError(f"{path}: bad stored manifest ({exc})") from exc
     blob = np.frombuffer(raw, dtype=np.uint8, offset=8 + json_len)
+    layers, end = [], 0
     try:
-        layers = tuple(_read_layer(entry, blob) for entry in index["layers"])
-    except (KeyError, TypeError, ValueError) as exc:
+        for entry in index["layers"]:
+            layer, end = _read_layer(entry, blob, end)
+            layers.append(layer)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed layer index ({exc})") from exc
-    return QuantizedModel(
-        manifest_doc=index.get("manifest") or {},
-        layers=layers,
-        provenance=index.get("provenance") or {},
-    )
+    if end != len(blob):
+        raise FormatError(f"{path}: the blob is {len(blob)} bytes but its layers end at {end}")
+    return QuantizedModel(manifest_doc, tuple(layers), provenance)

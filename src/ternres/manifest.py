@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -59,28 +60,23 @@ _HP_KEYS = ("stride", "pad", "window")
 
 
 def manifest_from_dict(doc: dict, base_dir: str = ".") -> ModelManifest:
+    """Parse a manifest document; a field of the wrong type is a ``FormatError``."""
     try:
-        raw_layers = doc["layers"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"manifest: missing 'layers' list ({exc})") from exc
-    layers = []
-    for raw in raw_layers:
-        hp = {k: int(raw[k]) for k in _HP_KEYS if k in raw}
-        layers.append(
+        layers = tuple(
             LayerDecl(
                 name=str(raw["name"]),
                 kind=str(raw["kind"]),
                 weight_ref=raw.get("weight"),
                 bias_ref=raw.get("bias"),
-                hyperparams=hp,
+                hyperparams={k: operator.index(raw[k]) for k in _HP_KEYS if k in raw},
             )
+            for raw in doc["layers"]
         )
-    input_shape = doc.get("input_shape")
-    return ModelManifest(
-        layers=tuple(layers),
-        input_shape=tuple(int(d) for d in input_shape) if input_shape else None,
-        base_dir=base_dir,
-    )
+        input_shape = doc.get("input_shape")
+        input_shape = tuple(operator.index(d) for d in input_shape) if input_shape else None
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"manifest: malformed layers or input_shape ({exc})") from exc
+    return ModelManifest(layers=layers, input_shape=input_shape, base_dir=base_dir)
 
 
 def manifest_to_dict(manifest: ModelManifest) -> dict:
@@ -185,7 +181,7 @@ def output_shape(layer: LayerDecl, in_shape: tuple[int, ...],
             raise ValueError(f"layer {layer.name!r}: pooling window larger than input")
         return (in_shape[0], h, w)
     if layer.kind == "bn_scale":
-        channels = weight_shape[0]
+        (channels,) = weight_shape
         if in_shape[0] != channels:
             raise ValueError(
                 f"layer {layer.name!r}: bn_scale over {channels} channels cannot "
@@ -196,17 +192,16 @@ def output_shape(layer: LayerDecl, in_shape: tuple[int, ...],
 
 
 def resolve_shapes(
-    manifest: ModelManifest,
-    weight_shapes: dict[str, tuple[int, ...]],
-    input_shape: tuple[int, ...] | None = None,
+    manifest: ModelManifest, weight_shapes: dict[str, tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """Per-layer output shapes for one sample; raises if not resolvable."""
-    shape = input_shape if input_shape is not None else manifest.input_shape
-    if shape is None:
+    if manifest.input_shape is None:
         raise ValueError("input shape is required to resolve layer shapes")
     shapes = []
-    cur = tuple(shape)
+    cur = tuple(manifest.input_shape)
     for layer in manifest.layers:
+        if layer.kind in PARAMETRIC_KINDS and layer.name not in weight_shapes:
+            raise ValueError(f"layer {layer.name!r}: no weight shape to resolve")
         cur = output_shape(layer, cur, weight_shapes.get(layer.name))
         shapes.append(cur)
     return shapes

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .costs import DEFAULT_C_RATIO, DEFAULT_X, CostReport, cost_report
 from .errors import FormatError
-from .manifest import ModelManifest, manifest_to_dict, resolve_shapes
+from .manifest import ModelManifest, manifest_from_dict, manifest_to_dict, resolve_shapes
 from .residual import DEFAULT_R_MAX, QuantizedModel, ternary_residual
 from .tensors import Tensor
 
@@ -57,9 +57,7 @@ class BudgetSchedule:
 
 
 def flops_per_layer(
-    manifest: ModelManifest,
-    weight_shapes: dict[str, tuple[int, ...]],
-    input_shape: tuple[int, ...] | None = None,
+    manifest: ModelManifest, weight_shapes: dict[str, tuple[int, ...]]
 ) -> dict[str, int]:
     """Multiply counts per layer for one input sample.
 
@@ -67,7 +65,7 @@ def flops_per_layer(
     kernel tap per output position, channel scaling costs one per output
     element, and pooling/ReLU cost none.
     """
-    shapes = resolve_shapes(manifest, weight_shapes, input_shape)
+    shapes = resolve_shapes(manifest, weight_shapes)
     out: dict[str, int] = {}
     for layer, out_shape in zip(manifest.layers, shapes):
         if layer.kind == "fc":
@@ -87,15 +85,16 @@ def flops_per_layer(
     return out
 
 
-def model_flops(
-    manifest: ModelManifest, weights: dict[str, tuple[Tensor, Tensor | None]]
-) -> dict[str, int] | None:
-    """``flops_per_layer`` from the weights' shapes, for a FLOP-weighted report.
+def model_flops(model: QuantizedModel) -> dict[str, int] | None:
+    """``flops_per_layer`` of the manifest a model stores, at its layer shapes.
 
-    None when the shapes cannot be resolved without an input shape.
+    None when the model stores no manifest or the shapes do not resolve.
     """
+    if not model.manifest_doc:
+        return None
     try:
-        return flops_per_layer(manifest, {n: weights[n][0].shape for n in weights})
+        manifest = manifest_from_dict(model.manifest_doc)
+        return flops_per_layer(manifest, {l.layer: l.shape for l in model.layers})
     except ValueError:
         return None
 
@@ -109,7 +108,6 @@ def make_schedule(
     hi: float = DEPTH_GRADED_HI,
     cap: float | None = None,
     flops: dict[str, int] | None = None,
-    entries: list[tuple[str, float]] | None = None,
 ) -> BudgetSchedule:
     """Build a tolerance schedule over the manifest's parametric layers.
 
@@ -119,7 +117,8 @@ def make_schedule(
                     because their perturbations get magnified the most.
     compute_aware:  layers ranked by multiply count; the heaviest gets the
                     loosest budget on a lo..hi ladder (optionally capped).
-    explicit:       caller-provided (pattern, epsilon_sq) pairs.
+
+    Schedule files with explicit patterns go through ``load_schedule``.
     """
     names = [l.name for l in manifest.parametric_layers()]
     if not names:
@@ -150,10 +149,6 @@ def make_schedule(
                 eps_sq = min(eps_sq, cap)
             built_map[n] = eps_sq
         built = [ScheduleEntry(n, built_map[n]) for n in names]
-    elif mode == "explicit":
-        if not entries:
-            raise ValueError("explicit schedule needs entries")
-        built = [ScheduleEntry(p, e) for p, e in entries]
     else:
         raise ValueError(f"unknown schedule mode {mode!r}")
 
@@ -214,4 +209,4 @@ def convert_model(
     }
     model = QuantizedModel(manifest_to_dict(manifest), qlayers, provenance)
 
-    return model, cost_report(model, x=x, c_ratio=c_ratio, flops=model_flops(manifest, weights))
+    return model, cost_report(model, x=x, c_ratio=c_ratio, flops=model_flops(model))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 
 import numpy as np
 
@@ -126,3 +127,12 @@ def write_net(manifest: ModelManifest, weights: Weights, directory) -> str:
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
     return path
+
+
+def rewrite_index(path, edit) -> None:
+    """Replace a saved container's JSON index by ``edit(index)``; keep its blob."""
+    raw = path.read_bytes()
+    (json_len,) = struct.unpack("<I", raw[4:8])
+    encoded = json.dumps(edit(json.loads(raw[8:8 + json_len]))).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<I", len(encoded)) + encoded
+                     + raw[8 + json_len:])

@@ -22,7 +22,7 @@ from ternres import (
 from ternres.tensors import load_tensor
 from ternres.cli import main
 
-from nets import conv_net, mlp_net, write_net
+from nets import conv_net, mlp_net, rewrite_index, write_net
 
 
 @pytest.fixture()
@@ -68,6 +68,48 @@ def test_quantize_missing_weight_exits_1(net_dir, capsys):
                  "-o", str(tmp / "x.tq")])
     assert code == 1
     assert "conv1.w.npy" in capsys.readouterr().err
+
+
+def _drop_first_name(doc):
+    del doc["layers"][0]["name"]
+
+
+def _second_layer_not_an_object(doc):
+    doc["layers"][1] = "relu"
+
+
+def _input_shape_not_a_list(doc):
+    doc["input_shape"] = 3
+
+
+def _stride_not_an_integer(doc):
+    doc["layers"][0]["stride"] = "one"
+
+
+@pytest.mark.parametrize("damage", [
+    _drop_first_name, _second_layer_not_an_object, _input_shape_not_a_list,
+    _stride_not_an_integer])
+def test_malformed_manifest_exits_1(net_dir, capsys, damage):
+    tmp, manifest_path, _ = net_dir
+    assert main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+                 "-o", str(tmp / "net.tq")]) == 0
+    num_blocks = load_quantized(tmp / "net.tq").num_blocks
+    with open(manifest_path, encoding="utf-8") as fp:
+        doc = json.load(fp)
+    damage(doc)
+    with open(manifest_path, "w", encoding="utf-8") as fp:
+        json.dump(doc, fp)
+    capsys.readouterr()
+    assert main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+                 "-o", str(tmp / "x.tq")]) == 1
+    assert "manifest" in capsys.readouterr().err
+
+    rewrite_index(tmp / "net.tq", lambda index: {**index, "manifest": doc})
+    assert main(["stats", str(tmp / "net.tq")]) == 1
+    assert main(["downgrade", str(tmp / "net.tq"), "--keep-levels", str(num_blocks),
+                 "-o", str(tmp / "out.tq")]) == 1
+    assert "manifest" in capsys.readouterr().err
+    assert not (tmp / "out.tq").exists()
 
 
 def test_quantize_non_convergence_exits_2(net_dir, capsys):

@@ -1,6 +1,7 @@
 """Tolerance schedules, FLOP counting, and whole-model conversion."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from ternres import (
     ConvergenceError,
     LayerDecl,
     ModelManifest,
+    QuantizedModel,
     Tensor,
     convert_model,
     flops_per_layer,
     make_schedule,
     save_quantized,
 )
-from ternres.planner import load_schedule
+from ternres.planner import BudgetSchedule, ScheduleEntry, load_schedule, model_flops
 
 from nets import conv_net, mlp_net, random_net
 
@@ -49,6 +51,19 @@ class TestFlops:
             (LayerDecl("fc", "fc", weight_ref="w"),))  # no input shape
         with pytest.raises(ValueError, match="input shape"):
             flops_per_layer(manifest, {"fc": (10, 20)})
+
+    def test_model_flops_reads_the_stored_manifest(self):
+        manifest, weights = conv_net(np.random.default_rng(8))
+        schedule = make_schedule(manifest, "uniform", epsilon_sq=0.05)
+        model, _ = convert_model(manifest, weights, 16, schedule)
+        shapes = {n: weights[n][0].shape for n in weights}
+        assert model_flops(model) == flops_per_layer(manifest, shapes)
+        assert model_flops(QuantizedModel({}, model.layers, {})) is None
+        # The stored manifest names a layer the model does not hold, or one of
+        # the wrong rank.
+        assert model_flops(QuantizedModel(model.manifest_doc, model.layers[1:], {})) is None
+        scalar_bn = tuple(replace(l, shape=()) if l.layer == "bn1" else l for l in model.layers)
+        assert model_flops(QuantizedModel(model.manifest_doc, scalar_bn, {})) is None
 
 
 class TestSchedules:
@@ -107,11 +122,11 @@ class TestSchedules:
 
     def test_every_layer_needs_exactly_one_entry(self):
         manifest, _ = mlp_net(np.random.default_rng(6))
+        overlapping = BudgetSchedule((ScheduleEntry("fc*", 0.01), ScheduleEntry("fc1", 0.02)))
         with pytest.raises(ValueError, match="matched 2"):
-            make_schedule(manifest, "explicit",
-                          entries=[("fc*", 0.01), ("fc1", 0.02)])
+            overlapping.validate_against(manifest)
         with pytest.raises(ValueError, match="matched 0"):
-            make_schedule(manifest, "explicit", entries=[("fc1", 0.01)])
+            BudgetSchedule((ScheduleEntry("fc1", 0.01),)).validate_against(manifest)
 
     def test_schedule_file_round_trip(self, tmp_path):
         path = tmp_path / "sched.json"

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ternres import (
@@ -19,9 +19,11 @@ from ternres import (
     save_tensor,
     ternary_residual,
 )
-from ternres.container import pack_signs, unpack_signs
+from ternres.container import MAGIC, pack_signs, unpack_signs
 from ternres.tensors import load_tensor, partition_blocks
 from ternres.cli import main
+
+from nets import rewrite_index
 
 
 class TestTensor:
@@ -218,17 +220,15 @@ class TestContainer:
 
 def _rewrite_first_layer(path, key, value):
     """Set one field of the first layer entry in a saved container's index."""
-    raw = path.read_bytes()
-    (json_len,) = struct.unpack("<I", raw[4:8])
-    index = json.loads(raw[8:8 + json_len])
-    entry = index["layers"][0]
-    if isinstance(entry[key], list):
-        entry[key] = [value] + entry[key][1:]
-    else:
-        entry[key] = value
-    encoded = json.dumps(index).encode("utf-8")
-    path.write_bytes(raw[:4] + struct.pack("<I", len(encoded)) + encoded
-                     + raw[8 + json_len:])
+    def edit(index):
+        entry = index["layers"][0]
+        if isinstance(entry[key], list):
+            entry[key] = [value] + entry[key][1:]
+        else:
+            entry[key] = value
+        return index
+
+    rewrite_index(path, edit)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -272,3 +272,123 @@ def test_non_finite_stored_scale_is_a_format_error(tmp_path, value):
     assert main(["downgrade", str(path), "--keep-levels", str(model.num_blocks),
                  "-o", str(tmp_path / "out.tq")]) == 1
     assert not (tmp_path / "out.tq").exists()
+
+
+def _two_layer_container(path) -> QuantizedModel:
+    """Two N=16 layers with ragged tails: 100 = 6*16 + 4 and 40 = 2*16 + 8."""
+    model, _ = _random_model(np.random.default_rng(8), [100, 40])
+    save_quantized(model, path)
+    return model
+
+
+def _split_container(path) -> tuple[dict, bytes, bytes]:
+    """A saved container's index, the index's bytes and the blob."""
+    raw = path.read_bytes()
+    (json_len,) = struct.unpack("<I", raw[4:8])
+    encoded = raw[8:8 + json_len]
+    return json.loads(encoded), encoded, raw[8 + json_len:]
+
+
+def _container(encoded: bytes, blob: bytes) -> bytes:
+    return MAGIC + struct.pack("<I", len(encoded)) + encoded + blob
+
+
+def _as_json(doc) -> bytes:
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.mark.parametrize("damage, match", [
+    (lambda doc, enc, blob: _container(_as_json([doc]), blob), "not a JSON object"),
+    (lambda doc, enc, blob: _container(_as_json({**doc, "manifest": [{"name": "l0"}]}), blob),
+     "manifest and provenance must be JSON objects"),
+    (lambda doc, enc, blob: _container(_as_json({**doc, "provenance": [1]}), blob),
+     "manifest and provenance must be JSON objects"),
+    (lambda doc, enc, blob: _container(enc, blob)[:6], "truncated header"),
+    (lambda doc, enc, blob: _container(enc, blob)[:8 + len(enc) // 2], "truncated index"),
+    (lambda doc, enc, blob: _container(b"\xff" * len(enc), blob), "bad index"),
+    (lambda doc, enc, blob: _container(b"{" * len(enc), blob), "bad index"),
+], ids=["index is a list", "manifest is a list", "provenance is a list", "truncated header",
+        "truncated index", "non-UTF-8 index", "non-JSON index"])
+def test_malformed_header_or_index_is_a_format_error(tmp_path, damage, match):
+    path = tmp_path / "m.tq"
+    model = _two_layer_container(path)
+    path.write_bytes(damage(*_split_container(path)))
+    with pytest.raises(FormatError, match=match):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+    assert main(["downgrade", str(path), "--keep-levels", str(model.num_blocks),
+                 "-o", str(tmp_path / "out.tq")]) == 1
+
+
+def _edit_layers(edit):
+    """Damage a container by ``edit(layer_0_entry, layer_1_entry)`` in place."""
+    def damage(path):
+        def on_index(index):
+            edit(*index["layers"])
+            return index
+        rewrite_index(path, on_index)
+    return damage
+
+
+def _alias_to_block_0(key):
+    def edit(l0, l1):
+        l0[key] = [l0[key][0]] * len(l0[key])
+    return edit
+
+
+def _signs_into_layer_0(l0, l1):
+    shift = l0["sign_offsets"][0] - l1["sign_offsets"][0]
+    l1["sign_offsets"] = [o + shift for o in l1["sign_offsets"]]
+
+
+def _swap_two_scales(l0, l1):
+    l0["scale_offsets"][:2] = l0["scale_offsets"][1::-1]
+
+
+# Each of these files loaded, with changed weights, before the reader
+# required the offsets of the v1 layout and an exact blob length.
+@pytest.mark.parametrize("damage, match", [
+    (_edit_layers(_alias_to_block_0("sign_offsets")), "'l0'.*v1 layout"),
+    (_edit_layers(_alias_to_block_0("scale_offsets")), "'l0'.*v1 layout"),
+    (_edit_layers(_signs_into_layer_0), "'l1'.*v1 layout"),
+    (_edit_layers(_swap_two_scales), "'l0'.*v1 layout"),
+    (lambda path: path.write_bytes(path.read_bytes() + b"\0"), "layers end at"),
+], ids=["sign offsets aliased", "scale offsets aliased", "sign offsets into layer 0",
+        "scale offsets swapped", "trailing byte"])
+def test_a_file_off_the_v1_layout_is_a_format_error(tmp_path, damage, match):
+    path = tmp_path / "m.tq"
+    _two_layer_container(path)
+    damage(path)
+    with pytest.raises(FormatError, match=match):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+
+
+@given(key=st.sampled_from(["levels_per_block", "scale_offsets", "sign_offsets"]),
+       layer=st.integers(0, 1), block=st.integers(0, 6), value=st.integers())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_one_index_entry_changed_is_a_format_error(tmp_path, key, layer, block, value):
+    path = tmp_path / "m.tq"
+    _two_layer_container(path)
+    entries = _split_container(path)[0]["layers"][layer][key]
+    block %= len(entries)
+    assume(entries[block] != value)
+
+    def edit(*layers):
+        layers[layer][key][block] = value
+
+    _edit_layers(edit)(path)
+    with pytest.raises(FormatError):
+        load_quantized(path)
+
+
+@given(extra=st.binary(min_size=1, max_size=8))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bytes_after_the_last_layer_are_a_format_error(tmp_path, extra):
+    path = tmp_path / "m.tq"
+    _two_layer_container(path)
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(FormatError, match="layers end at"):
+        load_quantized(path)
