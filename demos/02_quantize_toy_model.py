@@ -80,4 +80,4 @@ print(f"\ncontainer {os.path.getsize(container)} bytes; reconstruction "
       f"round-trips bitwise")
 fp32_bytes = sum(t.nbytes for t in tensors.values())
 print(f"fp32 weights were {fp32_bytes} bytes; "
-      f"ternary payload is ~{report.model_size_bits // 8} bytes of signs+scales")
+      f"ternary payload is ~{report.total.model_size_bits // 8} bytes of signs+scales")

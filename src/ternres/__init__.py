@@ -15,6 +15,7 @@ from .container import load_quantized, save_quantized
 from .costs import (
     cost_report,
     enumerate_capacity,
+    flops_per_layer,
     mult_reduction,
     power_perf_gain,
     size_reduction_vs_88,
@@ -23,7 +24,7 @@ from .costs import (
 )
 from .errors import ConvergenceError, FormatError, TernresError, UnsupportedDtypeError
 from .manifest import LayerDecl, ModelManifest, load_manifest, load_weights
-from .planner import convert_model, flops_per_layer, make_schedule
+from .planner import convert_model, make_schedule
 from .residual import (
     QuantizedModel,
     downgrade,

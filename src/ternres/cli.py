@@ -18,6 +18,7 @@ from .costs import (
     DEFAULT_C_RATIO,
     DEFAULT_X,
     cost_report,
+    flops_per_layer,
     table2_stats,
     throughput_gains,
 )
@@ -27,10 +28,8 @@ from .planner import (
     DEPTH_GRADED_HI,
     DEPTH_GRADED_LO,
     convert_model,
-    flops_per_layer,
     load_schedule,
     make_schedule,
-    model_flops,
 )
 from .residual import DEFAULT_R_MAX, QuantizedModel
 from .residual import downgrade as downgrade_model
@@ -159,8 +158,7 @@ def _cmd_quantize(args) -> int:
     if args.quantize_scales:
         tensors = {name: weights[name][0] for name in weights}
         model = quantize_scales_8bit(model, tensors)
-        report = cost_report(model, x=args.x, c_ratio=args.c_ratio,
-                             flops=model_flops(model))
+        report = cost_report(model, x=args.x, c_ratio=args.c_ratio)
     save_quantized(model, args.output)
     print(report.to_text())
     if args.report:
@@ -182,8 +180,7 @@ def _cmd_stats(args) -> int:
         return 0
     if args.container:
         model = load_quantized(args.container)
-        report = cost_report(model, x=args.x, c_ratio=args.c_ratio,
-                             flops=model_flops(model))
+        report = cost_report(model, x=args.x, c_ratio=args.c_ratio)
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True)
               if args.as_json else report.to_text())
         return 0
@@ -213,7 +210,7 @@ def _cmd_downgrade(args) -> int:
     else:
         new_model = downgrade_model(model, target_factor=args.target_compute)
     save_quantized(new_model, args.output)
-    report = cost_report(new_model, flops=model_flops(new_model))
+    report = cost_report(new_model)
     print(report.to_text())
     return 0
 

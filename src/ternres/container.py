@@ -120,7 +120,10 @@ def save_quantized(model: QuantizedModel, path) -> None:
 
 def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLayer, int]:
     """One layer whose payload starts at ``start``, and where its payload ends."""
-    name = entry["name"]
+    name, exhausted = entry["name"], entry.get("exhausted", False)
+    if not (isinstance(name, str) and isinstance(exhausted, bool)):
+        raise FormatError(f"layer {name!r} (exhausted {exhausted!r}): the name must "
+                          f"be a string and exhausted true or false")
     shape = tuple(int(d) for d in entry["shape"])
     block_size = int(entry["N"])
     if block_size < 1 or min(shape, default=1) < 1:
@@ -163,7 +166,7 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLay
 
     return QuantizedLayer(
         name, shape, block_size, counts.astype(np.int32), alphas.astype(np.float32),
-        signs, *numbers, exhausted=bool(entry.get("exhausted", False))), end
+        signs, *numbers, exhausted=exhausted), end
 
 
 def load_quantized(path) -> QuantizedModel:

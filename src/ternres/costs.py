@@ -3,15 +3,18 @@
 All formulas take the 8-8 representation (8-bit activations, 8-bit weights)
 as the baseline and assume 8-bit storage per scaling factor. Measured
 numbers are always recomputed from an actual converted model rather than
-assumed from its settings.
+assumed from its settings. A report holds one cost row per layer and one
+for the model total, all computed by ``cost_row``; the FLOP-weighted
+compute factor comes from the manifest a container stores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .manifest import ModelManifest, manifest_from_dict, resolve_shapes
 from .residual import QuantizedModel
 from .tensors import block_lengths
 
@@ -91,121 +94,106 @@ def throughput_gains(c_ratio: float, block_size: int, level_factor: float) -> tu
 
 
 @dataclass(frozen=True)
-class LayerCost:
+class CostRow:
+    """Measured costs of one layer, or of the whole model.
+
+    The model total has no ``delta``; its ``block_size`` is the mean number
+    of weights per block, which the ratio formulas take as N.
+    """
     name: str
     num_weights: int
     block_size: int
     num_blocks: int
     num_levels: int
-    num_scaling_factors: int
     blocks_factor: float
     model_size_bits: int
     capacity: int
-    delta: float
+    delta: float | None
     mult_reduction_vs_88: float
     size_reduction_vs_88: float
     power_perf_gain: float
     pi_c: float
     pi_m: float
+
+
+def cost_row(name: str, num_weights: int, block_size: int, num_blocks: int,
+             num_levels: int, size_bits: int, capacity: int, x: float,
+             c_ratio: float, delta: float | None = None) -> CostRow:
+    """One row: the blocks factor and every ratio against 8-8.
+
+    Raises ``ValueError`` for ``x <= 0`` or ``c_ratio <= 1``, even for a
+    row with no weights.
+    """
+    blocks_factor = num_levels / num_blocks if num_blocks else 1.0
+    compute_factor = max(blocks_factor, 1.0)
+    pi_c, pi_m = throughput_gains(c_ratio, block_size, compute_factor)
+    return CostRow(
+        name, num_weights, block_size, num_blocks, num_levels, blocks_factor,
+        size_bits, capacity, delta,
+        num_weights / num_levels if num_levels else np.nan,
+        8.0 * num_weights / size_bits if size_bits else np.nan,
+        power_perf_gain(x, compute_factor, block_size), pi_c, pi_m)
+
+
+# Report keys of the row fields whose names differ.
+_KEYS = {"num_weights": "weights", "block_size": "N", "num_blocks": "blocks",
+         "num_levels": "levels"}
+
+
+def _row_dict(row: CostRow) -> dict:
+    doc = {_KEYS.get(k, k): v for k, v in asdict(row).items()}
+    doc["scaling_factors"] = row.num_levels  # one per level
+    return doc
 
 
 @dataclass(frozen=True)
 class CostReport:
-    layers: tuple[LayerCost, ...]
-    total_weights: int
-    total_blocks: int
-    total_levels: int
-    num_scaling_factors: int
-    blocks_factor: float
+    layers: tuple[CostRow, ...]
+    total: CostRow
     compute_factor_weighted: float | None
-    model_size_bits: int
-    capacity: int
-    mult_reduction_vs_88: float
-    size_reduction_vs_88: float
-    power_perf_gain: float
-    pi_c: float
-    pi_m: float
-    x: float = DEFAULT_X
-    c_ratio: float = DEFAULT_C_RATIO
+    x: float
+    c_ratio: float
+
+    @property
+    def blocks_factor(self) -> float:
+        return self.total.blocks_factor
+
+    @property
+    def mult_reduction_vs_88(self) -> float:
+        return self.total.mult_reduction_vs_88
 
     def to_dict(self) -> dict:
-        return {
-            "totals": {
-                "weights": self.total_weights,
-                "blocks": self.total_blocks,
-                "levels": self.total_levels,
-                "scaling_factors": self.num_scaling_factors,
-                "blocks_factor": self.blocks_factor,
-                "compute_factor_weighted": self.compute_factor_weighted,
-                "model_size_bits": self.model_size_bits,
-                "capacity": self.capacity,
-                "mult_reduction_vs_88": self.mult_reduction_vs_88,
-                "size_reduction_vs_88": self.size_reduction_vs_88,
-                "power_perf_gain": self.power_perf_gain,
-                "pi_c": self.pi_c,
-                "pi_m": self.pi_m,
-                "x": self.x,
-                "c_ratio": self.c_ratio,
-            },
-            "layers": [
-                {
-                    "name": l.name,
-                    "weights": l.num_weights,
-                    "N": l.block_size,
-                    "blocks": l.num_blocks,
-                    "levels": l.num_levels,
-                    "scaling_factors": l.num_scaling_factors,
-                    "blocks_factor": l.blocks_factor,
-                    "model_size_bits": l.model_size_bits,
-                    "capacity": l.capacity,
-                    "delta": l.delta,
-                    "mult_reduction_vs_88": l.mult_reduction_vs_88,
-                    "size_reduction_vs_88": l.size_reduction_vs_88,
-                    "power_perf_gain": l.power_perf_gain,
-                    "pi_c": l.pi_c,
-                    "pi_m": l.pi_m,
-                }
-                for l in self.layers
-            ],
-        }
+        totals = _row_dict(self.total)
+        for key in ("name", "N", "delta"):
+            del totals[key]
+        totals.update(compute_factor_weighted=self.compute_factor_weighted,
+                      x=self.x, c_ratio=self.c_ratio)
+        return {"totals": totals, "layers": [_row_dict(l) for l in self.layers]}
 
     def to_text(self) -> str:
+        doc = self.to_dict()
         headers = ["layer", "weights", "N", "blocks", "levels", "factor",
                    "size_bits", "#alpha", "mult_red", "size_red", "delta"]
         rows = [[
-            l.name, str(l.num_weights), str(l.block_size), str(l.num_blocks),
-            str(l.num_levels), f"{l.blocks_factor:.3f}", str(l.model_size_bits),
-            str(l.num_scaling_factors), f"{l.mult_reduction_vs_88:.2f}",
-            f"{l.size_reduction_vs_88:.2f}", f"{l.delta:.3e}",
-        ] for l in self.layers]
-        rows.append([
-            "TOTAL", str(self.total_weights), "-", str(self.total_blocks),
-            str(self.total_levels), f"{self.blocks_factor:.3f}",
-            str(self.model_size_bits), str(self.num_scaling_factors),
-            f"{self.mult_reduction_vs_88:.2f}", f"{self.size_reduction_vs_88:.2f}", "-",
-        ])
-        widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-        for r in rows:
-            lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(r)))
-        lines.append("")
-        lines.append(
-            f"power-perf gain vs 8-8 (X={self.x}, C={self.blocks_factor:.3f}): "
-            f"{self.power_perf_gain:.3f}"
-        )
-        lines.append(
-            f"throughput gains (c={self.c_ratio}): pi_c={self.pi_c:.3f}, "
-            f"pi_m={self.pi_m:.3f}"
-        )
+            r.get("name", "TOTAL"), str(r["weights"]), str(r.get("N", "-")),
+            str(r["blocks"]), str(r["levels"]), f"{r['blocks_factor']:.3f}",
+            str(r["model_size_bits"]), str(r["scaling_factors"]),
+            f"{r['mult_reduction_vs_88']:.2f}", f"{r['size_reduction_vs_88']:.2f}",
+            f"{r['delta']:.3e}" if "delta" in r else "-",
+        ] for r in (*doc["layers"], doc["totals"])]
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in (headers, *rows)]
+        t = self.total
+        lines += ["", f"power-perf gain vs 8-8 (X={self.x}, C={t.blocks_factor:.3f}): "
+                      f"{t.power_perf_gain:.3f}",
+                  f"throughput gains (c={self.c_ratio}): pi_c={t.pi_c:.3f}, pi_m={t.pi_m:.3f}"]
         if self.compute_factor_weighted is not None:
-            lines.append(
-                f"FLOP-weighted compute factor: {self.compute_factor_weighted:.3f}"
-            )
+            lines.append(f"FLOP-weighted compute factor: {self.compute_factor_weighted:.3f}")
         return "\n".join(lines)
 
 
 def measured_layer_cost(layer, x: float = DEFAULT_X,
-                        c_ratio: float = DEFAULT_C_RATIO) -> LayerCost:
+                        c_ratio: float = DEFAULT_C_RATIO) -> CostRow:
     """Exact size/capacity bookkeeping for one converted layer.
 
     Unlike the closed formula, the remainder block is charged its true
@@ -218,86 +206,80 @@ def measured_layer_cost(layer, x: float = DEFAULT_X,
     depths, blocks = np.unique(counts, return_counts=True)
     capacity = 1 - layer.num_blocks + sum(
         int(b) * 3 ** int(d) for d, b in zip(depths, blocks))
-    blocks_factor = layer.num_levels / layer.num_blocks
-    num_weights = layer.num_weights
-    pi_c, pi_m = throughput_gains(c_ratio, layer.block_size,
-                                  max(blocks_factor, 1.0))
-    return LayerCost(
-        name=layer.layer,
-        num_weights=num_weights,
-        block_size=layer.block_size,
-        num_blocks=layer.num_blocks,
-        num_levels=layer.num_levels,
-        num_scaling_factors=layer.num_levels,
-        blocks_factor=blocks_factor,
-        model_size_bits=size_bits,
-        capacity=capacity,
-        delta=layer.delta,
-        mult_reduction_vs_88=num_weights / layer.num_levels,
-        size_reduction_vs_88=8.0 * num_weights / size_bits,
-        power_perf_gain=power_perf_gain(x, max(blocks_factor, 1.0),
-                                        layer.block_size),
-        pi_c=pi_c,
-        pi_m=pi_m,
-    )
+    return cost_row(layer.layer, layer.num_weights, layer.block_size,
+                    layer.num_blocks, layer.num_levels, size_bits, capacity,
+                    x, c_ratio, layer.delta)
+
+
+def flops_per_layer(
+    manifest: ModelManifest, weight_shapes: dict[str, tuple[int, ...]]
+) -> dict[str, int]:
+    """Multiply counts per layer for one input sample.
+
+    Fully-connected layers cost out*in, convolutions cost one multiply per
+    kernel tap per output position, channel scaling costs one per output
+    element, and pooling/ReLU cost none.
+    """
+    shapes = resolve_shapes(manifest, weight_shapes)
+    out: dict[str, int] = {}
+    for layer, out_shape in zip(manifest.layers, shapes):
+        if layer.kind == "fc":
+            o, i = weight_shapes[layer.name]
+            out[layer.name] = o * i
+        elif layer.kind == "conv2d":
+            c_out, c_in, kh, kw = weight_shapes[layer.name]
+            _, oh, ow = out_shape
+            out[layer.name] = oh * ow * kh * kw * c_in * c_out
+        elif layer.kind == "bn_scale":
+            count = 1
+            for d in out_shape:
+                count *= d
+            out[layer.name] = count
+        else:
+            out[layer.name] = 0
+    return out
+
+
+def model_flops(model: QuantizedModel) -> dict[str, int] | None:
+    """``flops_per_layer`` of the manifest a model stores, at its layer shapes.
+
+    None when the model stores no manifest or the shapes do not resolve.
+    """
+    if not model.manifest_doc:
+        return None
+    try:
+        manifest = manifest_from_dict(model.manifest_doc)
+        return flops_per_layer(manifest, {l.layer: l.shape for l in model.layers})
+    except ValueError:
+        return None
 
 
 def cost_report(
     model: QuantizedModel,
     x: float = DEFAULT_X,
     c_ratio: float = DEFAULT_C_RATIO,
-    flops: dict[str, int] | None = None,
 ) -> CostReport:
-    """Aggregate measured per-layer costs for a converted model.
+    """One cost row per layer and one for the whole model.
 
-    ``flops`` (multiply counts per parametric layer) enables the
-    FLOP-weighted compute factor, which weights each layer's level inflation
-    by its share of the network's multiplies; the unweighted blocks factor
+    The FLOP-weighted compute factor weights each layer's level inflation
+    by its share of the network's multiplies, read from the manifest the
+    model stores; it is None without one. The unweighted blocks factor
     counts levels over blocks regardless of where they sit.
     """
-    layer_costs = tuple(measured_layer_cost(l, x, c_ratio) for l in model.layers)
-    total_weights = sum(l.num_weights for l in layer_costs)
-    total_blocks = sum(l.num_blocks for l in layer_costs)
-    total_levels = sum(l.num_levels for l in layer_costs)
-    size_bits = sum(l.model_size_bits for l in layer_costs)
-    capacity = sum(l.capacity for l in layer_costs)
-    blocks_factor = total_levels / total_blocks if total_blocks else 1.0
-
-    weighted = None
-    if flops:
-        num = 0.0
-        den = 0.0
-        for cost in layer_costs:
-            f = flops.get(cost.name)
-            if f:
-                num += f * cost.blocks_factor
-                den += f
-        weighted = num / den if den > 0 else None
-
-    # A representative block size for the ratio formulas: weights per level
-    # follows directly from the measurement and degenerates to N for uniform
-    # blocking.
-    n_per_block = max(int(round(total_weights / total_blocks)), 1) if total_blocks else 1
-    compute_factor = max(blocks_factor, 1.0)
-    pi_c, pi_m = throughput_gains(c_ratio, n_per_block, compute_factor)
-    return CostReport(
-        layers=layer_costs,
-        total_weights=total_weights,
-        total_blocks=total_blocks,
-        total_levels=total_levels,
-        num_scaling_factors=total_levels,
-        blocks_factor=blocks_factor,
-        compute_factor_weighted=weighted,
-        model_size_bits=size_bits,
-        capacity=capacity,
-        mult_reduction_vs_88=total_weights / total_levels if total_levels else np.nan,
-        size_reduction_vs_88=8.0 * total_weights / size_bits if size_bits else np.nan,
-        power_perf_gain=power_perf_gain(x, compute_factor, n_per_block),
-        pi_c=pi_c,
-        pi_m=pi_m,
-        x=x,
-        c_ratio=c_ratio,
-    )
+    rows = tuple(measured_layer_cost(l, x, c_ratio) for l in model.layers)
+    flops = model_flops(model) or {}
+    shares = [flops.get(r.name, 0) for r in rows]
+    weighted = (sum(f * r.blocks_factor for f, r in zip(shares, rows)) / sum(shares)
+                if sum(shares) else None)
+    weights = sum(r.num_weights for r in rows)
+    blocks = sum(r.num_blocks for r in rows)
+    # Weights per block stands in for N; it is N for uniform blocking.
+    n_per_block = max(round(weights / blocks), 1) if blocks else 1
+    total = cost_row(
+        "TOTAL", weights, n_per_block, blocks, sum(r.num_levels for r in rows),
+        sum(r.model_size_bits for r in rows), sum(r.capacity for r in rows),
+        x, c_ratio)
+    return CostReport(rows, total, weighted, x, c_ratio)
 
 
 def enumerate_capacity(alphas_per_block: list[list[float]]) -> int:

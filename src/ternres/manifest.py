@@ -59,6 +59,13 @@ class ModelManifest:
 _HP_KEYS = ("stride", "pad", "window")
 
 
+def _file_ref(raw: dict, key: str) -> str | None:
+    ref = raw.get(key)
+    if key in raw and not isinstance(ref, str):
+        raise TypeError(f"{key} must be a file name, got {ref!r}")
+    return ref
+
+
 def manifest_from_dict(doc: dict, base_dir: str = ".") -> ModelManifest:
     """Parse a manifest document; a field of the wrong type is a ``FormatError``."""
     try:
@@ -66,8 +73,8 @@ def manifest_from_dict(doc: dict, base_dir: str = ".") -> ModelManifest:
             LayerDecl(
                 name=str(raw["name"]),
                 kind=str(raw["kind"]),
-                weight_ref=raw.get("weight"),
-                bias_ref=raw.get("bias"),
+                weight_ref=_file_ref(raw, "weight"),
+                bias_ref=_file_ref(raw, "bias"),
                 hyperparams={k: operator.index(raw[k]) for k in _HP_KEYS if k in raw},
             )
             for raw in doc["layers"]

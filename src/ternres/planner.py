@@ -7,8 +7,9 @@ import json
 from dataclasses import dataclass
 
 from .costs import DEFAULT_C_RATIO, DEFAULT_X, CostReport, cost_report
+from .costs import flops_per_layer  # noqa: F401  (bench/workloads.py calls planner.flops_per_layer)
 from .errors import FormatError
-from .manifest import ModelManifest, manifest_from_dict, manifest_to_dict, resolve_shapes
+from .manifest import ModelManifest, manifest_to_dict
 from .residual import DEFAULT_R_MAX, QuantizedModel, ternary_residual
 from .tensors import Tensor
 
@@ -43,7 +44,9 @@ class BudgetSchedule:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
 
     def epsilon_sq_for(self, layer_name: str) -> float:
-        matches = [e for e in self.entries if fnmatch.fnmatchcase(layer_name, e.pattern)]
+        # Only schedule files hold glob patterns; built schedules hold names.
+        match = fnmatch.fnmatchcase if self.mode == "explicit" else str.__eq__
+        matches = [e for e in self.entries if match(layer_name, e.pattern)]
         if len(matches) != 1:
             raise ValueError(
                 f"layer {layer_name!r} matched {len(matches)} schedule entries, "
@@ -54,49 +57,6 @@ class BudgetSchedule:
     def validate_against(self, manifest: ModelManifest) -> None:
         for layer in manifest.parametric_layers():
             self.epsilon_sq_for(layer.name)
-
-
-def flops_per_layer(
-    manifest: ModelManifest, weight_shapes: dict[str, tuple[int, ...]]
-) -> dict[str, int]:
-    """Multiply counts per layer for one input sample.
-
-    Fully-connected layers cost out*in, convolutions cost one multiply per
-    kernel tap per output position, channel scaling costs one per output
-    element, and pooling/ReLU cost none.
-    """
-    shapes = resolve_shapes(manifest, weight_shapes)
-    out: dict[str, int] = {}
-    for layer, out_shape in zip(manifest.layers, shapes):
-        if layer.kind == "fc":
-            o, i = weight_shapes[layer.name]
-            out[layer.name] = o * i
-        elif layer.kind == "conv2d":
-            c_out, c_in, kh, kw = weight_shapes[layer.name]
-            _, oh, ow = out_shape
-            out[layer.name] = oh * ow * kh * kw * c_in * c_out
-        elif layer.kind == "bn_scale":
-            count = 1
-            for d in out_shape:
-                count *= d
-            out[layer.name] = count
-        else:
-            out[layer.name] = 0
-    return out
-
-
-def model_flops(model: QuantizedModel) -> dict[str, int] | None:
-    """``flops_per_layer`` of the manifest a model stores, at its layer shapes.
-
-    None when the model stores no manifest or the shapes do not resolve.
-    """
-    if not model.manifest_doc:
-        return None
-    try:
-        manifest = manifest_from_dict(model.manifest_doc)
-        return flops_per_layer(manifest, {l.layer: l.shape for l in model.layers})
-    except ValueError:
-        return None
 
 
 def make_schedule(
@@ -209,4 +169,4 @@ def convert_model(
     }
     model = QuantizedModel(manifest_to_dict(manifest), qlayers, provenance)
 
-    return model, cost_report(model, x=x, c_ratio=c_ratio, flops=model_flops(model))
+    return model, cost_report(model, x=x, c_ratio=c_ratio)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, determinism, exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,9 +87,13 @@ def _stride_not_an_integer(doc):
     doc["layers"][0]["stride"] = "one"
 
 
+def _weight_not_a_string(doc):
+    doc["layers"][0]["weight"] = 5
+
+
 @pytest.mark.parametrize("damage", [
     _drop_first_name, _second_layer_not_an_object, _input_shape_not_a_list,
-    _stride_not_an_integer])
+    _stride_not_an_integer, _weight_not_a_string])
 def test_malformed_manifest_exits_1(net_dir, capsys, damage):
     tmp, manifest_path, _ = net_dir
     assert main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
@@ -191,6 +196,31 @@ def test_stats_on_container(net_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["totals"]["blocks_factor"] >= 1.0
     assert doc["totals"]["power_perf_gain"] > 0
+
+
+@pytest.mark.parametrize("option", [["--c", "1"], ["--c", "0.5"], ["--x", "0"]])
+def test_stats_rejects_bad_x_or_c_exit_2(net_dir, capsys, option):
+    tmp, manifest_path, _ = net_dir
+    assert main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+                 "-o", str(tmp / "net.tq")]) == 0
+    save_quantized(QuantizedModel({}, (), {}), tmp / "empty.tq")
+    for path in ("net.tq", "empty.tq"):
+        capsys.readouterr()
+        assert main(["stats", str(tmp / path), *option]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [("fc[1]", "fc2"), ("fc*", "fc2")])
+def test_quantize_matches_layer_names_exactly(tmp_path, names):
+    manifest, weights = mlp_net(np.random.default_rng(3))
+    rename = dict(zip(("fc1", "fc2"), names))
+    manifest = replace(manifest, layers=tuple(
+        replace(l, name=rename.get(l.name, l.name)) for l in manifest.layers))
+    path = write_net(manifest, {rename[n]: w for n, w in weights.items()}, tmp_path / "net")
+    for mode in (["--eps", "0.1"], ["--mode", "depth_graded"], ["--mode", "compute_aware"]):
+        assert main(["quantize", "-m", path, "-N", "16", *mode,
+                     "-o", str(tmp_path / "q.tq")]) == 0
+        assert sorted(load_quantized(tmp_path / "q.tq").provenance["epsilon_sq"]) == sorted(names)
 
 
 def test_downgrade_roundtrip(net_dir, capsys):

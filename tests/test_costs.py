@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ternres import (
+    LayerDecl,
+    ModelManifest,
     QuantizedModel,
     Tensor,
     cost_report,
@@ -15,6 +17,7 @@ from ternres import (
     ternary_residual,
     throughput_gains,
 )
+from ternres.manifest import manifest_to_dict
 from ternres.residual import QuantizedLayer
 
 
@@ -139,14 +142,14 @@ class TestMeasuredReport:
         model = self._model(rng, [256, 100], 32, 1.0)
         report = cost_report(model)
         assert report.blocks_factor == 1.0
-        assert report.total_levels == report.total_blocks
+        assert report.total.num_levels == report.total.num_blocks
 
     def test_size_bits_count_remainder_blocks_exactly(self):
         rng = np.random.default_rng(3)
         model = self._model(rng, [100], 64, 1.0)  # blocks of 64 and 36
         report = cost_report(model)
-        assert report.model_size_bits == (8 + 2 * 64) + (8 + 2 * 36)
-        assert report.num_scaling_factors == 2
+        assert report.total.model_size_bits == (8 + 2 * 64) + (8 + 2 * 36)
+        assert report.total.num_levels == 2
 
     def test_capacity_stays_exact_past_int64(self):
         # 3**41 exceeds the int64 range; capacity must stay an exact integer.
@@ -155,9 +158,9 @@ class TestMeasuredReport:
             alphas=np.ones(42, dtype=np.float32), signs=np.ones((42, 4), dtype=np.int8),
             delta=0.0, epsilon_sq=0.01, source_norm_sq=1.0)
         report = cost_report(QuantizedModel({}, (layer,), {}))
-        assert report.capacity == 3 ** 41 + 3 - 2 + 1
-        assert report.capacity == table2_stats(8, 2, [40, 0])[1]
-        assert report.model_size_bits == 42 * (8 + 2 * 4)
+        assert report.total.capacity == 3 ** 41 + 3 - 2 + 1
+        assert report.total.capacity == table2_stats(8, 2, [40, 0])[1]
+        assert report.total.model_size_bits == 42 * (8 + 2 * 4)
 
     def test_report_consistent_with_bookkeeping(self):
         rng = np.random.default_rng(4)
@@ -165,37 +168,48 @@ class TestMeasuredReport:
         report = cost_report(model)
         levels = sum(int(l.counts.sum()) for l in model.layers)
         blocks = sum(len(l.counts) for l in model.layers)
-        assert report.total_levels == levels
-        assert report.num_scaling_factors == levels
+        assert report.total.num_levels == levels
+        assert report.total.num_levels == levels
         assert report.blocks_factor == pytest.approx(levels / blocks, rel=1e-12)
         size = sum(
             int(c) * (8 + 2 * min(l.block_size, l.num_weights - k * l.block_size))
             for l in model.layers for k, c in enumerate(l.counts)
         )
-        assert report.model_size_bits == size
+        assert report.total.model_size_bits == size
         capacity = sum(
             sum(3 ** int(c) for c in l.counts) - len(l.counts) + 1
             for l in model.layers
         )
-        assert report.capacity == capacity
+        assert report.total.capacity == capacity
         assert report.mult_reduction_vs_88 == pytest.approx(
-            report.total_weights / levels, rel=1e-12
+            report.total.num_weights / levels, rel=1e-12
         )
-        assert report.size_reduction_vs_88 == pytest.approx(
-            8 * report.total_weights / size, rel=1e-12
+        assert report.total.size_reduction_vs_88 == pytest.approx(
+            8 * report.total.num_weights / size, rel=1e-12
         )
 
     def test_flop_weighted_factor(self):
         rng = np.random.default_rng(5)
-        model = self._model(rng, [512, 64], 32, 0.01)
-        f0 = model.layers[0]
-        f1 = model.layers[1]
-        flops = {"l0": 1000, "l1": 10}
-        report = cost_report(model, flops=flops)
+        manifest = ModelManifest(
+            (LayerDecl("l0", "fc", weight_ref="l0"), LayerDecl("l1", "fc", weight_ref="l1")),
+            input_shape=(25,))
+        f0, f1 = (ternary_residual(Tensor(n, rng.normal(size=s).astype(np.float32)),
+                                   32, epsilon_sq=0.01)
+                  for n, s in (("l0", (40, 25)), ("l1", (1, 40))))
+        model = QuantizedModel(manifest_to_dict(manifest), (f0, f1), {})
+        report = cost_report(model)
         bf0 = f0.num_levels / f0.num_blocks
         bf1 = f1.num_levels / f1.num_blocks
-        expected = (1000 * bf0 + 10 * bf1) / 1010
+        expected = (1000 * bf0 + 40 * bf1) / 1040
         assert report.compute_factor_weighted == pytest.approx(expected, rel=1e-12)
+        assert cost_report(QuantizedModel({}, (f0, f1), {})).compute_factor_weighted is None
+
+    def test_bad_x_or_c_rejected_when_called(self):
+        rng = np.random.default_rng(8)
+        for model in (self._model(rng, [128], 32, 0.05), QuantizedModel({}, (), {})):
+            for bad in ({"x": 0.0}, {"x": -1.0}, {"c_ratio": 1.0}, {"c_ratio": 0.5}):
+                with pytest.raises(ValueError):
+                    cost_report(model, **bad)
 
     def test_text_and_json_render(self):
         rng = np.random.default_rng(6)
@@ -204,7 +218,7 @@ class TestMeasuredReport:
         text = report.to_text()
         assert "TOTAL" in text and "power-perf" in text
         doc = report.to_dict()
-        assert doc["totals"]["levels"] == report.total_levels
+        assert doc["totals"]["levels"] == report.total.num_levels
         assert len(doc["layers"]) == 1
         assert doc["layers"][0]["power_perf_gain"] > 0
 

@@ -17,7 +17,8 @@ from ternres import (
     make_schedule,
     save_quantized,
 )
-from ternres.planner import BudgetSchedule, ScheduleEntry, load_schedule, model_flops
+from ternres.costs import model_flops
+from ternres.planner import BudgetSchedule, ScheduleEntry, load_schedule
 
 from nets import conv_net, mlp_net, random_net
 

@@ -241,6 +241,8 @@ def _rewrite_first_layer(path, key, value):
     ("delta", float("inf")),
     ("epsilon_sq", float("nan")),
     ("source_norm_sq", "-inf"),
+    ("name", ["l0"]),
+    ("exhausted", "no"),
 ])
 def test_malformed_layer_entry_is_a_format_error(tmp_path, key, value):
     rng = np.random.default_rng(6)
