@@ -149,7 +149,7 @@ class TestMeasuredReport:
         model = self._model(rng, [100], 64, 1.0)  # blocks of 64 and 36
         report = cost_report(model)
         assert report.total.model_size_bits == (8 + 2 * 64) + (8 + 2 * 36)
-        assert report.total.num_levels == 2
+        assert report.to_dict()["totals"]["scaling_factors"] == 2
 
     def test_capacity_stays_exact_past_int64(self):
         # 3**41 exceeds the int64 range; capacity must stay an exact integer.
@@ -169,7 +169,7 @@ class TestMeasuredReport:
         levels = sum(int(l.counts.sum()) for l in model.layers)
         blocks = sum(len(l.counts) for l in model.layers)
         assert report.total.num_levels == levels
-        assert report.total.num_levels == levels
+        assert report.to_dict()["totals"]["scaling_factors"] == levels
         assert report.blocks_factor == pytest.approx(levels / blocks, rel=1e-12)
         size = sum(
             int(c) * (8 + 2 * min(l.block_size, l.num_weights - k * l.block_size))
