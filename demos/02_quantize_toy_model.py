@@ -65,7 +65,7 @@ print("\nmultiplies per layer:", flops_per_layer(manifest, shapes))
 
 schedule = make_schedule(manifest, "depth_graded", lo=0.005, hi=0.04)
 for layer in manifest.parametric_layers():
-    print(f"  tolerance^2 for {layer.name}: {schedule.epsilon_sq_for(layer.name):.4f}")
+    print(f"  tolerance^2 for {layer.name}: {schedule.epsilon_sq[layer.name]:.4f}")
 
 model, report = convert_model(manifest, weights, block_size=64, schedule=schedule)
 print("\n" + report.to_text())

@@ -136,18 +136,16 @@ def _cmd_quantize(args) -> int:
     manifest = load_manifest(args.manifest)
     weights = load_weights(manifest)
     if args.schedule:
-        schedule = load_schedule(args.schedule)
-        schedule.validate_against(manifest)
-    elif args.mode == "uniform":
-        eps_sq = args.eps_sq if args.eps_sq is not None else args.eps ** 2
-        schedule = make_schedule(manifest, "uniform", epsilon_sq=eps_sq)
+        schedule = load_schedule(args.schedule, manifest)
     else:
+        eps_sq = args.eps_sq
+        if eps_sq is None and args.eps is not None:
+            eps_sq = args.eps ** 2
         flops = None
         if args.mode == "compute_aware":
-            shapes = {n: weights[n][0].shape for n in weights}
-            flops = flops_per_layer(manifest, shapes)
-        schedule = make_schedule(manifest, args.mode, lo=args.lo, hi=args.hi,
-                                 cap=args.cap, flops=flops)
+            flops = flops_per_layer(manifest, {n: weights[n][0].shape for n in weights})
+        schedule = make_schedule(manifest, args.mode, epsilon_sq=eps_sq, lo=args.lo,
+                                 hi=args.hi, cap=args.cap, flops=flops)
 
     model, report = convert_model(
         manifest, weights, args.block_size, schedule,

@@ -195,7 +195,7 @@ def load_quantized(path) -> QuantizedModel:
     if manifest_doc:
         try:
             manifest_from_dict(manifest_doc)
-        except (FormatError, ValueError) as exc:
+        except FormatError as exc:
             raise FormatError(f"{path}: bad stored manifest ({exc})") from exc
     blob = np.frombuffer(raw, dtype=np.uint8, offset=8 + json_len)
     layers, end = [], 0

@@ -10,11 +10,12 @@ compute factor comes from the manifest a container stores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .manifest import ModelManifest, manifest_from_dict, resolve_shapes
+from .manifest import PARAMETRIC_KINDS, ModelManifest, manifest_from_dict, resolve_shapes
 from .residual import QuantizedModel
 from .tensors import block_lengths
 
@@ -216,28 +217,16 @@ def flops_per_layer(
 ) -> dict[str, int]:
     """Multiply counts per layer for one input sample.
 
-    Fully-connected layers cost out*in, convolutions cost one multiply per
-    kernel tap per output position, channel scaling costs one per output
-    element, and pooling/ReLU cost none.
+    A parametric layer costs, per output element, one multiply for each
+    weight feeding it: ``in`` for fully-connected layers, ``C_in*kh*kw`` for
+    convolutions and one for channel scaling. Pooling/ReLU cost none.
     """
     shapes = resolve_shapes(manifest, weight_shapes)
-    out: dict[str, int] = {}
-    for layer, out_shape in zip(manifest.layers, shapes):
-        if layer.kind == "fc":
-            o, i = weight_shapes[layer.name]
-            out[layer.name] = o * i
-        elif layer.kind == "conv2d":
-            c_out, c_in, kh, kw = weight_shapes[layer.name]
-            _, oh, ow = out_shape
-            out[layer.name] = oh * ow * kh * kw * c_in * c_out
-        elif layer.kind == "bn_scale":
-            count = 1
-            for d in out_shape:
-                count *= d
-            out[layer.name] = count
-        else:
-            out[layer.name] = 0
-    return out
+    return {
+        layer.name: math.prod(out_shape) * math.prod(weight_shapes[layer.name][1:])
+        if layer.kind in PARAMETRIC_KINDS else 0
+        for layer, out_shape in zip(manifest.layers, shapes)
+    }
 
 
 def model_flops(model: QuantizedModel) -> dict[str, int] | None:

@@ -59,22 +59,23 @@ class ModelManifest:
 _HP_KEYS = ("stride", "pad", "window")
 
 
-def _file_ref(raw: dict, key: str) -> str | None:
-    ref = raw.get(key)
-    if key in raw and not isinstance(ref, str):
-        raise TypeError(f"{key} must be a file name, got {ref!r}")
-    return ref
+def _string(raw: dict, key: str) -> str:
+    value = raw[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 def manifest_from_dict(doc: dict, base_dir: str = ".") -> ModelManifest:
-    """Parse a manifest document; a field of the wrong type is a ``FormatError``."""
+    """Parse a manifest document; a field of the wrong type, or layers that
+    break the ``ModelManifest`` rules, are a ``FormatError``."""
     try:
         layers = tuple(
             LayerDecl(
-                name=str(raw["name"]),
-                kind=str(raw["kind"]),
-                weight_ref=_file_ref(raw, "weight"),
-                bias_ref=_file_ref(raw, "bias"),
+                name=_string(raw, "name"),
+                kind=_string(raw, "kind"),
+                weight_ref=_string(raw, "weight") if "weight" in raw else None,
+                bias_ref=_string(raw, "bias") if "bias" in raw else None,
                 hyperparams={k: operator.index(raw[k]) for k in _HP_KEYS if k in raw},
             )
             for raw in doc["layers"]
@@ -83,7 +84,10 @@ def manifest_from_dict(doc: dict, base_dir: str = ".") -> ModelManifest:
         input_shape = tuple(operator.index(d) for d in input_shape) if input_shape else None
     except (AttributeError, KeyError, TypeError) as exc:
         raise FormatError(f"manifest: malformed layers or input_shape ({exc})") from exc
-    return ModelManifest(layers=layers, input_shape=input_shape, base_dir=base_dir)
+    try:
+        return ModelManifest(layers=layers, input_shape=input_shape, base_dir=base_dir)
+    except ValueError as exc:
+        raise FormatError(f"manifest: {exc}") from exc
 
 
 def manifest_to_dict(manifest: ModelManifest) -> dict:

@@ -260,9 +260,6 @@ class PerturbationTrace:
     def final_delta(self) -> float:
         return self.entries[-1].delta
 
-    def deltas(self) -> list[float]:
-        return [e.delta for e in self.entries]
-
     def to_rows(self) -> list[dict]:
         return [
             {"layer": e.index, "name": e.name, "kind": e.kind,

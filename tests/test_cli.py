@@ -91,9 +91,35 @@ def _weight_not_a_string(doc):
     doc["layers"][0]["weight"] = 5
 
 
+def _name_not_a_string(doc):
+    doc["layers"][0]["name"] = ["conv1"]
+
+
+def _name_an_integer(doc):
+    doc["layers"][2]["name"] = 7
+
+
+def _kind_unknown(doc):
+    doc["layers"][2]["kind"] = "gelu"
+
+
+def _name_duplicated(doc):
+    doc["layers"][2]["name"] = doc["layers"][0]["name"]
+
+
+def _weight_on_relu(doc):
+    doc["layers"][2]["weight"] = doc["layers"][0]["weight"]
+
+
+def _weight_missing_from_bn(doc):
+    del doc["layers"][1]["weight"]
+
+
 @pytest.mark.parametrize("damage", [
     _drop_first_name, _second_layer_not_an_object, _input_shape_not_a_list,
-    _stride_not_an_integer, _weight_not_a_string])
+    _stride_not_an_integer, _weight_not_a_string, _name_not_a_string,
+    _name_an_integer, _kind_unknown, _name_duplicated, _weight_on_relu,
+    _weight_missing_from_bn])
 def test_malformed_manifest_exits_1(net_dir, capsys, damage):
     tmp, manifest_path, _ = net_dir
     assert main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
@@ -136,6 +162,15 @@ def test_quantize_mode_matches_the_library(net_dir, mode):
     schedule = make_schedule(manifest, mode, flops=flops)
     save_quantized(convert_model(manifest, weights, 16, schedule)[0], tmp / "lib.tq")
     assert (tmp / "cli.tq").read_bytes() == (tmp / "lib.tq").read_bytes()
+
+
+def test_quantize_cap_bounds_depth_graded(net_dir):
+    tmp, manifest_path, _ = net_dir
+    assert main(["quantize", "-m", manifest_path, "-N", "16", "--mode", "depth_graded",
+                 "--cap", "0.02", "-o", str(tmp / "capped.tq")]) == 0
+    epsilon_sq = load_quantized(tmp / "capped.tq").provenance["epsilon_sq"]
+    assert len(epsilon_sq) == 4
+    assert all(value <= 0.02 for value in epsilon_sq.values())
 
 
 def test_quantize_scales_flag(net_dir):

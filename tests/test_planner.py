@@ -18,7 +18,7 @@ from ternres import (
     save_quantized,
 )
 from ternres.costs import model_flops
-from ternres.planner import BudgetSchedule, ScheduleEntry, load_schedule
+from ternres.planner import load_schedule
 
 from nets import conv_net, mlp_net, random_net
 
@@ -71,15 +71,15 @@ class TestSchedules:
     def test_uniform(self):
         manifest, _ = mlp_net(np.random.default_rng(1))
         schedule = make_schedule(manifest, "uniform", epsilon_sq=0.01)
-        assert schedule.epsilon_sq_for("fc1") == 0.01
-        assert schedule.epsilon_sq_for("fc2") == 0.01
+        assert schedule.epsilon_sq["fc1"] == 0.01
+        assert schedule.epsilon_sq["fc2"] == 0.01
 
     def test_depth_graded_non_decreasing(self):
         rng = np.random.default_rng(2)
         manifest, _ = conv_net(rng)
         schedule = make_schedule(manifest, "depth_graded", lo=0.005, hi=0.06)
         values = [
-            schedule.epsilon_sq_for(l.name) for l in manifest.parametric_layers()
+            schedule.epsilon_sq[l.name] for l in manifest.parametric_layers()
         ]
         assert values[0] == 0.005
         assert values[-1] == 0.06
@@ -95,12 +95,12 @@ class TestSchedules:
         names = [l.name for l in manifest.parametric_layers()]
         heavy = max(names, key=lambda n: flops[n])
         light = min(names, key=lambda n: flops[n])
-        assert schedule.epsilon_sq_for(heavy) >= schedule.epsilon_sq_for(light)
+        assert schedule.epsilon_sq[heavy] >= schedule.epsilon_sq[light]
         # constructed contrast: 10x flops means a budget at least as loose
         for a in names:
             for b in names:
                 if flops[a] >= 10 * flops[b]:
-                    assert schedule.epsilon_sq_for(a) >= schedule.epsilon_sq_for(b)
+                    assert schedule.epsilon_sq[a] >= schedule.epsilon_sq[b]
 
     def test_compute_aware_cap(self):
         rng = np.random.default_rng(4)
@@ -110,7 +110,12 @@ class TestSchedules:
         schedule = make_schedule(manifest, "compute_aware", lo=0.004, hi=0.08,
                                  cap=0.02, flops=flops)
         for l in manifest.parametric_layers():
-            assert schedule.epsilon_sq_for(l.name) <= 0.02
+            assert schedule.epsilon_sq[l.name] <= 0.02
+
+    def test_depth_graded_cap(self):
+        manifest, _ = conv_net(np.random.default_rng(4))
+        schedule = make_schedule(manifest, "depth_graded", lo=0.01, hi=0.05, cap=0.02)
+        assert list(schedule.epsilon_sq.values()) == [0.01, 0.02, 0.02, 0.02]
 
     def test_out_of_range_rejected(self):
         manifest, _ = mlp_net(np.random.default_rng(5))
@@ -121,20 +126,24 @@ class TestSchedules:
         with pytest.raises(ValueError):
             make_schedule(manifest, "depth_graded", lo=0.1, hi=0.01)
 
-    def test_every_layer_needs_exactly_one_entry(self):
+    def test_every_layer_needs_exactly_one_entry(self, tmp_path):
         manifest, _ = mlp_net(np.random.default_rng(6))
-        overlapping = BudgetSchedule((ScheduleEntry("fc*", 0.01), ScheduleEntry("fc1", 0.02)))
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps([{"pattern": "fc*", "epsilon_sq": 0.01},
+                                    {"pattern": "fc1", "epsilon_sq": 0.02}]))
         with pytest.raises(ValueError, match="matched 2"):
-            overlapping.validate_against(manifest)
+            load_schedule(path, manifest)
+        path.write_text(json.dumps([{"pattern": "fc1", "epsilon_sq": 0.01}]))
         with pytest.raises(ValueError, match="matched 0"):
-            BudgetSchedule((ScheduleEntry("fc1", 0.01),)).validate_against(manifest)
+            load_schedule(path, manifest)
 
     def test_schedule_file_round_trip(self, tmp_path):
+        manifest, _ = mlp_net(np.random.default_rng(6))
         path = tmp_path / "sched.json"
         path.write_text(json.dumps(
             [{"pattern": "fc*", "epsilon_sq": 0.02}]))
-        schedule = load_schedule(path)
-        assert schedule.epsilon_sq_for("fc1") == 0.02
+        schedule = load_schedule(path, manifest)
+        assert schedule.epsilon_sq == {"fc1": 0.02, "fc2": 0.02}
 
 
 class TestConvertModel:
@@ -152,7 +161,7 @@ class TestConvertModel:
         schedule = make_schedule(manifest, "depth_graded", lo=0.004, hi=0.05)
         model, _ = convert_model(manifest, weights, 16, schedule)
         for l in model.layers:
-            assert l.delta <= schedule.epsilon_sq_for(l.layer)
+            assert l.delta <= schedule.epsilon_sq[l.layer]
 
     def test_tightening_never_reduces_levels(self):
         rng = np.random.default_rng(9)
@@ -194,6 +203,14 @@ class TestConvertModel:
             save_quantized(model, tmp_path / f"{tag}.tq")
         assert (tmp_path / "first.tq").read_bytes() == (
             tmp_path / "second.tq").read_bytes()
+
+    def test_schedule_for_another_manifest_names_the_layer(self):
+        rng = np.random.default_rng(14)
+        mlp, _ = mlp_net(rng)
+        manifest, weights = conv_net(rng)
+        schedule = make_schedule(mlp, "uniform", epsilon_sq=0.01)
+        with pytest.raises(ValueError, match="conv1"):
+            convert_model(manifest, weights, 16, schedule)
 
     def test_report_weighted_factor_present_with_shapes(self):
         rng = np.random.default_rng(13)
