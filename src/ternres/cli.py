@@ -337,14 +337,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ValueError) as exc:  # bad arguments or inputs
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # invalid arguments / inconsistent inputs
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError,
-            OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,8 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .manifest import PARAMETRIC_KINDS, ModelManifest, manifest_from_dict, resolve_shapes
+from .manifest import PARAMETRIC_KINDS, ModelManifest, manifest_from_dict
 from .residual import QuantizedModel
+from .simulate import resolve_shapes
 from .tensors import block_lengths
 
 DEFAULT_X = 5.5  # estimated 8-2 over 8-8 power-performance gain at N=64

@@ -1,4 +1,5 @@
-"""Model manifests: layer declarations, tensor loading, shape propagation."""
+"""Model manifests: layer declarations and tensor loading. Layer output
+shapes come from the simulator's own layers (``simulate.resolve_shapes``)."""
 
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ from .tensors import Tensor, load_tensor
 
 LAYER_KINDS = ("fc", "conv2d", "relu", "maxpool", "avgpool", "bn_scale")
 
-# Kinds that carry a weight tensor and therefore get quantized.
-PARAMETRIC_KINDS = ("fc", "conv2d", "bn_scale")
+# Kinds that carry a weight tensor and therefore get quantized, with the rank
+# of that weight. A bias, when present, holds one value per output channel.
+_WEIGHT_RANK = {"fc": 2, "conv2d": 4, "bn_scale": 1}
+PARAMETRIC_KINDS = tuple(_WEIGHT_RANK)
 
 
 @dataclass(frozen=True)
@@ -121,20 +124,16 @@ def save_manifest(manifest: ModelManifest, path) -> None:
         fp.write("\n")
 
 
-def _check_weight_shape(layer: LayerDecl, weight: Tensor, bias: Tensor | None):
-    if layer.kind == "fc" and weight.data.ndim != 2:
-        raise ValueError(f"layer {layer.name!r}: fc weight must be 2-D, got {weight.shape}")
-    if layer.kind == "conv2d" and weight.data.ndim != 4:
-        raise ValueError(f"layer {layer.name!r}: conv2d weight must be 4-D, got {weight.shape}")
-    if layer.kind == "bn_scale":
-        if weight.data.ndim != 1:
-            raise ValueError(f"layer {layer.name!r}: bn_scale weight must be 1-D")
-        if bias is not None and bias.shape != weight.shape:
-            raise ValueError(f"layer {layer.name!r}: bn_scale bias shape mismatch")
-    if layer.kind == "fc" and bias is not None and bias.shape != (weight.shape[0],):
-        raise ValueError(f"layer {layer.name!r}: fc bias must have shape (out,)")
-    if layer.kind == "conv2d" and bias is not None and bias.shape != (weight.shape[0],):
-        raise ValueError(f"layer {layer.name!r}: conv2d bias must have shape (C_out,)")
+def _check_weight_shape(layer: LayerDecl, weight_shape: tuple[int, ...],
+                        bias_shape: tuple[int, ...] | None = None):
+    rank = _WEIGHT_RANK[layer.kind]
+    if len(weight_shape) != rank:
+        raise ValueError(
+            f"layer {layer.name!r}: {layer.kind} weight must be {rank}-D, got {weight_shape}")
+    if bias_shape is not None and bias_shape != weight_shape[:1]:
+        raise ValueError(
+            f"layer {layer.name!r}: {layer.kind} bias must have shape "
+            f"{weight_shape[:1]}, got {bias_shape}")
 
 
 def load_weights(manifest: ModelManifest) -> dict[str, tuple[Tensor, Tensor | None]]:
@@ -150,69 +149,6 @@ def load_weights(manifest: ModelManifest) -> dict[str, tuple[Tensor, Tensor | No
         if layer.bias_ref is not None:
             bpath = os.path.join(manifest.base_dir, layer.bias_ref)
             bias = load_tensor(bpath, name=f"{layer.name}.bias")
-        _check_weight_shape(layer, weight, bias)
+        _check_weight_shape(layer, weight.shape, None if bias is None else bias.shape)
         out[layer.name] = (weight, bias)
     return out
-
-
-def output_shape(layer: LayerDecl, in_shape: tuple[int, ...],
-                 weight_shape: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Shape of one layer's output for a single (batchless) sample."""
-    if layer.kind == "fc":
-        out_dim, in_dim = weight_shape
-        flat = 1
-        for d in in_shape:
-            flat *= d
-        if flat != in_dim:
-            raise ValueError(
-                f"layer {layer.name!r}: fc expects {in_dim} inputs, got shape {in_shape}"
-            )
-        return (out_dim,)
-    if layer.kind == "conv2d":
-        c_out, c_in, kh, kw = weight_shape
-        if len(in_shape) != 3 or in_shape[0] != c_in:
-            raise ValueError(
-                f"layer {layer.name!r}: conv2d expects (C={c_in},H,W), got {in_shape}"
-            )
-        stride = layer.hp("stride", 1)
-        pad = layer.hp("pad", 0)
-        h = (in_shape[1] + 2 * pad - kh) // stride + 1
-        w = (in_shape[2] + 2 * pad - kw) // stride + 1
-        if h < 1 or w < 1:
-            raise ValueError(f"layer {layer.name!r}: kernel larger than padded input")
-        return (c_out, h, w)
-    if layer.kind in ("maxpool", "avgpool"):
-        window = layer.hp("window")
-        stride = layer.hp("stride", window)
-        if len(in_shape) != 3:
-            raise ValueError(f"layer {layer.name!r}: pooling expects (C,H,W), got {in_shape}")
-        h = (in_shape[1] - window) // stride + 1
-        w = (in_shape[2] - window) // stride + 1
-        if h < 1 or w < 1:
-            raise ValueError(f"layer {layer.name!r}: pooling window larger than input")
-        return (in_shape[0], h, w)
-    if layer.kind == "bn_scale":
-        (channels,) = weight_shape
-        if in_shape[0] != channels:
-            raise ValueError(
-                f"layer {layer.name!r}: bn_scale over {channels} channels cannot "
-                f"apply to shape {in_shape}"
-            )
-        return in_shape
-    return in_shape  # relu
-
-
-def resolve_shapes(
-    manifest: ModelManifest, weight_shapes: dict[str, tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Per-layer output shapes for one sample; raises if not resolvable."""
-    if manifest.input_shape is None:
-        raise ValueError("input shape is required to resolve layer shapes")
-    shapes = []
-    cur = tuple(manifest.input_shape)
-    for layer in manifest.layers:
-        if layer.kind in PARAMETRIC_KINDS and layer.name not in weight_shapes:
-            raise ValueError(f"layer {layer.name!r}: no weight shape to resolve")
-        cur = output_shape(layer, cur, weight_shapes.get(layer.name))
-        shapes.append(cur)
-    return shapes

@@ -86,14 +86,18 @@ def load_schedule(path, manifest: ModelManifest) -> BudgetSchedule:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        entries = [(str(e["pattern"]), float(e["epsilon_sq"])) for e in doc]
+        entries = [(e["pattern"], e["epsilon_sq"]) for e in doc]
     except (KeyError, TypeError) as exc:
         raise FormatError(
             f"{path}: schedule entries need 'pattern' and 'epsilon_sq' ({exc})"
         ) from exc
+    for pattern, eps_sq in entries:
+        if not isinstance(pattern, str) or type(eps_sq) not in (int, float):
+            raise FormatError(f"{path}: schedule entry {pattern!r}: 'pattern' must be "
+                              f"a string and 'epsilon_sq' a number, got {eps_sq!r}")
     resolved = {}
     for layer in manifest.parametric_layers():
-        matches = [eps_sq for pattern, eps_sq in entries
+        matches = [float(eps_sq) for pattern, eps_sq in entries
                    if fnmatch.fnmatchcase(layer.name, pattern)]
         if len(matches) != 1:
             raise ValueError(

@@ -584,14 +584,21 @@ def fixed_point_exponent(peak: float) -> int:
     return e
 
 
+def snap_8bit(values: np.ndarray, exponent: int) -> np.ndarray:
+    """``clip(round(v / 2^e), -128, 127) * 2^e`` for every v, in the dtype of
+    ``values``; a float32 step ``2^e`` is 0 below e = -149."""
+    step = values.dtype.type(2.0 ** exponent)
+    return np.clip(np.round(values / step), -128, 127) * step
+
+
 def quantize_scales_8bit(
     model: QuantizedModel, weights: dict[str, Tensor]
 ) -> QuantizedModel:
     """Snap every scaling factor to dynamic fixed point with 8-bit mantissa.
 
     Per layer, a shared power-of-two step makes the largest alpha fit in 127
-    units: ``alpha_hat = min(round(alpha / 2^e), 127) * 2^e``. A level whose
-    alpha snaps to zero loses its signs. Deltas are recomputed from the
+    units: ``alpha_hat = snap_8bit(alpha, e)``, computed in float64. A level
+    whose alpha snaps to zero loses its signs. Deltas are recomputed from the
     modified levels against the source tensors. Layers whose scales are all
     zero pass through untouched.
     """
@@ -601,9 +608,8 @@ def quantize_scales_8bit(
         if amax == 0.0:
             new_layers.append(l)
             continue
-        step = 2.0 ** fixed_point_exponent(amax)
-        q = np.minimum(np.round(l.alphas.astype(np.float64) / step), 127.0)
-        alphas = (q * step).astype(np.float32)
+        e = fixed_point_exponent(amax)
+        alphas = snap_8bit(l.alphas.astype(np.float64), e).astype(np.float32)
         signs = np.where((alphas == 0.0)[:, None], np.int8(0), l.signs)
         probe = replace(l, alphas=alphas, signs=signs, trace=(), delta_sequence=())
         new_layers.append(replace(probe, delta=layer_delta(weights[l.layer], probe)))

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .manifest import LayerDecl, ModelManifest
-from .residual import QuantizedLayer, QuantizedModel, fixed_point_exponent, reconstruct
+from .manifest import PARAMETRIC_KINDS, LayerDecl, ModelManifest, _check_weight_shape
+from .residual import QuantizedLayer, QuantizedModel, reconstruct
+from .residual import fixed_point_exponent, snap_8bit
 from .tensors import Tensor
 
 DECOMPOSITION_RTOL = 1e-5
@@ -36,7 +38,6 @@ class ActQuantSpec:
     """Dynamic fixed point: 8-bit integers scaled by a power-of-two step."""
 
     exponent: int
-    bits: int = 8
 
 
 def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, ActQuantSpec]:
@@ -52,9 +53,7 @@ def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, ActQuantSpec]:
     if peak == 0.0:
         return x.copy(), ActQuantSpec(exponent=0)
     e = fixed_point_exponent(peak)
-    step = np.float32(2.0 ** e)
-    q = np.clip(np.round(x / step), -128, 127).astype(np.float32)
-    return q * step, ActQuantSpec(exponent=e)
+    return snap_8bit(x, e), ActQuantSpec(exponent=e)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +62,7 @@ def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, ActQuantSpec]:
 
 
 def _fc(w: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    flat = x.reshape(x.shape[0], -1)
+    flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
     if flat.shape[1] != w.shape[1]:
         raise ValueError(f"fc expects {w.shape[1]} inputs, got {flat.shape[1]}")
     y = flat @ w.T
@@ -78,7 +77,7 @@ def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
     per-image patch matrices."""
     if x.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ValueError(f"conv2d expects (B,{w.shape[1]},H,W), got {x.shape}")
-    c_out, _, kh, kw = w.shape
+    c_out, c_in, kh, kw = w.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     oh = (x.shape[2] - kh) // stride + 1
@@ -89,7 +88,7 @@ def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
     # matrix has its rows ordered like the columns of ``w.reshape(c_out, -1)``,
     # so the product comes out in (B, c_out, OH*OW) order.
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], -1, oh * ow)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], c_in * kh * kw, oh * ow)
     y = (w.reshape(c_out, -1) @ cols).reshape(x.shape[0], c_out, oh, ow)
     if b is not None:
         y = y + b.reshape(1, c_out, 1, 1)
@@ -141,21 +140,26 @@ def _bn_scale(a: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
 
 def apply_layer(layer: LayerDecl, weight: np.ndarray | None,
                 bias: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    if layer.kind == "fc":
-        return _fc(weight, bias, x)
-    if layer.kind == "conv2d":
-        return _conv2d(weight, bias, x, layer.hp("stride", 1), layer.hp("pad", 0))
-    if layer.kind == "relu":
-        return _relu(x)
-    if layer.kind == "maxpool":
-        window = layer.hp("window")
-        return _maxpool(x, window, layer.hp("stride", window))
-    if layer.kind == "avgpool":
-        window = layer.hp("window")
-        return _avgpool(x, window, layer.hp("stride", window))
-    if layer.kind == "bn_scale":
-        return _bn_scale(weight, bias, x)
-    raise ValueError(f"unknown layer kind {layer.kind!r}")
+    """One layer over a batch; these are the only layer shape rules, and a
+    shape error names the layer."""
+    if layer.kind in ("maxpool", "avgpool"):
+        window = layer.hp("window")  # its error names the layer already
+    try:
+        if layer.kind == "fc":
+            return _fc(weight, bias, x)
+        if layer.kind == "conv2d":
+            return _conv2d(weight, bias, x, layer.hp("stride", 1), layer.hp("pad", 0))
+        if layer.kind == "relu":
+            return _relu(x)
+        if layer.kind == "maxpool":
+            return _maxpool(x, window, layer.hp("stride", window))
+        if layer.kind == "avgpool":
+            return _avgpool(x, window, layer.hp("stride", window))
+        if layer.kind == "bn_scale":
+            return _bn_scale(weight, bias, x)
+    except ValueError as exc:
+        raise ValueError(f"layer {layer.name!r}: {exc}") from exc
+    raise ValueError(f"layer {layer.name!r}: unknown layer kind {layer.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,29 @@ def forward(
         cur = apply_layer(layer, w, b, cur)
         acts.append(cur)
     return acts
+
+
+def resolve_shapes(
+    manifest: ModelManifest, weight_shapes: dict[str, tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Per-layer output shapes for one sample; raises if not resolvable.
+
+    Every layer runs on an empty batch with zero weights of the given shapes.
+    """
+    if manifest.input_shape is None:
+        raise ValueError("input shape is required to resolve layer shapes")
+    cur = np.zeros((0, *manifest.input_shape), dtype=np.float32)
+    shapes = []
+    for layer in manifest.layers:
+        weight = None
+        if layer.kind in PARAMETRIC_KINDS:
+            if layer.name not in weight_shapes:
+                raise ValueError(f"layer {layer.name!r}: no weight shape to resolve")
+            _check_weight_shape(layer, weight_shapes[layer.name])
+            weight = np.zeros(weight_shapes[layer.name], dtype=np.float32)
+        cur = apply_layer(layer, weight, None, cur)
+        shapes.append(cur.shape[1:])
+    return shapes
 
 
 def _weight_arrays(weights, layer: LayerDecl):

@@ -17,9 +17,9 @@ from ternres import (
 from ternres.manifest import (
     manifest_from_dict,
     manifest_to_dict,
-    resolve_shapes,
     save_manifest,
 )
+from ternres.simulate import resolve_shapes
 
 from nets import conv_net, write_net
 

@@ -8,6 +8,7 @@ import pytest
 
 from ternres import (
     ConvergenceError,
+    FormatError,
     LayerDecl,
     ModelManifest,
     QuantizedModel,
@@ -135,6 +136,19 @@ class TestSchedules:
             load_schedule(path, manifest)
         path.write_text(json.dumps([{"pattern": "fc1", "epsilon_sq": 0.01}]))
         with pytest.raises(ValueError, match="matched 0"):
+            load_schedule(path, manifest)
+
+    @pytest.mark.parametrize("entry", [
+        {"pattern": "fc*", "epsilon_sq": "0.02"},
+        {"pattern": "fc*", "epsilon_sq": True},
+        {"pattern": ["fc*"], "epsilon_sq": 0.02},
+        {"pattern": "fc*", "epsilon_sq": "abc"},
+    ])
+    def test_schedule_entry_types_are_a_format_error(self, tmp_path, entry):
+        manifest, _ = mlp_net(np.random.default_rng(6))
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(FormatError, match="schedule entry"):
             load_schedule(path, manifest)
 
     def test_schedule_file_round_trip(self, tmp_path):

@@ -143,6 +143,34 @@ class TestForward:
             forward(manifest, weights, np.zeros((1, 7), dtype=np.float32))
 
 
+class TestShapeResolution:
+    @pytest.mark.parametrize("make_net", [mlp_net, conv_net])
+    def test_empty_batch_runs_every_layer(self, make_net):
+        manifest, weights = make_net(np.random.default_rng(3))
+        x = np.zeros((0,) + manifest.input_shape, dtype=np.float32)
+        acts = forward(manifest, weights, x)
+        assert len(acts) == len(manifest.layers)
+        assert all(a.shape[0] == 0 and a.dtype == np.float32 for a in acts)
+
+    @pytest.mark.parametrize("make_net", [mlp_net, conv_net])
+    def test_shapes_are_the_shapes_inference_produces(self, make_net):
+        rng = np.random.default_rng(4)
+        manifest, weights = make_net(rng)
+        x = rng.normal(size=(2,) + manifest.input_shape).astype(np.float32)
+        shapes = simulate.resolve_shapes(
+            manifest, {n: w.shape for n, (w, _) in weights.items()})
+        assert shapes == [a.shape[1:] for a in forward(manifest, weights, x)]
+
+    def test_fc_mismatch_names_the_layer(self):
+        manifest = ModelManifest(
+            (LayerDecl("fc", "fc", weight_ref="w"),), input_shape=(7,))
+        weights = {"fc": (Tensor("fc", np.zeros((5, 24), dtype=np.float32)), None)}
+        with pytest.raises(ValueError, match="layer 'fc'.*expects"):
+            simulate.resolve_shapes(manifest, {"fc": (5, 24)})
+        with pytest.raises(ValueError, match="layer 'fc'.*expects"):
+            forward(manifest, weights, np.zeros((1, 7), dtype=np.float32))
+
+
 def _single_conv(rng, c_in, c_out, k, stride, pad, h, w):
     manifest = ModelManifest(
         (LayerDecl("conv", "conv2d", weight_ref="conv.w.npy", bias_ref="conv.b.npy",
