@@ -45,8 +45,8 @@ weights = {
 x = rng.normal(size=(1, 2, 8, 8)).astype(np.float32)
 
 # 8-bit dynamic fixed point: a power-of-two step covering the value range
-q, spec = quantize_activations(x)
-print(f"activation grid for the input: step 2^{spec.exponent}, "
+q, exponent = quantize_activations(x)
+print(f"activation grid for the input: step 2^{exponent}, "
       f"max |x - x_hat| = {np.max(np.abs(x - q)):.5f}")
 
 schedule = make_schedule(manifest, "uniform", epsilon_sq=0.02)

@@ -2,9 +2,11 @@
 
 One file holds a little magic header, a JSON index and a binary blob. Per
 layer the blob holds the layer's ``alphas`` as consecutive little-endian
-float32 values, then its sign rows, 2 bits per weight (little-endian within
-a byte: 00 zero, 01 plus one, 10 minus one, 11 reserved and rejected on
-read), each level's row padded to whole bytes. Both sections are
+float32 values, then its sign rows, 2 bits per weight in two bit planes: bit
+0 set for plus one, bit 1 for minus one, both set reserved and rejected on
+read. numpy packs them in its little bit order, so weight i of a row holds
+bits ``2*(i%4)`` and ``2*(i%4)+1`` of the row's byte ``i//4``; each row is
+padded to whole bytes, and padding bits are ignored on read. Both sections are
 block-major, each block's base level first, and each layer starts where the
 previous one ends. The index stores each block's level count and the blob
 offsets of its scales and sign rows, which must be the ones ``_layout``
@@ -27,9 +29,6 @@ from .residual import QuantizedLayer, QuantizedModel
 MAGIC = b"TRQ0"
 FORMAT_VERSION = 1
 
-_SIGN_OF_CODE = np.array([0, 1, -1, 0], dtype=np.int8)
-_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
-
 
 def pack_signs(signs: np.ndarray) -> bytes:
     """Pack {-1,0,+1} rows, 4 weights per byte, first weight in low bits.
@@ -39,10 +38,8 @@ def pack_signs(signs: np.ndarray) -> bytes:
     """
     signs = np.asarray(signs, dtype=np.int8)
     *rows, n = signs.shape
-    codes = np.zeros((*rows, -(-n // 4) * 4), dtype=np.uint8)
-    codes[..., :n] = np.where(signs == 1, 1, np.where(signs == -1, 2, 0))
-    quads = codes.reshape(*rows, codes.shape[-1] // 4, 4) << _SHIFTS
-    return np.bitwise_or.reduce(quads, axis=-1).tobytes()
+    planes = np.stack((signs == 1, signs == -1), axis=-1).reshape(*rows, 2 * n)
+    return np.packbits(planes, axis=-1, bitorder="little").tobytes()
 
 
 def unpack_signs(payload, length: int) -> np.ndarray:
@@ -57,11 +54,11 @@ def unpack_signs(payload, length: int) -> np.ndarray:
         raise FormatError(
             f"sign payload holds {packed.shape[-1]} bytes, expected {(length + 3) // 4}"
         )
-    codes = (packed[..., None] >> _SHIFTS) & 0b11
-    codes = codes.reshape(*packed.shape[:-1], 4 * packed.shape[-1])[..., :length]
-    if np.any(codes == 3):
+    bits = np.unpackbits(packed, axis=-1, count=2 * length, bitorder="little").view(np.int8)
+    plus, minus = bits[..., 0::2], bits[..., 1::2]
+    if np.any(plus & minus):
         raise FormatError("sign payload uses the reserved code 0b11")
-    return _SIGN_OF_CODE[codes]
+    return plus - minus
 
 
 def _layout(counts, block_size: int, size: int, start: int):

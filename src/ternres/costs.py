@@ -32,8 +32,8 @@ def table2_stats(n: int, k: int, residuals) -> tuple[float, int, int]:
     per scaling factor and 2 bits per weight per level; capacity counts the
     distinct representable values for generic scaling factors.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if n < 1 or k < 1:
+        raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
     residuals = list(residuals)
     if len(residuals) != k:
         raise ValueError(f"expected {k} residual counts, got {len(residuals)}")
@@ -69,9 +69,9 @@ def size_reduction_vs_88(block_size: int, blocks_factor: float) -> float:
 
 def power_perf_gain(x: float, compute_factor: float, block_size: int) -> float:
     """Estimated power-performance gain over 8-8: X / (C * (X/N + 1))."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if compute_factor < 1:
+    if not 0 < x < math.inf:  # written so that NaN fails too
+        raise ValueError(f"x must be a finite number above 0, got {x}")
+    if not compute_factor >= 1:
         raise ValueError("compute factor must be >= 1")
     if block_size < 1:
         raise ValueError("block size must be >= 1")
@@ -84,11 +84,11 @@ def throughput_gains(c_ratio: float, block_size: int, level_factor: float) -> tu
     ``c_ratio`` is the cost of an 8-8 op in 8-2 ops; ``level_factor`` is the
     average number of levels per block (r+1).
     """
-    if c_ratio <= 1:
-        raise ValueError("c_ratio must exceed 1")
+    if not 1 < c_ratio < math.inf:  # written so that NaN fails too
+        raise ValueError(f"c_ratio must be a finite number above 1, got {c_ratio}")
     if block_size < 1:
         raise ValueError("block size must be >= 1")
-    if level_factor < 1:
+    if not level_factor >= 1:
         raise ValueError("level factor must be >= 1")
     pi_c = c_ratio / (level_factor * (c_ratio / block_size + 1.0))
     pi_m = 4.0 / (level_factor * (1.0 / block_size + 1.0))

@@ -4,7 +4,7 @@ shapes come from the simulator's own layers (``simulate.resolve_shapes``)."""
 from __future__ import annotations
 
 import json
-import operator
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -54,9 +54,18 @@ class ModelManifest:
                     f"layer {layer.name!r} ({layer.kind}): weight_ref must be "
                     f"present iff the kind is parametric"
                 )
+            for key, value in layer.hyperparams.items():
+                _check_at_least(f"layer {layer.name!r}: {key}", value, 0 if key == "pad" else 1)
+        for dim in self.input_shape or ():
+            _check_at_least("every input_shape entry", dim, 1)
 
     def parametric_layers(self) -> list[LayerDecl]:
         return [l for l in self.layers if l.kind in PARAMETRIC_KINDS]
+
+
+def _check_at_least(what: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
 
 
 _HP_KEYS = ("stride", "pad", "window")
@@ -79,12 +88,12 @@ def manifest_from_dict(doc: dict, base_dir: str = ".") -> ModelManifest:
                 kind=_string(raw, "kind"),
                 weight_ref=_string(raw, "weight") if "weight" in raw else None,
                 bias_ref=_string(raw, "bias") if "bias" in raw else None,
-                hyperparams={k: operator.index(raw[k]) for k in _HP_KEYS if k in raw},
+                hyperparams={k: raw[k] for k in _HP_KEYS if k in raw},
             )
             for raw in doc["layers"]
         )
         input_shape = doc.get("input_shape")
-        input_shape = tuple(operator.index(d) for d in input_shape) if input_shape else None
+        input_shape = tuple(input_shape) if input_shape else None
     except (AttributeError, KeyError, TypeError) as exc:
         raise FormatError(f"manifest: malformed layers or input_shape ({exc})") from exc
     try:

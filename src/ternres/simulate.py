@@ -33,17 +33,11 @@ from .tensors import Tensor
 DECOMPOSITION_RTOL = 1e-5
 
 
-@dataclass(frozen=True)
-class ActQuantSpec:
-    """Dynamic fixed point: 8-bit integers scaled by a power-of-two step."""
-
-    exponent: int
-
-
-def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, ActQuantSpec]:
+def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, int]:
     """Round ``x`` onto an 8-bit grid whose step covers the value range.
 
-    The exponent e is the smallest integer with ``max|x| <= 127 * 2^e``, so
+    Dynamic fixed point: returns the rounded values and the exponent e of the
+    power-of-two step, the smallest integer with ``max|x| <= 127 * 2^e``, so
     every element is off by at most ``2^(e-1)``.
     """
     x = np.asarray(x, dtype=np.float32)
@@ -51,9 +45,9 @@ def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, ActQuantSpec]:
         raise ValueError("cannot quantize non-finite activations")
     peak = float(np.max(np.abs(x))) if x.size else 0.0
     if peak == 0.0:
-        return x.copy(), ActQuantSpec(exponent=0)
+        return x.copy(), 0
     e = fixed_point_exponent(peak)
-    return snap_8bit(x, e), ActQuantSpec(exponent=e)
+    return snap_8bit(x, e), e
 
 
 # ---------------------------------------------------------------------------

@@ -115,11 +115,45 @@ def _weight_missing_from_bn(doc):
     del doc["layers"][1]["weight"]
 
 
+def _stride_zero(doc):
+    doc["layers"][0]["stride"] = 0
+
+
+def _stride_negative(doc):
+    doc["layers"][0]["stride"] = -1
+
+
+def _stride_true(doc):
+    doc["layers"][0]["stride"] = True
+
+
+def _pad_negative(doc):
+    doc["layers"][0]["pad"] = -1
+
+
+def _window_zero(doc):
+    doc["layers"][3]["window"] = 0
+
+
+def _window_negative(doc):
+    doc["layers"][3]["window"] = -2
+
+
+def _input_dimension_zero(doc):
+    doc["input_shape"][1] = 0
+
+
+def _input_dimension_negative(doc):
+    doc["input_shape"][0] = -8
+
+
 @pytest.mark.parametrize("damage", [
     _drop_first_name, _second_layer_not_an_object, _input_shape_not_a_list,
     _stride_not_an_integer, _weight_not_a_string, _name_not_a_string,
     _name_an_integer, _kind_unknown, _name_duplicated, _weight_on_relu,
-    _weight_missing_from_bn])
+    _weight_missing_from_bn, _stride_zero, _stride_negative, _stride_true,
+    _pad_negative, _window_zero, _window_negative, _input_dimension_zero,
+    _input_dimension_negative])
 def test_malformed_manifest_exits_1(net_dir, capsys, damage):
     tmp, manifest_path, _ = net_dir
     assert main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
@@ -233,7 +267,8 @@ def test_stats_on_container(net_dir, capsys):
     assert doc["totals"]["power_perf_gain"] > 0
 
 
-@pytest.mark.parametrize("option", [["--c", "1"], ["--c", "0.5"], ["--x", "0"]])
+@pytest.mark.parametrize("option", [["--c", "1"], ["--c", "0.5"], ["--x", "0"],
+                                    ["--x", "nan"], ["--c", "nan"], ["--x", "inf"]])
 def test_stats_rejects_bad_x_or_c_exit_2(net_dir, capsys, option):
     tmp, manifest_path, _ = net_dir
     assert main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
@@ -243,6 +278,13 @@ def test_stats_rejects_bad_x_or_c_exit_2(net_dir, capsys, option):
         capsys.readouterr()
         assert main(["stats", str(tmp / path), *option]) == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--n", "-5"], ["--n", "0"], ["--pi", "--c", "nan"],
+                                    ["--pi", "--levels", "nan"], ["--pi", "--c", "inf"]])
+def test_stats_rejects_bad_closed_form_input_exit_2(capsys, option):
+    assert main(["stats", *option]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("names", [("fc[1]", "fc2"), ("fc*", "fc2")])

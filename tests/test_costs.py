@@ -60,6 +60,15 @@ class TestTable2:
             table2_stats(8, 2, [0])
         with pytest.raises(ValueError):
             table2_stats(8, 1, [-1])
+        for n in (0, -5):
+            with pytest.raises(ValueError):
+                table2_stats(n, 1, [0])
+        with pytest.raises(ValueError):
+            power_perf_gain(float("nan"), 1.0, 64)
+        with pytest.raises(ValueError):
+            throughput_gains(float("nan"), 64, 1.0)
+        with pytest.raises(ValueError):
+            throughput_gains(5.0, 64, float("nan"))
 
 
 class TestCapacityEnumeration:

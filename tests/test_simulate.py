@@ -218,13 +218,13 @@ def test_conv_shapes_match_reference(k, stride, pad, h, w):
 class TestActivationQuantization:
     def test_zero_tensor_is_fixed_point(self):
         x = np.zeros((3, 3), dtype=np.float32)
-        q, spec = quantize_activations(x)
+        q, exponent = quantize_activations(x)
         assert np.array_equal(q, x)
-        assert spec.exponent == 0
+        assert exponent == 0
 
     def test_127_is_exact_at_exponent_zero(self):
-        q, spec = quantize_activations(np.array([127.0], dtype=np.float32))
-        assert spec.exponent == 0
+        q, exponent = quantize_activations(np.array([127.0], dtype=np.float32))
+        assert exponent == 0
         assert q.tolist() == [127.0]
 
     def test_elementwise_error_bound(self):
@@ -232,13 +232,13 @@ class TestActivationQuantization:
         for _ in range(100):
             scale = 10.0 ** rng.uniform(-6, 6)
             x = (scale * rng.normal(size=int(rng.integers(1, 200)))).astype(np.float32)
-            q, spec = quantize_activations(x)
-            step = 2.0 ** spec.exponent
+            q, exponent = quantize_activations(x)
+            step = 2.0 ** exponent
             assert float(np.max(np.abs(x.astype(np.float64) - q))) <= step / 2 + 1e-18
             # exponent is the smallest that covers the range
             peak = float(np.max(np.abs(x)))
             assert peak <= 127.0 * step
-            if spec.exponent > -140:  # above float32 denormal floor
+            if exponent > -140:  # above float32 denormal floor
                 assert peak > 127.0 * step / 2
 
     def test_non_finite_rejected(self):
@@ -278,7 +278,7 @@ class TestForwardQuantized:
         refs = [x] + clean[:-1]
         from ternres import quantize_activations as qa
 
-        # replay the quantized pass's inputs to recover each spec
+        # replay the quantized pass's inputs to recover each exponent
         _, _, trace_off = forward_quantized(manifest, weights, model, x,
                                             act_quant=False)
         assert trace_off.final_delta == 0.0
@@ -287,8 +287,8 @@ class TestForwardQuantized:
             norm = np.linalg.norm(ref.astype(np.float64))
             # bound with the worst exponent the pass could have used: the
             # one covering the clean activation range of this layer
-            _, spec = qa(ref)
-            bound = 2.0 ** spec.exponent * np.sqrt(ref.size) / norm
+            _, exponent = qa(ref)
+            bound = 2.0 ** exponent * np.sqrt(ref.size) / norm
             assert e.gamma <= bound * (1 + 1e-6) + 1e-12
 
     def test_epsilon_matches_conversion_delta(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ternres import (
     FormatError,
@@ -153,6 +154,36 @@ class TestSignPacking:
     def test_round_trip_property(self, signs):
         arr = np.array(signs, dtype=np.int8)
         assert np.array_equal(unpack_signs(pack_signs(arr), arr.size), arr)
+
+    @given(hnp.arrays(np.int8, st.tuples(st.integers(0, 70), st.integers(0, 70)),
+                      elements=st.sampled_from([-1, 0, 1])))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_weight_reference(self, rows):
+        packed = pack_signs(rows)
+        assert packed == _reference_pack(rows)
+        matrix = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), -(-rows.shape[1] // 4))
+        assert np.array_equal(unpack_signs(matrix, rows.shape[1]), rows)
+
+    def test_set_padding_bits_are_ignored(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 3, 5, 6, 7, 13):
+            rows = rng.integers(-1, 2, size=(3, n)).astype(np.int8)
+            matrix = np.frombuffer(pack_signs(rows), dtype=np.uint8).reshape(3, -1).copy()
+            matrix[:, -1] |= (0xFF << 2 * (n % 4)) & 0xFF
+            assert np.array_equal(unpack_signs(matrix, n), rows)
+            assert np.array_equal(unpack_signs(matrix[0].tobytes(), n), rows[0])
+
+
+def _reference_pack(rows) -> bytes:
+    """The v1 sign code, one weight at a time: weight i of a row sets bits
+    ``2*(i%4)`` (+1) or ``2*(i%4)+1`` (-1) of the row's byte ``i//4``."""
+    out = bytearray()
+    for row in rows:
+        packed = bytearray(-(-len(row) // 4))
+        for i, sign in enumerate(row):
+            packed[i // 4] |= {0: 0b00, 1: 0b01, -1: 0b10}[int(sign)] << 2 * (i % 4)
+        out += packed
+    return bytes(out)
 
 
 def _random_model(rng, layer_sizes, block=16) -> tuple[QuantizedModel, dict]:
@@ -362,6 +393,20 @@ def test_a_file_off_the_v1_layout_is_a_format_error(tmp_path, damage, match):
     _two_layer_container(path)
     damage(path)
     with pytest.raises(FormatError, match=match):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+
+
+def test_a_reserved_code_in_a_tail_row_is_a_format_error(tmp_path):
+    path = tmp_path / "m.tq"
+    _two_layer_container(path)
+    doc, encoded, blob = _split_container(path)
+    # Layer l1's last block holds 40 - 2*16 = 8 weights: each of its rows is 2 bytes.
+    at = doc["layers"][1]["sign_offsets"][-1] + 1
+    damaged = bytearray(blob)
+    damaged[at] |= 0b11 << 4
+    path.write_bytes(_container(encoded, bytes(damaged)))
+    with pytest.raises(FormatError, match="reserved"):
         load_quantized(path)
     assert main(["stats", str(path)]) == 1
 
