@@ -31,10 +31,10 @@ from .planner import (
     load_schedule,
     make_schedule,
 )
-from .residual import DEFAULT_R_MAX, QuantizedModel
+from .residual import DEFAULT_R_MAX, QuantizedModel, reconstruct, ternary_residual
 from .residual import downgrade as downgrade_model
 from .residual import quantize_scales_8bit, write_trace_csv
-from .simulate import forward_quantized, layer_lemma_checks, margin_check
+from .simulate import forward, forward_quantized, layer_lemma_checks, margin_check
 from .simulate import avgpool_bound, matmul_bound, maxpool_bound, relu_bound
 from .tensors import Tensor, load_tensor, save_tensor
 
@@ -131,8 +131,7 @@ def _load_inference_inputs(args):
 def _cmd_quantize(args) -> int:
     if not args.schedule and args.mode == "uniform" and (
             args.eps_sq is None and args.eps is None):
-        print("error: uniform mode needs --eps or --eps-sq", file=sys.stderr)
-        return 2
+        raise ValueError("uniform mode needs --eps or --eps-sq")
     manifest = load_manifest(args.manifest)
     weights = load_weights(manifest)
     if args.schedule:
@@ -183,8 +182,7 @@ def _cmd_stats(args) -> int:
               if args.as_json else report.to_text())
         return 0
     if args.n is None:
-        print("error: give a container, --n, or --pi", file=sys.stderr)
-        return 2
+        raise ValueError("give a container, --n, or --pi")
     size_bits, capacity, num_alphas = table2_stats(args.n, args.k, [args.r] * args.k)
     doc = {"n": args.n, "k": args.k, "r": args.r, "model_size_bits": size_bits,
            "capacity": capacity, "scaling_factors": num_alphas}
@@ -199,9 +197,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_downgrade(args) -> int:
     if (args.keep_levels is None) == (args.target_compute is None):
-        print("error: give exactly one of --keep-levels or --target-compute",
-              file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of --keep-levels or --target-compute")
     model = load_quantized(args.container)
     if args.keep_levels is not None:
         new_model = downgrade_model(model, keep_levels=args.keep_levels)
@@ -264,8 +260,6 @@ def _depth_sensitivity_report(manifest, weights, arr, eps_sq: float,
 
     Both layers are converted at the container's block size N.
     """
-    from .residual import ternary_residual
-
     names = [l.name for l in manifest.parametric_layers()]
     if len(names) < 2:
         print("depth sensitivity needs at least two parametric layers")
@@ -299,18 +293,13 @@ def _random_lemma_trials(trials: int, seed: int) -> int:
 def _cmd_lemma_check(args) -> int:
     if args.container:
         if not (args.manifest and args.input):
-            print("error: container mode needs -m and -i", file=sys.stderr)
-            return 2
+            raise ValueError("container mode needs -m and -i")
         manifest, weights, qmodel, arr = _load_inference_inputs(args)
-        from .simulate import forward
-
         clean_acts = forward(manifest, weights, arr)
         q_acts, _, _ = forward_quantized(
             manifest, weights, qmodel, arr, act_quant=args.act_quant)
         clean_inputs = [arr] + clean_acts[:-1]
         pert_inputs = [arr] + q_acts[:-1]
-        from .residual import reconstruct
-
         quantized = {l.layer: reconstruct(l).data for l in qmodel.layers}
         checks = layer_lemma_checks(manifest, weights, clean_inputs, pert_inputs,
                                     quantized)

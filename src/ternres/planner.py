@@ -127,6 +127,8 @@ def convert_model(
     if missing:
         raise ValueError(f"the schedule has no epsilon_sq for layers {missing}")
     epsilon_sq = {n: schedule.epsilon_sq[n] for n in names}
+    # The empty model's report rejects a bad x or c_ratio before any layer converts.
+    cost_report(QuantizedModel({}, ()), x=x, c_ratio=c_ratio)
 
     qlayers = tuple(
         ternary_residual(weights[name][0], block_size, epsilon_sq=eps_sq, r_max=r_max)

@@ -10,8 +10,7 @@ so ``delta`` decreases, and the loop stops once a level would not lower it.
 A converted layer is three block-major arrays (see ``QuantizedLayer``):
 levels per block, one scale per level and one sign row per level.
 ``level_index`` is the one map from a level row to its block and depth;
-``QuantizedLayer.depth_slices`` scatters every level into its depth's dense
-slice with one assignment, and ``reconstruct`` adds those slices.
+``reconstruct`` adds each block's levels in place, shallowest first.
 
 Block residuals are measured against the float32-accumulated reconstruction,
 so the stored ``delta`` is exactly what a recomputation from the saved
@@ -142,16 +141,6 @@ class QuantizedLayer:
     def level_starts(self) -> np.ndarray:
         """Row of each block's base level in ``alphas`` and ``signs``."""
         return np.cumsum(self.counts) - self.counts
-
-    def depth_slices(self) -> np.ndarray:
-        """``(R, *shape)`` float32 per-depth weights: slice t holds alpha * signs
-        of each block's level t, zero where a block has fewer than t+1 levels."""
-        owner, depth = level_index(self.counts)
-        blocked = np.zeros((int(self.counts.max(initial=0)), self.num_blocks,
-                            self.signs.shape[1]), dtype=np.float32)
-        blocked[depth, owner] = self.alphas[:, None] * self.signs
-        flat = blocked.reshape(len(blocked), -1)[:, :self.num_weights]
-        return flat.reshape((len(blocked),) + self.shape)
 
 
 @dataclass(frozen=True)
@@ -466,15 +455,18 @@ def ternary_residual(
 def reconstruct(layer: QuantizedLayer) -> Tensor:
     """Sum the ternary levels of every block back into the original shape.
 
-    Adds the per-depth slices in float32, shallowest level first. (A
-    ``sum(axis=0)`` would not keep that order: on a single weight numpy sums
-    eight or more levels pairwise.)
+    Adds each block's levels into one ``(K, width)`` float32 array,
+    shallowest level first: the base rows, then level d of every block that
+    has one. (A ``sum`` over depths would not keep that order: on a single
+    weight numpy sums eight or more levels pairwise.)
     """
-    slices = layer.depth_slices()
-    acc = slices[0].copy()
-    for level in slices[1:]:
-        acc += level
-    return Tensor(layer.layer, acc)
+    starts = layer.level_starts()
+    acc = layer.alphas[starts, None] * layer.signs[starts]
+    for d in range(1, int(layer.counts.max(initial=0))):
+        ks = np.flatnonzero(layer.counts > d)
+        rows = starts[ks] + d
+        acc[ks] += layer.alphas[rows, None] * layer.signs[rows]
+    return Tensor(layer.layer, acc.reshape(-1)[:layer.num_weights].reshape(layer.shape))
 
 
 def layer_delta(w: Tensor, layer: QuantizedLayer) -> float:

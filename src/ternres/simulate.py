@@ -7,9 +7,9 @@ measures, per layer, the relative output perturbation, the
 activation-quantization perturbation, and the weight perturbation, and
 cross-checks that accumulating the per-level ternary contributions matches
 a dense multiply with the reconstructed weights. For every parametric layer
-both sides come from one product whose outputs stack the dense weights and
-every depth slice (``QuantizedLayer.depth_slices``); bn_scale, which scales
-each channel by its own weight, sees its input repeated once per slice.
+both sides come from one product whose outputs stack the dense weights and,
+per depth, every block's level at that depth; bn_scale, which scales each
+channel by its own weight, sees its input repeated once per slot.
 
 Everything computes in float32 (the toolkit's native precision) while norms
 and ratios accumulate in float64.
@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .manifest import PARAMETRIC_KINDS, LayerDecl, ModelManifest, _check_weight_shape
 from .residual import QuantizedLayer, QuantizedModel, reconstruct
-from .residual import fixed_point_exponent, snap_8bit
+from .residual import fixed_point_exponent, level_index, snap_8bit
 from .tensors import Tensor
 
 DECOMPOSITION_RTOL = 1e-5
@@ -224,23 +224,29 @@ def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarr
     """Dense pass with the reconstructed weights ``dense_w``, cross-checked
     against the level-decomposed accumulation.
 
-    The dense weights and the R depth slices are stacked along the output
-    axis and run as one ``(1+R)*c_out``-output product: the first ``c_out``
-    outputs are the dense result, the remaining ``(R, c_out)`` are the
-    per-level products, summed for the decomposed result. Each output is its
-    own product, so the two sides stay independent. bn_scale scales each
-    channel by its own weight, so its input is repeated once per stacked
-    slice.
+    The dense weights and R depth slots are stacked along the output axis
+    and run as one ``(1+R)*c_out``-output product: slot 0 holds the dense
+    weights, slot 1+t every block's level t (zero where a block has fewer
+    levels). The first ``c_out`` outputs are the dense result, the remaining
+    ``(R, c_out)`` are the per-level products, summed for the decomposed
+    result. Each output is its own product, so the two sides stay
+    independent. bn_scale scales each channel by its own weight, so its
+    input is repeated once per slot.
     """
-    levels = qlayer.depth_slices()
+    depths = int(qlayer.counts.max(initial=0))
+    owner, depth = level_index(qlayer.counts)
+    blocked = np.zeros((1 + depths, qlayer.num_blocks, qlayer.signs.shape[1]),
+                       dtype=np.float32)
+    blocked[1 + depth, owner] = qlayer.alphas[:, None] * qlayer.signs
+    stacked = blocked.reshape(1 + depths, -1)[:, :dense_w.size]
+    stacked[0] = dense_w.reshape(-1)
     c_out = dense_w.shape[0]
-    stacked = np.concatenate([dense_w[None], levels])
     if layer.kind == "bn_scale":
-        x = np.concatenate([x] * len(stacked), axis=1)
+        x = np.concatenate([x] * (1 + depths), axis=1)
     out = apply_layer(layer, stacked.reshape((-1,) + dense_w.shape[1:]), None, x)
     y_dense = out[:, :c_out]
     y_dec = out[:, c_out:].reshape(
-        (out.shape[0], len(levels), c_out) + out.shape[2:]).sum(axis=1)
+        (out.shape[0], depths, c_out) + out.shape[2:]).sum(axis=1)
     if bias is not None:
         shape = (1, c_out) + (1,) * (y_dense.ndim - 2)
         y_dense = y_dense + bias.reshape(shape)

@@ -20,6 +20,7 @@ from ternres import (
     save_tensor,
     ternary_residual,
 )
+from ternres import planner
 from ternres.tensors import load_tensor
 from ternres.cli import main
 
@@ -183,6 +184,41 @@ def test_quantize_non_convergence_exits_2(net_dir, capsys):
                  "--eps-sq", "1e-12", "--r-max", "2", "-o", str(tmp / "x.tq")])
     assert code == 2
     assert "delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--x", "nan"], "x must be"), (["--x", "0"], "x must be"),
+    (["--c-ratio", "1"], "c_ratio must be"),
+], ids=["x-nan", "x-0", "c-ratio-1"])
+def test_quantize_rejects_bad_x_or_c_before_converting(tmp_path, capsys, monkeypatch,
+                                                       option, message):
+    path = write_net(*mlp_net(np.random.default_rng(1)), tmp_path / "net")
+
+    def convert(*args, **kwargs):
+        raise AssertionError("a layer was converted")
+
+    monkeypatch.setattr(planner, "ternary_residual", convert)
+    assert main(["quantize", "-m", path, "-N", "16", "--eps", "0.1", *option,
+                 "-o", str(tmp_path / "q.tq")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "q.tq").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["quantize", "-m", "net.json", "-o", "q.tq"], "uniform mode needs --eps or --eps-sq"),
+    (["stats"], "give a container, --n, or --pi"),
+    (["downgrade", "net.tq", "-o", "d.tq"],
+     "give exactly one of --keep-levels or --target-compute"),
+    (["downgrade", "net.tq", "--keep-levels", "3", "--target-compute", "1.5", "-o", "d.tq"],
+     "give exactly one of --keep-levels or --target-compute"),
+    (["lemma-check", "net.tq", "-m", "net.json"], "container mode needs -m and -i"),
+], ids=["quantize", "stats", "downgrade-none", "downgrade-both", "lemma-check"])
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("mode", ["depth_graded", "compute_aware"])

@@ -19,6 +19,7 @@ from ternres import (
     ternary_residual,
 )
 import ternres.simulate as simulate
+from ternres.residual import QuantizedLayer
 from ternres.simulate import (
     avgpool_bound,
     layer_lemma_checks,
@@ -334,6 +335,25 @@ class TestForwardQuantized:
             acc += x @ level_w.reshape(6, 40).T
         rel = np.linalg.norm(dense - acc) / np.linalg.norm(dense)
         assert rel <= 1e-5
+
+    def test_stacked_levels_zero_fill_missing_depths(self):
+        # Blocks of 4, 4 and a ragged tail of 2 with 1, 3 and 2 levels: a
+        # level in the wrong depth slot, or a slot left unfilled, changes the
+        # summed per-level products and trips the decomposition check.
+        rng = np.random.default_rng(15)
+        counts = np.array([1, 3, 2], dtype=np.int32)
+        alphas = (rng.random(6) + 0.01).astype(np.float32)
+        signs = rng.integers(-1, 2, size=(6, 4)).astype(np.int8)
+        signs[4:, 2:] = 0
+        qlayer = QuantizedLayer("fc", (2, 5), 4, counts, alphas, signs, 0.0, 0.01, 1.0)
+        manifest = ModelManifest((LayerDecl("fc", "fc", weight_ref="fc.w.npy"),),
+                                 input_shape=(5,))
+        w = Tensor("fc", rng.normal(size=(2, 5)).astype(np.float32))
+        x = rng.normal(size=(3, 5)).astype(np.float32)
+        _, logits, _ = forward_quantized(manifest, {"fc": (w, None)},
+                                         QuantizedModel({}, (qlayer,)), x)
+        expected = x.astype(np.float64) @ reconstruct(qlayer).data.astype(np.float64).T
+        assert np.allclose(logits, expected, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("make_net", [mlp_net, conv_net])
     def test_perturbed_dense_weight_fails_decomposition_check(self, monkeypatch, make_net):
