@@ -213,20 +213,23 @@ def _cmd_infer(args) -> int:
     manifest, weights, qmodel, arr = _load_inference_inputs(args)
     _, logits, trace = forward_quantized(
         manifest, weights, qmodel, arr, act_quant=args.act_quant)
-    if args.logits:
-        save_tensor(Tensor("logits", logits), args.logits)
-    np.set_printoptions(precision=6, suppress=False)
-    print("quantized logits:")
-    print(logits)
-    print(f"final relative perturbation: {trace.final_delta:.6g}")
+    samples = []  # checked before anything is written, so a bad margin writes nothing
     for i in range(trace.logits.shape[0]):
         measured = float(np.linalg.norm(
             trace.logits[i].astype(np.float64)
             - trace.logits_quantized[i].astype(np.float64)))
         delta = args.margin if args.margin is not None else measured
         verdict = margin_check(trace.logits[i], delta)
-        print(f"sample {i}: |y - y_hat| = {measured:.6g}, "
-              f"margin check ({delta:.6g}) -> {verdict}")
+        samples.append(f"sample {i}: |y - y_hat| = {measured:.6g}, "
+                       f"margin check ({delta:.6g}) -> {verdict}")
+    if args.logits:
+        save_tensor(Tensor("logits", logits), args.logits)
+    np.set_printoptions(precision=6, suppress=False)
+    print("quantized logits:")
+    print(logits)
+    print(f"final relative perturbation: {trace.final_delta:.6g}")
+    for line in samples:
+        print(line)
     return 0
 
 
@@ -273,6 +276,8 @@ def _depth_sensitivity_report(manifest, weights, arr, eps_sq: float,
 
 
 def _random_lemma_trials(trials: int, seed: int) -> int:
+    if trials < 1:
+        raise ValueError(f"the number of trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(trials):

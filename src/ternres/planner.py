@@ -70,6 +70,8 @@ def make_schedule(
         raise ValueError(f"unknown schedule mode {mode!r}")
     if not (0.0 < lo <= hi <= 1.0):
         raise ValueError(f"need 0 < lo <= hi <= 1, got lo={lo}, hi={hi}")
+    if cap is not None and not cap > 0.0:
+        raise ValueError(f"cap must be a number above 0, got {cap}")
     top = float("inf") if cap is None else cap
     last = max(len(names) - 1, 1)
     ladder = {n: min(lo + (hi - lo) * (rank / last), top) for rank, n in enumerate(names)}

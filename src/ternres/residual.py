@@ -25,10 +25,10 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
   lowest block), which is a heap over each block's chain of errors, so the
   accept order is ``chain_order(-errs, live)``. A key exists while ``d + 1 <
   r_max`` and the block's errors are positive.
-- Rounds. Levels are fitted depth by depth, one ``ternarize_rows`` call per
-  round over every block whose live key lies past the final prefix. The
-  sorted keys hold up to the first key whose next level is not fitted; that
-  prefix is final, and the next round picks up where it ends.
+- Rounds. Round d fits level d of every block whose chain is live at depth
+  d - 1, one ``ternarize_rows`` call per block length. The sorted keys hold
+  up to the first key at the last fitted depth; that prefix is final, and
+  the order picks up where it ends after the next round.
 - Exact deltas. The loop stores ``(np.sum(errs * errs) - errs[k] ** 2 +
   new ** 2) / ||W||^2`` per step. ``pairwise_version_sums`` replays numpy's
   pairwise summation (chains of at most 16 strided elements under spans of
@@ -353,24 +353,18 @@ def ternary_residual(
     target = np.zeros((num_blocks, width))
     target.reshape(-1)[:w.size] = flat
     recons = np.zeros((num_blocks, width), dtype=np.float32)
-    # errs[k, d] is block k's residual norm after its levels 0..d and
-    # alphas[k, d] the scale of its level d, both set below fitted[k].
-    errs = np.zeros((num_blocks, 0))
-    alphas = np.zeros((num_blocks, 0))
-    fitted = np.zeros(num_blocks, dtype=np.int64)
-    fits = []  # (blocks, depths, signs) of each round
+    # errs[k, d] is block k's residual norm after its levels 0..d, alphas[k, d]
+    # the scale of its level d and signs[d][k] its sign row, once fitted.
+    errs = np.zeros((num_blocks, r_max))
+    alphas = np.zeros((num_blocks, r_max))
+    signs = []
 
     def fit(ks: np.ndarray) -> None:
-        """Fit the next level of blocks ``ks`` (ascending), one kernel call per block length."""
-        nonlocal errs, alphas
-        depth = fitted[ks]
-        if depth.max() == errs.shape[1]:
-            errs = np.hstack([errs, np.full((num_blocks, 1), np.inf)])
-            alphas = np.hstack([alphas, np.zeros((num_blocks, 1))])
-        signs = np.zeros((len(ks), width), dtype=np.int8)
+        """Fit level ``len(signs)`` of ascending blocks ``ks``, one kernel call per length."""
+        depth = len(signs)
+        signs.append(np.zeros((num_blocks, width), dtype=np.int8))
         split = np.searchsorted(ks, full)
-        for rows, n in ((slice(0, split), block_size), (slice(split, None), tail)):
-            part = ks[rows]
+        for part, n in ((ks[:split], block_size), (ks[split:], tail)):
             if part.size == 0:
                 continue
             recon = recons[part, :n]
@@ -378,13 +372,11 @@ def ternary_residual(
             new_recon = recon + alpha.astype(np.float32)[:, None] * s.astype(np.float32)
             diff = target[part, :n] - new_recon.astype(np.float64)
             # Stacked 1xn @ nx1 products sum each row exactly as ``diff @ diff``.
-            errs[part, depth[rows]] = np.sqrt(
+            errs[part, depth] = np.sqrt(
                 np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-            alphas[part, depth[rows]] = alpha
-            signs[rows, :n] = s
+            alphas[part, depth] = alpha
+            signs[depth][part, :n] = s
             recons[part, :n] = new_recon
-        fits.append((ks, depth, signs))
-        fitted[ks] += 1
 
     fit(every)
     counts = np.ones(num_blocks, dtype=np.int64)
@@ -398,14 +390,14 @@ def ternary_residual(
     done = 0  # levels accepted past the base ones: a prefix of the key order
 
     while delta > eps_sq:
-        # Every fitted key in the loop's order; the order holds up to the
-        # first key whose next level is not fitted yet.
-        depth = np.arange(errs.shape[1])
-        ok = (errs > 0.0) & ((alphas != 0.0) | (depth == 0))
-        live = (np.logical_and.accumulate(ok, axis=1) & (depth < fitted[:, None])
-                & (depth + 1 < r_max))
-        kb, kd = chain_order(-errs, live)
-        unfitted = kd + 1 == fitted[kb]
+        # Every fitted key in the loop's order, which holds up to the first key
+        # at the last fitted depth (its next level is not fitted yet).
+        depth = len(signs)
+        cols = np.arange(depth)
+        ok = (errs[:, :depth] > 0.0) & ((alphas[:, :depth] != 0.0) | (cols == 0))
+        live = np.logical_and.accumulate(ok, axis=1) & (cols + 1 < r_max)
+        kb, kd = chain_order(-errs[:, :depth], live)
+        unfitted = kd == depth - 1
         stop = int(np.argmax(unfitted)) if unfitted.any() else len(kb)
 
         b, d = kb[done:stop], kd[done:stop]
@@ -432,20 +424,15 @@ def ternary_residual(
                 raise ConvergenceError(w.name, delta, eps_sq, r_max)
             exhausted = True  # every residual is exactly zero yet delta > eps^2
             break
-        fit(np.unique(kb[stop:][unfitted[stop:]]))
+        fit(np.flatnonzero(live[:, -1]))  # every block whose chain is live
 
     # Keep the accepted levels, block-major with each block's base level first.
-    ks, ds, signs = (np.concatenate(part) for part in zip(*fits))
-    keep = ds < counts[ks]
-    rows = (np.cumsum(counts) - counts)[ks[keep]] + ds[keep]
-    out_alphas = np.empty(int(counts.sum()), dtype=np.float32)
-    out_alphas[rows] = alphas[ks[keep], ds[keep]]
-    out_signs = np.empty((len(out_alphas), width), dtype=np.int8)
-    out_signs[rows] = signs[keep]
+    owner, level = level_index(counts)
     blocks, e_before, after = (np.concatenate(part) for part in zip(
         (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)), *steps))
     return QuantizedLayer(
-        w.name, w.shape, block_size, counts.astype(np.int32), out_alphas, out_signs,
+        w.name, w.shape, block_size, counts.astype(np.int32),
+        alphas[owner, level].astype(np.float32), np.stack(signs)[level, owner],
         delta, eps_sq, total_sq, exhausted=exhausted,
         trace=Trace(w.name, blocks, e_before, after),
         delta_sequence=tuple(np.concatenate([[delta0], after]).tolist()),
@@ -521,6 +508,8 @@ def downgrade(
         raise ValueError("give exactly one of keep_levels or target_factor")
     base_blocks = model.num_blocks
     if target_factor is not None:
+        if not np.isfinite(target_factor):
+            raise ValueError(f"target factor must be finite, got {target_factor}")
         keep_levels = int(np.floor(target_factor * base_blocks + 1e-9))
     if keep_levels < base_blocks:
         raise ValueError(

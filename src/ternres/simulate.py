@@ -377,8 +377,8 @@ def margin_check(y: np.ndarray, delta: float) -> str:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.size < 2:
         raise ValueError("margin check needs at least two class scores")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
     if delta == 0.0:
         return "safe"
     order = np.argsort(-y)

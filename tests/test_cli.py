@@ -212,7 +212,10 @@ def test_quantize_rejects_bad_x_or_c_before_converting(tmp_path, capsys, monkeyp
     (["downgrade", "net.tq", "--keep-levels", "3", "--target-compute", "1.5", "-o", "d.tq"],
      "give exactly one of --keep-levels or --target-compute"),
     (["lemma-check", "net.tq", "-m", "net.json"], "container mode needs -m and -i"),
-], ids=["quantize", "stats", "downgrade-none", "downgrade-both", "lemma-check"])
+    (["lemma-check", "--trials", "0"], "the number of trials must be at least 1, got 0"),
+    (["lemma-check", "--trials", "-5"], "the number of trials must be at least 1, got -5"),
+], ids=["quantize", "stats", "downgrade-none", "downgrade-both", "lemma-check",
+        "lemma-check-no-trials", "lemma-check-negative-trials"])
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -380,6 +383,30 @@ def test_downgrade_below_base_exits_2(net_dir, capsys):
                  "--keep-levels", str(model.num_blocks - 1),
                  "-o", str(tmp / "bad.tq")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["downgrade", "net.tq", "--target-compute", "nan", "-o", "out.tq"],
+     "target factor must be finite, got nan"),
+    (["downgrade", "net.tq", "--target-compute", "inf", "-o", "out.tq"],
+     "target factor must be finite, got inf"),
+    (["quantize", "-m", "MANIFEST", "-N", "16", "--mode", "depth_graded", "--cap", "nan",
+      "-o", "out.tq"], "cap must be a number above 0, got nan"),
+    (["infer", "net.tq", "-m", "MANIFEST", "-i", "INPUT", "--margin", "nan",
+      "--logits", "out.npy"], "delta must be non-negative, got nan"),
+], ids=["downgrade-nan", "downgrade-inf", "quantize-cap-nan", "infer-margin-nan"])
+def test_non_finite_numbers_exit_2_without_output(net_dir, capsys, monkeypatch, argv,
+                                                   message):
+    tmp, manifest_path, input_path = net_dir
+    assert main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+                 "-o", str(tmp / "net.tq")]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp)
+    names = {"MANIFEST": manifest_path, "INPUT": input_path}
+    assert main([names.get(a, a) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+    assert not list(tmp.glob("out.*"))
 
 
 def test_infer_trace_and_lemma_check(net_dir, capsys, tmp_path):

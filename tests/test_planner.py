@@ -126,6 +126,9 @@ class TestSchedules:
             make_schedule(manifest, "uniform", epsilon_sq=1.5)
         with pytest.raises(ValueError):
             make_schedule(manifest, "depth_graded", lo=0.1, hi=0.01)
+        for cap in (float("nan"), 0.0, -0.02):
+            with pytest.raises(ValueError, match=f"cap must be a number above 0, got {cap}"):
+                make_schedule(manifest, "depth_graded", cap=cap)
 
     def test_every_layer_needs_exactly_one_entry(self, tmp_path):
         manifest, _ = mlp_net(np.random.default_rng(6))

@@ -312,6 +312,38 @@ class TestTernaryResidual:
         assert 0.0 < info.value.delta < 1.0
         assert info.value.r_max == 2
 
+    def test_each_round_fits_exactly_the_blocks_whose_chain_is_live(self, monkeypatch):
+        """Round 0 fits every block; round d fits each block whose chain is live
+        at depth d-1, once, in block order. All-zero and exact-ternary blocks
+        end at their base level, a two-level exact block after its first
+        residual, and random blocks run to r_max. Each kernel row must be the
+        residual its block has left after the levels fitted before."""
+        rng = np.random.default_rng(3)
+        full = np.zeros((8, 8))  # blocks 1 and 6 are all zero
+        full[[0, 3, 5, 7]] = rng.normal(size=(4, 8))
+        full[2] = [0.5, -0.5, 0.0, 0.5, 0.0, 0.0, -0.5, 0.5]  # exact ternary
+        full[4] = [3, 3, 1, 1, -1, -1, -3, -3]  # residual [0, 0, 1, 1, -1, -1, 0, 0]
+        data = np.append(full, rng.normal(size=5)).astype(np.float32)
+        left = dict(enumerate(np.split(data.astype(np.float64), np.arange(8, 65, 8))))
+        calls = []
+
+        def spy(rows):
+            out = ternarize_rows(rows)
+            calls.append((np.array(rows), *out[:2]))
+            return out
+
+        monkeypatch.setattr(residual, "ternarize_rows", spy)
+        with pytest.raises(ConvergenceError):
+            ternary_residual(Tensor("w", data), 8, epsilon_sq=1e-12, r_max=4)
+        # Per round, one call on the full blocks and one on the ragged tail, block 8.
+        schedule = [list(range(8)), [8], [0, 3, 4, 5, 7], [8], [0, 3, 5, 7], [8],
+                    [0, 3, 5, 7], [8]]
+        assert [len(rows) for rows, _, _ in calls] == [len(ks) for ks in schedule]
+        for (rows, alpha, signs), ks in zip(calls, schedule):
+            for row, k, a, s in zip(rows, ks, alpha, signs):
+                np.testing.assert_allclose(row, left[k], rtol=0.0, atol=1e-6)
+                left[k] = row - a * s
+
     def test_invalid_arguments(self):
         t = Tensor("w", np.ones(4, dtype=np.float32))
         with pytest.raises(ValueError):

@@ -436,8 +436,9 @@ class TestMarginCheck:
             margin_check(np.array([1.0]), 0.1)
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            margin_check(np.array([1.0, 0.0]), -0.1)
+        for delta in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match=f"non-negative, got {delta}"):
+                margin_check(np.array([1.0, 0.0]), delta)
 
     def test_randomized_falsification(self):
         # When the check says safe, no perturbation on the l2 ball may flip
