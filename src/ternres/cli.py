@@ -83,6 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--keep-levels", type=int)
     d.add_argument("--target-compute", type=float)
     d.add_argument("-o", "--output", required=True)
+    d.add_argument("--x", type=float, default=DEFAULT_X)
+    d.add_argument("--c-ratio", type=float, default=DEFAULT_C_RATIO)
 
     def add_infer_args(p):
         p.add_argument("container")
@@ -203,8 +205,8 @@ def _cmd_downgrade(args) -> int:
         new_model = downgrade_model(model, keep_levels=args.keep_levels)
     else:
         new_model = downgrade_model(model, target_factor=args.target_compute)
+    report = cost_report(new_model, x=args.x, c_ratio=args.c_ratio)
     save_quantized(new_model, args.output)
-    report = cost_report(new_model)
     print(report.to_text())
     return 0
 

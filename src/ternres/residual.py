@@ -569,7 +569,11 @@ def snap_8bit(values: np.ndarray, exponent: int) -> np.ndarray:
     """``clip(round(v / 2^e), -128, 127) * 2^e`` for every v, in the dtype of
     ``values``; a float32 step ``2^e`` is 0 below e = -149."""
     step = values.dtype.type(2.0 ** exponent)
-    return np.clip(np.round(values / step), -128, 127) * step
+    out = np.divide(values, step, out=np.empty_like(values))
+    np.round(out, out=out)
+    np.clip(out, -128, 127, out=out)
+    out *= step
+    return out
 
 
 def quantize_scales_8bit(

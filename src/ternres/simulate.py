@@ -12,7 +12,12 @@ per depth, every block's level at that depth; bn_scale, which scales each
 channel by its own weight, sees its input repeated once per slot.
 
 Everything computes in float32 (the toolkit's native precision) while norms
-and ratios accumulate in float64.
+and ratios accumulate in float64. Work arrays stay near ``CHUNK_BYTES``: a
+convolution builds its patch matrices a batch chunk at a time and writes
+each chunk's product into one output, and the decomposition check sums its
+squares a chunk at a time over the one stacked output. A paired run takes
+every trace norm through one float64 scratch buffer, with the same bits as
+``np.linalg.norm`` of a float64 copy.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .residual import fixed_point_exponent, level_index, snap_8bit
 from .tensors import Tensor
 
 DECOMPOSITION_RTOL = 1e-5
+CHUNK_BYTES = 4 << 20  # batch-chunked work arrays stay near this size
 
 
 def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -41,9 +47,9 @@ def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, int]:
     every element is off by at most ``2^(e-1)``.
     """
     x = np.asarray(x, dtype=np.float32)
-    if not np.all(np.isfinite(x)):
+    peak = float(max(x.max(), -x.min())) if x.size else 0.0
+    if not math.isfinite(peak):
         raise ValueError("cannot quantize non-finite activations")
-    peak = float(np.max(np.abs(x))) if x.size else 0.0
     if peak == 0.0:
         return x.copy(), 0
     e = fixed_point_exponent(peak)
@@ -65,10 +71,15 @@ def _fc(w: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     return y.astype(np.float32, copy=False)
 
 
+def _batch_step(sample_bytes: int) -> int:
+    """Samples per batch chunk whose work arrays hold about ``CHUNK_BYTES``."""
+    return max(1, CHUNK_BYTES // max(1, sample_bytes))
+
+
 def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
             stride: int, pad: int) -> np.ndarray:
-    """im2col convolution: one batched GEMM of the flat kernel with the
-    per-image patch matrices."""
+    """im2col convolution: the flat kernel times each image's patch matrix,
+    built a batch chunk at a time and written into one output."""
     if x.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ValueError(f"conv2d expects (B,{w.shape[1]},H,W), got {x.shape}")
     c_out, c_in, kh, kw = w.shape
@@ -80,12 +91,19 @@ def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
         raise ValueError("conv2d kernel larger than padded input")
     # Windows are (B, C, OH, OW, kh, kw); each image's (C*kh*kw, OH*OW) patch
     # matrix has its rows ordered like the columns of ``w.reshape(c_out, -1)``,
-    # so the product comes out in (B, c_out, OH*OW) order.
+    # so the product comes out in (B, c_out, OH*OW) order. matmul runs one
+    # GEMM per image, so chunking the batch leaves every output bit as is.
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], c_in * kh * kw, oh * ow)
-    y = (w.reshape(c_out, -1) @ cols).reshape(x.shape[0], c_out, oh, ow)
+    patches = windows.transpose(0, 1, 4, 5, 2, 3)
+    rows, cols = c_in * kh * kw, oh * ow
+    flat_w = w.reshape(c_out, rows)
+    y = np.empty((x.shape[0], c_out, cols), dtype=np.result_type(w, x))
+    step = _batch_step(rows * cols * x.itemsize)
+    for s in range(0, x.shape[0], step):
+        np.matmul(flat_w, patches[s:s + step].reshape(-1, rows, cols), out=y[s:s + step])
+    y = y.reshape(x.shape[0], c_out, oh, ow)
     if b is not None:
-        y = y + b.reshape(1, c_out, 1, 1)
+        y += b.reshape(1, c_out, 1, 1)
     return y.astype(np.float32, copy=False)
 
 
@@ -211,12 +229,23 @@ def _weight_arrays(weights, layer: LayerDecl):
     return w.data, None if b is None else b.data
 
 
-def _rel_norm(diff: np.ndarray, ref: np.ndarray) -> float:
-    d = float(np.linalg.norm(diff.astype(np.float64).reshape(-1)))
-    r = float(np.linalg.norm(ref.astype(np.float64).reshape(-1)))
-    if r == 0.0:
-        return 0.0 if d == 0.0 else np.inf
-    return d / r
+def _ratio(num: float, den: float) -> float:
+    if den == 0.0:
+        return 0.0 if num == 0.0 else np.inf
+    return num / den
+
+
+def _sq_norm64(buf: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """``||a - b||^2`` (or ``||a||^2``) as ``np.linalg.norm`` forms it for
+    ``(a - b).astype(np.float64)``: the difference is rounded in float32 and
+    written to the float64 scratch ``buf``, then one ddot sums the squares."""
+    out = buf[:a.size].reshape(a.shape)
+    if b is None:
+        np.copyto(out, a)
+    else:
+        np.subtract(a, b, out=out, dtype=np.float32)
+    flat = out.reshape(-1)
+    return float(np.dot(flat, flat))
 
 
 def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarray,
@@ -245,19 +274,29 @@ def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarr
         x = np.concatenate([x] * (1 + depths), axis=1)
     out = apply_layer(layer, stacked.reshape((-1,) + dense_w.shape[1:]), None, x)
     y_dense = out[:, :c_out]
-    y_dec = out[:, c_out:].reshape(
-        (out.shape[0], depths, c_out) + out.shape[2:]).sum(axis=1)
+    levels = out[:, c_out:].reshape((out.shape[0], depths) + y_dense.shape[1:])
     if bias is not None:
-        shape = (1, c_out) + (1,) * (y_dense.ndim - 2)
-        y_dense = y_dense + bias.reshape(shape)
-        y_dec = y_dec + bias.reshape(shape)
-    rel = _rel_norm(y_dense - y_dec, y_dense)
+        bias = bias.reshape((c_out,) + (1,) * (y_dense.ndim - 2))
+        y_dense = y_dense + bias
+    y_dense = np.ascontiguousarray(y_dense)
+    # The check runs a batch chunk at a time and sums squares in float64.
+    sample = math.prod(y_dense.shape[1:])
+    step = _batch_step(sample * 8)
+    buf = np.empty(step * sample, dtype=np.float64)
+    err_sq = ref_sq = 0.0
+    for s in range(0, out.shape[0], step):
+        y_dec = levels[s:s + step].sum(axis=1)
+        if bias is not None:
+            y_dec += bias
+        err_sq += _sq_norm64(buf, y_dense[s:s + step], y_dec)
+        ref_sq += _sq_norm64(buf, y_dense[s:s + step])
+    rel = _ratio(math.sqrt(err_sq), math.sqrt(ref_sq))
     if rel > DECOMPOSITION_RTOL:
         raise RuntimeError(
             f"layer {layer.name!r}: level-decomposed accumulation deviates from "
             f"the dense reconstruction by {rel:.3g} relative"
         )
-    return np.ascontiguousarray(y_dense)
+    return y_dense
 
 
 @dataclass(frozen=True)
@@ -323,7 +362,15 @@ def forward_quantized(
     """
     clean = forward(manifest, weights, x)
     cur = _as_batch(x)
-    x0 = cur
+    # Scratch for every norm below; ref_norm is the norm of the clean
+    # activation handed to the next layer, the input's before layer 0.
+    weight_sizes = [weights[l.layer][0].data.size for l in qmodel.layers if l.layer in weights]
+    buf = np.empty(max([cur.size] + [a.size for a in clean] + weight_sizes), dtype=np.float64)
+
+    def norm(a, b=None):
+        return math.sqrt(_sq_norm64(buf, a, b))
+
+    ref_norm = norm(cur) if act_quant else 0.0
 
     qlayers = {l.layer: l for l in qmodel.layers}
     entries = [TraceEntry(0, "input", "input", 0.0, 0.0, 0.0)]
@@ -333,8 +380,8 @@ def forward_quantized(
             # gamma of entry li: the quantization error of the activation
             # handed to this layer, i.e. of layer li-1's output.
             x_in, _ = quantize_activations(cur)
-            ref = x0 if li == 0 else clean[li - 1]
-            entries[li] = replace(entries[li], gamma=_rel_norm(cur - x_in, ref))
+            gamma = _ratio(norm(cur, x_in), ref_norm)
+            entries[li] = replace(entries[li], gamma=gamma)
         else:
             x_in = cur
 
@@ -349,11 +396,12 @@ def forward_quantized(
                 )
             dense_w = reconstruct(qlayer).data
             cur = _apply_quantized(layer, qlayer, dense_w, b, x_in)
-            epsilon = _rel_norm(w - dense_w, w)
+            epsilon = _ratio(norm(w, dense_w), norm(w))
         else:
             cur = apply_layer(layer, w, b, x_in)
         acts.append(cur)
-        delta = _rel_norm(clean[li] - cur, clean[li])
+        ref_norm = norm(clean[li])
+        delta = _ratio(norm(clean[li], cur), ref_norm)
         entries.append(TraceEntry(li + 1, layer.name, layer.kind, delta, 0.0, epsilon))
 
     trace = PerturbationTrace(tuple(entries), clean[-1].copy(), acts[-1].copy())

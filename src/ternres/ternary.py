@@ -85,7 +85,8 @@ def ternarize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     # The top-m magnitudes are exactly those above the cut.
     kept = (mags > threshold[:, None]) & ~dead[:, None]
-    signs = np.where(kept, np.sign(rows), 0.0).astype(np.int8)
+    # Kept entries are never zero: +1 where kept, -1 where kept and negative.
+    signs = kept.view(np.int8) - (kept & (rows < 0)).view(np.int8) * 2
     return alpha, signs, threshold
 
 

@@ -374,6 +374,20 @@ def test_downgrade_report_keeps_flop_weighting(net_dir, capsys):
     assert line[0] in downgraded
 
 
+def test_downgrade_report_prices_with_given_x_and_c(net_dir, capsys):
+    tmp, manifest_path, _ = net_dir
+    main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.05",
+          "-o", str(tmp / "net.tq")])
+    capsys.readouterr()
+    assert main(["downgrade", str(tmp / "net.tq"), "--target-compute", "1.2",
+                 "--x", "32", "--c-ratio", "2.5", "-o", str(tmp / "mid.tq")]) == 0
+    downgraded = capsys.readouterr().out
+    assert main(["stats", str(tmp / "mid.tq")]) == 0
+    assert capsys.readouterr().out != downgraded
+    assert main(["stats", str(tmp / "mid.tq"), "--x", "32", "--c", "2.5"]) == 0
+    assert capsys.readouterr().out == downgraded
+
+
 def test_downgrade_below_base_exits_2(net_dir, capsys):
     tmp, manifest_path, _ = net_dir
     main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
@@ -394,7 +408,19 @@ def test_downgrade_below_base_exits_2(net_dir, capsys):
       "-o", "out.tq"], "cap must be a number above 0, got nan"),
     (["infer", "net.tq", "-m", "MANIFEST", "-i", "INPUT", "--margin", "nan",
       "--logits", "out.npy"], "delta must be non-negative, got nan"),
-], ids=["downgrade-nan", "downgrade-inf", "quantize-cap-nan", "infer-margin-nan"])
+    (["downgrade", "net.tq", "--keep-levels", "40", "--x", "nan", "-o", "out.tq"],
+     "x must be a finite number above 0, got nan"),
+    (["downgrade", "net.tq", "--keep-levels", "40", "--x", "inf", "-o", "out.tq"],
+     "x must be a finite number above 0, got inf"),
+    (["downgrade", "net.tq", "--keep-levels", "40", "--x", "0", "-o", "out.tq"],
+     "x must be a finite number above 0, got 0.0"),
+    (["downgrade", "net.tq", "--keep-levels", "40", "--c-ratio", "nan", "-o", "out.tq"],
+     "c_ratio must be a finite number above 1, got nan"),
+    (["downgrade", "net.tq", "--keep-levels", "40", "--c-ratio", "-1", "-o", "out.tq"],
+     "c_ratio must be a finite number above 1, got -1.0"),
+], ids=["downgrade-nan", "downgrade-inf", "quantize-cap-nan", "infer-margin-nan",
+        "downgrade-x-nan", "downgrade-x-inf", "downgrade-x-0", "downgrade-c-nan",
+        "downgrade-c-negative"])
 def test_non_finite_numbers_exit_2_without_output(net_dir, capsys, monkeypatch, argv,
                                                    message):
     tmp, manifest_path, input_path = net_dir

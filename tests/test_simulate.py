@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
 from ternres import (
@@ -19,7 +20,7 @@ from ternres import (
     ternary_residual,
 )
 import ternres.simulate as simulate
-from ternres.residual import QuantizedLayer
+from ternres.residual import QuantizedLayer, fixed_point_exponent, level_index
 from ternres.simulate import (
     avgpool_bound,
     layer_lemma_checks,
@@ -243,8 +244,9 @@ class TestActivationQuantization:
                 assert peak > 127.0 * step / 2
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            quantize_activations(np.array([np.inf], dtype=np.float32))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                quantize_activations(np.array([1.0, bad, -2.0], dtype=np.float32))
 
 
 def _convert(manifest, weights, block, eps_sq):
@@ -418,6 +420,226 @@ class TestForwardQuantized:
         assert len(lines) == len(trace.entries) + 1
         doc = trace.to_json()
         assert '"trace"' in doc
+
+
+# ---------------------------------------------------------------------------
+# reference paired pass: one-piece im2col and float64 copies for every norm
+# ---------------------------------------------------------------------------
+
+
+def im2col_conv(w, b, x, stride, pad):
+    """Convolution as one batched product over every image's patch matrix."""
+    c_out, c_in, kh, kw = w.shape
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh = (x.shape[2] - kh) // stride + 1
+    ow = (x.shape[3] - kw) // stride + 1
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], c_in * kh * kw, oh * ow)
+    y = (w.reshape(c_out, -1) @ cols).reshape(x.shape[0], c_out, oh, ow)
+    if b is not None:
+        y = y + b.reshape(1, c_out, 1, 1)
+    return y
+
+
+def reference_apply(layer, w, b, x):
+    if layer.kind == "conv2d":
+        return im2col_conv(w, b, x, layer.hp("stride", 1), layer.hp("pad", 0))
+    return simulate.apply_layer(layer, w, b, x)
+
+
+def reference_rel_norm(diff, ref):
+    d = float(np.linalg.norm(diff.astype(np.float64).reshape(-1)))
+    r = float(np.linalg.norm(ref.astype(np.float64).reshape(-1)))
+    if r == 0.0:
+        return 0.0 if d == 0.0 else np.inf
+    return d / r
+
+
+def reference_quantize(x):
+    peak = float(np.max(np.abs(x))) if x.size else 0.0
+    if peak == 0.0:
+        return x.copy()
+    step = np.float32(2.0 ** fixed_point_exponent(peak))
+    return np.clip(np.round(x / step), -128, 127) * step
+
+
+def reference_stacked(layer, qlayer, dense_w, b, x):
+    """Dense outputs of the stacked dense-plus-levels product."""
+    depths = int(qlayer.counts.max(initial=0))
+    owner, depth = level_index(qlayer.counts)
+    blocked = np.zeros((1 + depths, qlayer.num_blocks, qlayer.signs.shape[1]),
+                       dtype=np.float32)
+    blocked[1 + depth, owner] = qlayer.alphas[:, None] * qlayer.signs
+    stacked = blocked.reshape(1 + depths, -1)[:, :dense_w.size]
+    stacked[0] = dense_w.reshape(-1)
+    if layer.kind == "bn_scale":
+        x = np.concatenate([x] * (1 + depths), axis=1)
+    out = reference_apply(layer, stacked.reshape((-1,) + dense_w.shape[1:]), None, x)
+    y = out[:, :dense_w.shape[0]]
+    if b is not None:
+        y = y + b.reshape((1, -1) + (1,) * (y.ndim - 2))
+    return np.ascontiguousarray(y)
+
+
+def reference_paired(manifest, weights, qmodel, x, act_quant):
+    """Trace rows, clean logits and quantized logits of a paired pass."""
+    def arrays(layer):
+        if layer.weight_ref is None:
+            return None, None
+        w, b = weights[layer.name]
+        return w.data, None if b is None else b.data
+
+    clean, cur = [], x
+    for layer in manifest.layers:
+        cur = reference_apply(layer, *arrays(layer), cur)
+        clean.append(cur)
+    qlayers = {l.layer: l for l in qmodel.layers}
+    rows = [{"layer": 0, "name": "input", "kind": "input",
+             "delta": 0.0, "gamma": 0.0, "epsilon": 0.0}]
+    cur = x
+    for li, layer in enumerate(manifest.layers):
+        x_in = cur
+        if act_quant:
+            x_in = reference_quantize(cur)
+            rows[li]["gamma"] = reference_rel_norm(cur - x_in, x if li == 0 else clean[li - 1])
+        w, b = arrays(layer)
+        epsilon = 0.0
+        if layer.name in qlayers:
+            dense_w = reconstruct(qlayers[layer.name]).data
+            cur = reference_stacked(layer, qlayers[layer.name], dense_w, b, x_in)
+            epsilon = reference_rel_norm(w - dense_w, w)
+        else:
+            cur = reference_apply(layer, w, b, x_in)
+        rows.append({"layer": li + 1, "name": layer.name, "kind": layer.kind,
+                     "delta": reference_rel_norm(clean[li] - cur, clean[li]),
+                     "gamma": 0.0, "epsilon": epsilon})
+    return rows, clean[-1], cur
+
+
+def _strided_net(rng, pad):
+    """A stride-2 conv on a 9x7 input, then relu and fc."""
+    oh, ow = (9 + 2 * pad - 3) // 2 + 1, (7 + 2 * pad - 3) // 2 + 1
+    manifest = ModelManifest((
+        LayerDecl("conv", "conv2d", weight_ref="conv.w.npy", bias_ref="conv.b.npy",
+                  hyperparams={"stride": 2, "pad": pad}),
+        LayerDecl("relu", "relu"),
+        LayerDecl("fc", "fc", weight_ref="fc.w.npy"),
+    ), input_shape=(3, 9, 7))
+    weights = {
+        "conv": (Tensor("conv", rng.normal(size=(4, 3, 3, 3)).astype(np.float32)),
+                 Tensor("conv.b", rng.normal(size=(4,)).astype(np.float32))),
+        "fc": (Tensor("fc", rng.normal(size=(5, 4 * oh * ow)).astype(np.float32)), None),
+    }
+    return manifest, weights
+
+
+PAIRED_NETS = {
+    "mlp": lambda seed: mlp_net(np.random.default_rng(seed)),
+    "conv": lambda seed: conv_net(np.random.default_rng(seed)),
+    "random": lambda seed: random_net(np.random.default_rng(seed)),
+    "stride2-pad0": lambda seed: _strided_net(np.random.default_rng(seed), 0),
+    "stride2-pad1": lambda seed: _strided_net(np.random.default_rng(seed), 1),
+}
+
+
+def _chunk_bytes_for(manifest, weights, samples):
+    """A ``CHUNK_BYTES`` that puts ``samples`` samples in each chunk of the
+    first layer: its im2col patches for a conv, its float64 check rows for
+    an fc."""
+    first = manifest.layers[0]
+    w = weights[first.name][0].data
+    if first.kind == "conv2d":
+        shape = simulate.resolve_shapes(
+            manifest, {n: t.shape for n, (t, _) in weights.items()})[0]
+        return samples * (w.size // w.shape[0]) * shape[1] * shape[2] * 4
+    return samples * w.shape[0] * 8
+
+
+class TestChunkedPasses:
+    CHUNK = 4
+
+    @pytest.mark.parametrize("act_quant", [False, True], ids=["plain", "act-quant"])
+    @pytest.mark.parametrize("net", sorted(PAIRED_NETS))
+    def test_trace_and_logits_match_the_reference_bit_for_bit(self, monkeypatch, net,
+                                                             act_quant):
+        for seed in range(3):
+            manifest, weights = PAIRED_NETS[net](seed)
+            model = _convert(manifest, weights, 16, 0.01)
+            monkeypatch.setattr(simulate, "CHUNK_BYTES",
+                                _chunk_bytes_for(manifest, weights, self.CHUNK))
+            rng = np.random.default_rng(100 + seed)
+            for batch in (1, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1):
+                x = rng.normal(size=(batch,) + manifest.input_shape).astype(np.float32)
+                _, logits, trace = forward_quantized(manifest, weights, model, x,
+                                                     act_quant=act_quant)
+                rows, clean_logits, q_logits = reference_paired(
+                    manifest, weights, model, x, act_quant)
+                assert trace.to_rows() == rows
+                assert trace.logits.tobytes() == clean_logits.tobytes()
+                assert logits.tobytes() == trace.logits_quantized.tobytes()
+                assert logits.tobytes() == q_logits.tobytes()
+
+    def test_full_size_chunk_boundary_matches_the_reference(self):
+        manifest, weights = conv_net(np.random.default_rng(19))
+        model = _convert(manifest, weights, 16, 0.01)
+        chunk = simulate.CHUNK_BYTES // _chunk_bytes_for(manifest, weights, 1)
+        x = np.random.default_rng(20).normal(
+            size=(chunk + 1,) + manifest.input_shape).astype(np.float32)
+        _, logits, trace = forward_quantized(manifest, weights, model, x, act_quant=True)
+        rows, clean_logits, q_logits = reference_paired(manifest, weights, model, x, True)
+        assert trace.to_rows() == rows
+        assert trace.logits.tobytes() == clean_logits.tobytes()
+        assert logits.tobytes() == q_logits.tobytes()
+
+    @pytest.mark.parametrize("k, stride, pad, h, w", CONV_SHAPES)
+    def test_conv2d_equals_one_piece_im2col(self, monkeypatch, k, stride, pad, h, w):
+        rng = np.random.default_rng(k * 100 + stride * 10 + pad)
+        weight = rng.normal(size=(5, 3, k, k)).astype(np.float32)
+        bias = rng.normal(size=(5,)).astype(np.float32)
+        oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", self.CHUNK * 3 * k * k * oh * ow * 4)
+        for batch in (1, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1, 3 * self.CHUNK + 2):
+            x = rng.normal(size=(batch, 3, h, w)).astype(np.float32)
+            for b in (bias, None):
+                out = simulate._conv2d(weight, b, x, stride, pad)
+                expected = im2col_conv(weight, b, x, stride, pad)
+                assert out.dtype == np.float32 and out.flags.c_contiguous
+                assert out.tobytes() == expected.tobytes()
+
+    def test_conv2d_full_size_chunk_boundary(self):
+        rng = np.random.default_rng(21)
+        weight = rng.normal(size=(5, 3, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=(5,)).astype(np.float32)
+        chunk = simulate.CHUNK_BYTES // (3 * 3 * 3 * 5 * 4 * 4)  # 9x7 input, stride 2, pad 1
+        x = rng.normal(size=(chunk + 1, 3, 9, 7)).astype(np.float32)
+        out = simulate._conv2d(weight, bias, x, 2, 1)
+        assert out.shape == (chunk + 1, 5, 5, 4)
+        assert out.tobytes() == im2col_conv(weight, bias, x, 2, 1).tobytes()
+
+    @pytest.mark.parametrize("net", ["mlp", "stride2-pad1"])
+    def test_decomposition_check_sees_the_last_chunk(self, monkeypatch, net):
+        # Only the first layer is quantized and only the last sample is
+        # nonzero, so a perturbed dense weight shows in the last chunk alone.
+        manifest, weights = PAIRED_NETS[net](22)
+        model = _convert(manifest, weights, 16, 0.01)
+        first = model.layers[0].layer
+        model = QuantizedModel({}, model.layers[:1])
+        # Two samples of the check's float64 rows per chunk: three chunks.
+        shape = simulate.resolve_shapes(
+            manifest, {n: t.shape for n, (t, _) in weights.items()})[0]
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", 2 * int(np.prod(shape)) * 8)
+        x = np.zeros((5,) + manifest.input_shape, dtype=np.float32)
+        x[-1] = np.random.default_rng(23).normal(size=manifest.input_shape)
+        forward_quantized(manifest, weights, model, x)
+
+        def perturbed(qlayer):
+            w = reconstruct(qlayer)
+            w.data.reshape(-1)[0] += np.float32(1.0)
+            return w
+
+        monkeypatch.setattr(simulate, "reconstruct", perturbed)
+        with pytest.raises(RuntimeError, match=f"layer '{first}'.*deviates"):
+            forward_quantized(manifest, weights, model, x)
 
 
 class TestMarginCheck:
