@@ -1,6 +1,9 @@
 """Command-line surface: quantize, stats, downgrade, infer, trace, lemma-check.
 
-Exit codes: 0 success, 1 I/O or format failure, 2 non-convergence or an
+Each subparser carries its handler (``args.run``), and each handler is one
+straight path: usage checks that need no file come first, then the library
+calls, then one print per output. ``main`` maps errors to exit codes: 0
+success, 1 I/O or format failure, 2 a usage error, non-convergence or an
 infeasible budget. All emitted artifacts are deterministic functions of the
 inputs and flags.
 """
@@ -46,7 +49,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("quantize", help="convert a model to stacked ternary form")
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    def add_price_args(p):
+        p.add_argument("--x", type=float, default=DEFAULT_X)
+        p.add_argument("--c-ratio", type=float, default=DEFAULT_C_RATIO)
+
+    q = command("quantize", _cmd_quantize, "convert a model to stacked ternary form")
     q.add_argument("-m", "--manifest", required=True)
     q.add_argument("-N", "--block-size", type=int, default=64)
     q.add_argument("--eps", type=float, help="relative error tolerance (un-squared)")
@@ -63,10 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", required=True)
     q.add_argument("--report", help="write the cost report as JSON")
     q.add_argument("--trace", help="write the greedy iteration log as CSV")
-    q.add_argument("--x", type=float, default=DEFAULT_X)
-    q.add_argument("--c-ratio", type=float, default=DEFAULT_C_RATIO)
+    add_price_args(q)
 
-    s = sub.add_parser("stats", help="cost tables from a container or parameters")
+    s = command("stats", _cmd_stats, "cost tables from a container or parameters")
     s.add_argument("container", nargs="?")
     s.add_argument("--n", type=int, help="weights per vector (closed-form row)")
     s.add_argument("--k", type=int, default=1)
@@ -78,13 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=float, default=DEFAULT_X)
     s.add_argument("--json", action="store_true", dest="as_json")
 
-    d = sub.add_parser("downgrade", help="disable least-important residual levels")
+    d = command("downgrade", _cmd_downgrade, "disable least-important residual levels")
     d.add_argument("container")
     d.add_argument("--keep-levels", type=int)
     d.add_argument("--target-compute", type=float)
     d.add_argument("-o", "--output", required=True)
-    d.add_argument("--x", type=float, default=DEFAULT_X)
-    d.add_argument("--c-ratio", type=float, default=DEFAULT_C_RATIO)
+    add_price_args(d)
 
     def add_infer_args(p):
         p.add_argument("container")
@@ -92,14 +102,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("-i", "--input", required=True, help="NPY activation tensor")
         p.add_argument("--act-quant", action="store_true")
 
-    i = sub.add_parser("infer", help="paired FP32/quantized forward pass")
+    i = command("infer", _cmd_infer, "paired FP32/quantized forward pass")
     add_infer_args(i)
     i.add_argument("--logits", help="write quantized logits as NPY")
     i.add_argument("--margin", type=float, default=None,
                    help="l2 perturbation bound for the safety check "
                         "(default: each sample's measured logit distance)")
 
-    t = sub.add_parser("trace", help="emit the per-layer perturbation trace")
+    t = command("trace", _cmd_trace, "emit the per-layer perturbation trace")
     add_infer_args(t)
     t.add_argument("--csv", help="write trace CSV")
     t.add_argument("--json-out", help="write trace JSON")
@@ -108,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "first vs only the last parametric layer is quantized "
                         "at this tolerance (a tendency, not a guarantee)")
 
-    l = sub.add_parser("lemma-check", help="verify per-layer perturbation bounds")
+    l = command("lemma-check", _cmd_lemma_check, "verify per-layer perturbation bounds")
     l.add_argument("container", nargs="?")
     l.add_argument("-m", "--manifest")
     l.add_argument("-i", "--input")
@@ -131,22 +141,19 @@ def _load_inference_inputs(args):
 
 
 def _cmd_quantize(args) -> int:
-    if not args.schedule and args.mode == "uniform" and (
-            args.eps_sq is None and args.eps is None):
+    if not args.schedule and args.mode == "uniform" and args.eps_sq is None and args.eps is None:
         raise ValueError("uniform mode needs --eps or --eps-sq")
     manifest = load_manifest(args.manifest)
     weights = load_weights(manifest)
     if args.schedule:
         schedule = load_schedule(args.schedule, manifest)
     else:
-        eps_sq = args.eps_sq
-        if eps_sq is None and args.eps is not None:
-            eps_sq = args.eps ** 2
-        flops = None
-        if args.mode == "compute_aware":
-            flops = flops_per_layer(manifest, {n: weights[n][0].shape for n in weights})
-        schedule = make_schedule(manifest, args.mode, epsilon_sq=eps_sq, lo=args.lo,
-                                 hi=args.hi, cap=args.cap, flops=flops)
+        schedule = make_schedule(
+            manifest, args.mode, lo=args.lo, hi=args.hi, cap=args.cap,
+            epsilon_sq=args.eps ** 2 if args.eps_sq is None and args.eps is not None
+            else args.eps_sq,
+            flops=flops_per_layer(manifest, {n: w.shape for n, (w, _) in weights.items()})
+            if args.mode == "compute_aware" else None)
 
     model, report = convert_model(
         manifest, weights, args.block_size, schedule,
@@ -155,8 +162,7 @@ def _cmd_quantize(args) -> int:
     if args.trace:
         write_trace_csv(list(model.layers), args.trace)
     if args.quantize_scales:
-        tensors = {name: weights[name][0] for name in weights}
-        model = quantize_scales_8bit(model, tensors)
+        model = quantize_scales_8bit(model, {n: w for n, (w, _) in weights.items()})
         report = cost_report(model, x=args.x, c_ratio=args.c_ratio)
     save_quantized(model, args.output)
     print(report.to_text())
@@ -172,41 +178,29 @@ def _cmd_stats(args) -> int:
         pi_c, pi_m = throughput_gains(args.c_ratio, args.big_n, args.levels)
         doc = {"c_ratio": args.c_ratio, "N": args.big_n, "levels": args.levels,
                "pi_c": pi_c, "pi_m": pi_m}
-        if args.as_json:
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            print(f"pi_c = {pi_c:.4f}\npi_m = {pi_m:.4f}")
-        return 0
-    if args.container:
-        model = load_quantized(args.container)
-        report = cost_report(model, x=args.x, c_ratio=args.c_ratio)
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True)
-              if args.as_json else report.to_text())
-        return 0
-    if args.n is None:
+        text = f"pi_c = {pi_c:.4f}\npi_m = {pi_m:.4f}"
+    elif args.container:
+        report = cost_report(load_quantized(args.container), x=args.x, c_ratio=args.c_ratio)
+        doc, text = report.to_dict(), report.to_text()
+    elif args.n is None:
         raise ValueError("give a container, --n, or --pi")
-    size_bits, capacity, num_alphas = table2_stats(args.n, args.k, [args.r] * args.k)
-    doc = {"n": args.n, "k": args.k, "r": args.r, "model_size_bits": size_bits,
-           "capacity": capacity, "scaling_factors": num_alphas}
-    if args.as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(f"model size:      {size_bits:g} bits")
-        print(f"model capacity:  {capacity}")
-        print(f"scaling factors: {num_alphas}")
+        size_bits, capacity, num_alphas = table2_stats(args.n, args.k, [args.r] * args.k)
+        doc = {"n": args.n, "k": args.k, "r": args.r, "model_size_bits": size_bits,
+               "capacity": capacity, "scaling_factors": num_alphas}
+        text = (f"model size:      {size_bits:g} bits\nmodel capacity:  {capacity}\n"
+                f"scaling factors: {num_alphas}")
+    print(json.dumps(doc, indent=2, sort_keys=True) if args.as_json else text)
     return 0
 
 
 def _cmd_downgrade(args) -> int:
     if (args.keep_levels is None) == (args.target_compute is None):
         raise ValueError("give exactly one of --keep-levels or --target-compute")
-    model = load_quantized(args.container)
-    if args.keep_levels is not None:
-        new_model = downgrade_model(model, keep_levels=args.keep_levels)
-    else:
-        new_model = downgrade_model(model, target_factor=args.target_compute)
-    report = cost_report(new_model, x=args.x, c_ratio=args.c_ratio)
-    save_quantized(new_model, args.output)
+    model = downgrade_model(load_quantized(args.container), keep_levels=args.keep_levels,
+                            target_factor=args.target_compute)
+    report = cost_report(model, x=args.x, c_ratio=args.c_ratio)
+    save_quantized(model, args.output)
     print(report.to_text())
     return 0
 
@@ -293,7 +287,7 @@ def _random_lemma_trials(trials: int, seed: int) -> int:
         w = rng.normal(size=(5, 72)).astype(np.float32)
         wh = (w + rng.normal(scale=0.05, size=w.shape)).astype(np.float32)
         checks.append(matmul_bound(w, wh, x.reshape(1, -1), xh.reshape(1, -1)))
-        violations += sum(0 if c.ok else 1 for c in checks)
+        violations += sum(not c.ok for c in checks)
     return violations
 
 
@@ -302,15 +296,12 @@ def _cmd_lemma_check(args) -> int:
         if not (args.manifest and args.input):
             raise ValueError("container mode needs -m and -i")
         manifest, weights, qmodel, arr = _load_inference_inputs(args)
-        clean_acts = forward(manifest, weights, arr)
-        q_acts, _, _ = forward_quantized(
-            manifest, weights, qmodel, arr, act_quant=args.act_quant)
-        clean_inputs = [arr] + clean_acts[:-1]
-        pert_inputs = [arr] + q_acts[:-1]
-        quantized = {l.layer: reconstruct(l).data for l in qmodel.layers}
-        checks = layer_lemma_checks(manifest, weights, clean_inputs, pert_inputs,
-                                    quantized)
-        violations = sum(0 if c.ok else 1 for c in checks)
+        checks = layer_lemma_checks(
+            manifest, weights, [arr] + forward(manifest, weights, arr)[:-1],
+            [arr] + forward_quantized(manifest, weights, qmodel, arr,
+                                      act_quant=args.act_quant)[0][:-1],
+            {l.layer: reconstruct(l).data for l in qmodel.layers})
+        violations = sum(not c.ok for c in checks)
         for c in checks:
             status = "ok" if c.ok else "VIOLATION"
             print(f"{c.name:<18} measured={c.measured:.6e} bound={c.bound:.6e} {status}")
@@ -321,24 +312,13 @@ def _cmd_lemma_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "quantize": _cmd_quantize,
-        "stats": _cmd_stats,
-        "downgrade": _cmd_downgrade,
-        "infer": _cmd_infer,
-        "trace": _cmd_trace,
-        "lemma-check": _cmd_lemma_check,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except (ConvergenceError, ValueError) as exc:  # bad arguments or inputs
+        return args.run(args)
+    except (ConvergenceError, ValueError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # Unreadable or malformed files exit 1; bad arguments or budgets exit 2.
+        return 1 if isinstance(exc, (FormatError, OSError)) else 2
 
 
 if __name__ == "__main__":

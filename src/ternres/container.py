@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .manifest import manifest_from_dict
+from .manifest import are_ints, is_count, is_number, manifest_from_dict
 from .residual import QuantizedLayer, QuantizedModel
 
 MAGIC = b"TRQ0"
@@ -121,18 +121,19 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLay
     if not (isinstance(name, str) and isinstance(exhausted, bool)):
         raise FormatError(f"layer {name!r} (exhausted {exhausted!r}): the name must "
                           f"be a string and exhausted true or false")
-    shape = tuple(int(d) for d in entry["shape"])
-    block_size = int(entry["N"])
-    if block_size < 1 or min(shape, default=1) < 1:
-        raise FormatError(f"layer {name!r}: N and every dimension must be >= 1, "
-                          f"got N={block_size}, shape {shape}")
+    shape, block_size, levels = entry["shape"], entry["N"], entry["levels_per_block"]
+    if not (is_count(block_size) and are_ints(shape) and min(shape, default=1) >= 1):
+        raise FormatError(f"layer {name!r}: N and every dimension must be integers >= 1, "
+                          f"got N={block_size!r}, shape {shape!r}")
+    shape = tuple(shape)
     size = math.prod(shape)
     num_blocks = -(-size // block_size)
-    counts = np.asarray(entry["levels_per_block"], dtype=np.int64)
+    counts = np.asarray(levels, dtype=np.int64)
     # No block holds more levels than the blob has bytes, so no sum overflows.
-    if counts.shape != (num_blocks,) or np.any((counts < 1) | (counts > len(blob))):
+    if not are_ints(levels) or counts.shape != (num_blocks,) or np.any(
+            (counts < 1) | (counts > len(blob))):
         raise FormatError(f"layer {name!r}: levels_per_block must hold {num_blocks} "
-                          f"counts from 1 to the blob size")
+                          f"integer counts from 1 to the blob size")
     scale_offsets, sign_offsets, full_rows, end = _layout(counts, block_size, size, start)
     if (entry["scale_offsets"] != scale_offsets.tolist()
             or entry["sign_offsets"] != sign_offsets.tolist()):
@@ -150,20 +151,20 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLay
                           (slice(full_rows, None), size % block_size, packed[split:])):
         if part.size:
             signs[rows, :n] = unpack_signs(part.reshape(-1, (n + 3) // 4), n)
-    if not np.all(np.isfinite(alphas) & (alphas >= 0)) or np.any(
+    if not np.all(np.isfinite(alphas) & ~np.signbit(alphas)) or np.any(
             (alphas == 0) == signs.any(axis=1)):
         raise FormatError(
-            f"layer {name!r}: inconsistent level (alpha must be finite and >= 0, "
-            f"and zero exactly when all signs are zero)")
+            f"layer {name!r}: inconsistent level (alpha must be finite with no sign "
+            f"bit, and zero exactly when all signs are zero)")
 
-    numbers = [float(entry[key]) for key in ("delta", "epsilon_sq", "source_norm_sq")]
-    if not np.all(np.isfinite(numbers)):
+    numbers = [entry[key] for key in ("delta", "epsilon_sq", "source_norm_sq")]
+    if not (all(map(is_number, numbers)) and np.all(np.isfinite(numbers))):
         raise FormatError(
-            f"layer {name!r}: delta, epsilon_sq and source_norm_sq must be finite")
+            f"layer {name!r}: delta, epsilon_sq and source_norm_sq must be finite numbers")
 
     return QuantizedLayer(
         name, shape, block_size, counts.astype(np.int32), alphas.astype(np.float32),
-        signs, *numbers, exhausted=exhausted), end
+        signs, *map(float, numbers), exhausted=exhausted), end
 
 
 def load_quantized(path) -> QuantizedModel:

@@ -64,8 +64,36 @@ class ModelManifest:
 
 
 def _check_at_least(what: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    if not is_count(value, low):
         raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+# The index rules of every file the toolkit reads: a manifest's hyperparameters
+# and input shape, a schedule's tolerances and a container's layer entries.
+def is_count(value, low: int = 1) -> bool:
+    """An integer of at least ``low``; a boolean is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def are_ints(values: list) -> bool:
+    """Whether ``values`` is a decoded JSON list of integers, checked with no
+    Python call per entry: JSON integers decode to ``int``, ``true`` to ``bool``."""
+    return type(values) is list and {*map(type, values)} <= {int}
+
+
+def is_number(value) -> bool:
+    """A decoded JSON number: an ``int`` or a ``float``, not a boolean or a string."""
+    return type(value) in (int, float)
+
+
+def load_json(path: str):
+    """The document in the JSON file ``path``; bytes that do not decode as
+    UTF-8 JSON are a ``FormatError`` that names the path."""
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
 _HP_KEYS = ("stride", "pad", "window")
@@ -119,12 +147,7 @@ def manifest_to_dict(manifest: ModelManifest) -> dict:
 
 def load_manifest(path) -> ModelManifest:
     path = str(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return manifest_from_dict(doc, base_dir=os.path.dirname(path) or ".")
+    return manifest_from_dict(load_json(path), base_dir=os.path.dirname(path) or ".")
 
 
 def save_manifest(manifest: ModelManifest, path) -> None:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import fnmatch
-import json
 from dataclasses import dataclass
 
 from .costs import DEFAULT_C_RATIO, DEFAULT_X, CostReport, cost_report
 from .costs import flops_per_layer  # noqa: F401  (bench/workloads.py calls planner.flops_per_layer)
 from .errors import FormatError
-from .manifest import ModelManifest, manifest_to_dict
+from .manifest import ModelManifest, is_number, load_json, manifest_to_dict
 from .residual import DEFAULT_R_MAX, QuantizedModel, ternary_residual
 from .tensors import Tensor
 
@@ -82,19 +81,14 @@ def load_schedule(path, manifest: ModelManifest) -> BudgetSchedule:
     """Read a JSON schedule, a list of {"pattern": ..., "epsilon_sq": ...};
     each parametric layer's name must match exactly one glob pattern."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            doc = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        entries = [(e["pattern"], e["epsilon_sq"]) for e in doc]
+        entries = [(e["pattern"], e["epsilon_sq"]) for e in load_json(path)]
     except (KeyError, TypeError) as exc:
         raise FormatError(
             f"{path}: schedule entries need 'pattern' and 'epsilon_sq' ({exc})"
         ) from exc
     for pattern, eps_sq in entries:
-        if not isinstance(pattern, str) or type(eps_sq) not in (int, float):
+        if not isinstance(pattern, str) or not is_number(eps_sq):
             raise FormatError(f"{path}: schedule entry {pattern!r}: 'pattern' must be "
                               f"a string and 'epsilon_sq' a number, got {eps_sq!r}")
     resolved = {}

@@ -243,3 +243,12 @@ class TestMeasuredReport:
                 assert l.model_size_bits > 0
                 assert l.blocks_factor >= 1.0
                 assert l.power_perf_gain > 0 and l.pi_c > 0 and l.pi_m > 0
+
+
+def test_block_size_zero_rejected():
+    with pytest.raises(ValueError, match="block size must be >= 1"):
+        size_reduction_vs_88(0, 1.0)
+    with pytest.raises(ValueError, match="block size must be >= 1"):
+        power_perf_gain(5.5, 1.0, 0)
+    with pytest.raises(ValueError, match="block size must be >= 1"):
+        throughput_gains(5.0, 0, 1.0)

@@ -236,3 +236,29 @@ class TestConvertModel:
         _, report = convert_model(manifest, weights, 16, schedule)
         assert report.compute_factor_weighted is not None
         assert report.compute_factor_weighted > 0
+
+
+def test_make_schedule_rejects_what_it_cannot_build():
+    manifest, _ = mlp_net(np.random.default_rng(6))
+    with pytest.raises(ValueError, match="no parametric layers"):
+        make_schedule(ModelManifest((LayerDecl("relu", "relu"),)), "uniform", epsilon_sq=0.01)
+    with pytest.raises(ValueError, match="uniform schedule needs epsilon_sq"):
+        make_schedule(manifest, "uniform")
+    with pytest.raises(ValueError, match="compute_aware schedule needs per-layer flops"):
+        make_schedule(manifest, "compute_aware")
+    with pytest.raises(ValueError, match="unknown schedule mode 'graded'"):
+        make_schedule(manifest, "graded")
+
+
+@pytest.mark.parametrize("raw, match", [
+    (b"[{", "invalid JSON"),
+    (b'[{"pattern": "fc*", "epsilon_sq": 0.01, "note": "\xff"}]', "invalid JSON"),
+    (b'[{"pattern": "fc*"}]', "need 'pattern' and 'epsilon_sq'"),
+    (b"3", "need 'pattern' and 'epsilon_sq'"),
+], ids=["truncated", "not-utf8", "no-epsilon_sq", "not-a-list"])
+def test_an_unreadable_schedule_is_a_format_error(tmp_path, raw, match):
+    manifest, _ = mlp_net(np.random.default_rng(6))
+    path = tmp_path / "sched.json"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=f"^{path}: .*{match}"):
+        load_schedule(path, manifest)

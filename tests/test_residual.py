@@ -912,3 +912,28 @@ class TestQuantizeScales8bit:
         model = QuantizedModel({}, (layer,), {})
         q = quantize_scales_8bit(model, {"w": t})
         assert layer_delta(t, q.layers[0]) == pytest.approx(q.layers[0].delta, rel=1e-9)
+
+
+class TestRejectedInputs:
+    def test_unknown_layer_name(self):
+        layer = ternary_residual(Tensor("w", np.ones(8, dtype=np.float32)), 4, epsilon_sq=0.1)
+        model = QuantizedModel({}, (layer,), {})
+        assert model.layer("w") is layer
+        with pytest.raises(KeyError, match="'v'"):
+            model.layer("v")
+
+    def test_empty_tensor(self):
+        with pytest.raises(ValueError, match="cannot convert an empty tensor"):
+            ternary_residual(Tensor("w", np.zeros(0, dtype=np.float32)), 4, epsilon_sq=0.1)
+
+    def test_layer_delta_of_an_all_zero_source_is_zero(self):
+        zero = Tensor("w", np.zeros(8, dtype=np.float32))
+        assert layer_delta(zero, ternary_residual(zero, 4, epsilon_sq=0.1)) == 0.0
+
+    @pytest.mark.parametrize("budget", [{}, {"keep_levels": 4, "target_factor": 1.5}],
+                             ids=["neither", "both"])
+    def test_downgrade_needs_exactly_one_budget(self, budget):
+        layer = ternary_residual(Tensor("w", np.arange(8, dtype=np.float32)), 4,
+                                 epsilon_sq=0.001)
+        with pytest.raises(ValueError, match="exactly one of keep_levels or target_factor"):
+            downgrade(QuantizedModel({}, (layer,), {}), **budget)

@@ -751,3 +751,20 @@ class TestBudgetTightening:
             levels.append(model.num_levels)
         assert all(a > b for a, b in zip(finals, finals[1:]))
         assert all(a <= b for a, b in zip(levels, levels[1:]))
+
+
+@pytest.mark.parametrize("layer, weight, x, match", [
+    (LayerDecl("c", "conv2d", "c.w"), np.ones((2, 3, 3, 3)), np.ones((1, 2, 5, 5)),
+     r"'c': conv2d expects \(B,3,H,W\), got \(1, 2, 5, 5\)"),
+    (LayerDecl("c", "conv2d", "c.w"), np.ones((2, 3, 3, 3)), np.ones((1, 3, 2, 5)),
+     "'c': conv2d kernel larger than padded input"),
+    (LayerDecl("p", "maxpool", hyperparams={"window": 2}), None, np.ones((1, 3, 4)),
+     r"'p': pooling expects \(B,C,H,W\), got \(1, 3, 4\)"),
+    (LayerDecl("b", "bn_scale", "b.a"), np.ones(3), np.ones((1, 4, 2, 2)),
+     r"'b': bn_scale over 3 channels cannot apply to \(1, 4, 2, 2\)"),
+    (LayerDecl("s", "softmax"), None, np.ones((1, 4)), "'s': unknown layer kind 'softmax'"),
+], ids=["conv-channels", "conv-kernel", "pool-rank", "bn-channels", "unknown-kind"])
+def test_layer_shape_errors_name_the_layer(layer, weight, x, match):
+    weight = None if weight is None else weight.astype(np.float32)
+    with pytest.raises(ValueError, match=f"^layer {match}$"):
+        simulate.apply_layer(layer, weight, None, x.astype(np.float32))

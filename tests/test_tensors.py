@@ -439,3 +439,140 @@ def test_bytes_after_the_last_layer_are_a_format_error(tmp_path, extra):
     path.write_bytes(path.read_bytes() + extra)
     with pytest.raises(FormatError, match="layers end at"):
         load_quantized(path)
+
+
+def _one_layer_container(path) -> QuantizedModel:
+    """A 4x16 layer at N=16 whose third row is zero, so block 2 holds one
+    level with alpha 0 and no nonzero sign."""
+    data = np.random.default_rng(9).normal(size=(4, 16)).astype(np.float32)
+    data[2] = 0.0
+    model = QuantizedModel({}, (ternary_residual(Tensor("w", data), 16, epsilon_sq=0.05),), {})
+    save_quantized(model, path)
+    return model
+
+
+def _set_entry(key, value):
+    return lambda entry: entry.__setitem__(key, value)
+
+
+def _map_counts(convert):
+    return lambda entry: entry.__setitem__(
+        "levels_per_block", [convert(c) for c in entry["levels_per_block"]])
+
+
+# Each of these files loaded, coerced, before the reader checked the JSON
+# type of every index value.
+@pytest.mark.parametrize("edit", [
+    _set_entry("shape", [4.9, 16]), _set_entry("shape", ["4", "16"]),
+    _set_entry("shape", [4, 16, True]), _set_entry("shape", [True, 4, 16]),
+    _set_entry("shape", "4"), _set_entry("shape", {}),
+    _set_entry("N", "16"), _set_entry("N", 16.5), _set_entry("N", 16.0),
+    _set_entry("N", True),
+    _map_counts(str), _map_counts(float), _map_counts(lambda c: c + 0.5),
+    _map_counts(lambda c: True if c == 1 else c),
+    _set_entry("delta", "0.01"), _set_entry("delta", True), _set_entry("delta", None),
+    _set_entry("epsilon_sq", "0.05"), _set_entry("source_norm_sq", False),
+], ids=["shape-float", "shape-strings", "shape-true-last", "shape-true-first",
+        "shape-string", "shape-object", "N-string", "N-fraction", "N-float", "N-true",
+        "counts-strings", "counts-floats", "counts-fractions", "counts-true",
+        "delta-string", "delta-true", "delta-null", "epsilon_sq-string",
+        "source_norm_sq-false"])
+def test_an_index_value_of_the_wrong_json_type_is_a_format_error(tmp_path, edit):
+    path = tmp_path / "m.tq"
+    model = _one_layer_container(path)
+    assert 1 in model.layers[0].counts.tolist()  # the counts-true case changes a count
+
+    def on_index(index):
+        edit(index["layers"][0])
+        return index
+
+    rewrite_index(path, on_index)
+    with pytest.raises(FormatError, match="'w'"):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+
+
+def test_a_scale_with_a_sign_bit_is_a_format_error(tmp_path):
+    path = tmp_path / "m.tq"
+    model = _one_layer_container(path)
+    layer = model.layers[0]
+    row = int(layer.counts[:2].sum())  # block 2's only level
+    assert layer.alphas[row] == 0 and not layer.signs[row].any()
+    doc, encoded, blob = _split_container(path)
+    at = doc["layers"][0]["scale_offsets"][2]
+    damaged = bytearray(blob)
+    damaged[at:at + 4] = np.float32(-0.0).tobytes()
+    path.write_bytes(_container(encoded, bytes(damaged)))
+    with pytest.raises(FormatError, match="'w'.*sign bit"):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+
+
+def _json_type(value) -> str:
+    return {bool: "boolean", int: "number", float: "number", str: "string",
+            list: "array", dict: "object", type(None): "null"}[type(value)]
+
+
+def _same_models(a: QuantizedModel, b: QuantizedModel) -> bool:
+    return (a.manifest_doc, a.provenance) == (b.manifest_doc, b.provenance) and all(
+        (x.layer, x.shape, x.block_size, x.delta, x.epsilon_sq, x.source_norm_sq,
+         x.exhausted) == (y.layer, y.shape, y.block_size, y.delta, y.epsilon_sq,
+                          y.source_norm_sq, y.exhausted)
+        and all(np.array_equal(getattr(x, f), getattr(y, f))
+                for f in ("counts", "alphas", "signs"))
+        for x, y in zip(a.layers, b.layers, strict=True))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(0, 40), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 40), max_size=2))
+
+
+@given(layer=st.integers(0, 1),
+       key=st.sampled_from(["name", "shape", "N", "delta", "epsilon_sq", "source_norm_sq",
+                            "exhausted", "levels_per_block", "scale_offsets",
+                            "sign_offsets"]),
+       element=st.booleans(), at=st.integers(0, 10), value=_JSON_VALUES)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_an_index_value_swapped_for_another_json_type_loads_identically_or_fails(
+        tmp_path, layer, key, element, at, value):
+    path = tmp_path / "m.tq"
+    model = _two_layer_container(path)
+    old = _split_container(path)[0]["layers"][layer][key]
+    if element and isinstance(old, list):
+        at %= len(old)
+        old = old[at]
+    assume(_json_type(value) != _json_type(old))
+
+    def on_index(index):
+        entry = index["layers"][layer]
+        if element and isinstance(entry[key], list):
+            entry[key][at] = value
+        else:
+            entry[key] = value
+        return index
+
+    rewrite_index(path, on_index)
+    try:
+        back = load_quantized(path)
+    except FormatError:
+        return
+    assert _same_models(back, model)
+
+
+def test_npy_version_2_is_a_format_error(tmp_path):
+    path = tmp_path / "v2.npy"
+    with open(path, "wb") as fp:
+        np.lib.format.write_array(fp, np.ones(3, dtype="<f4"), version=(2, 0))
+    with pytest.raises(FormatError, match=r"unsupported NPY version \(2, 0\)"):
+        load_tensor(path)
+
+
+def test_malformed_npy_header_is_a_format_error(tmp_path):
+    header = b"{'descr': '<f4'}".ljust(117) + b"\n"
+    path = tmp_path / "bad.npy"
+    path.write_bytes(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header)
+    with pytest.raises(FormatError, match="malformed NPY header"):
+        load_tensor(path)

@@ -277,3 +277,8 @@ class TestTernaryLevelInvariants:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             TernaryLevel(-1.0, np.array([1], dtype=np.int8))
+
+
+def test_oracle_rejects_an_empty_vector():
+    with pytest.raises(ValueError, match="empty vector"):
+        oracle_best_support([])
