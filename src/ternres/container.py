@@ -135,8 +135,9 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLay
         raise FormatError(f"layer {name!r}: levels_per_block must hold {num_blocks} "
                           f"integer counts from 1 to the blob size")
     scale_offsets, sign_offsets, full_rows, end = _layout(counts, block_size, size, start)
-    if (entry["scale_offsets"] != scale_offsets.tolist()
-            or entry["sign_offsets"] != sign_offsets.tolist()):
+    offsets = entry["scale_offsets"], entry["sign_offsets"]
+    if not (all(map(are_ints, offsets))
+            and offsets == (scale_offsets.tolist(), sign_offsets.tolist())):
         raise FormatError(
             f"layer {name!r}: scale_offsets and sign_offsets differ from the v1 layout")
     if end > len(blob):

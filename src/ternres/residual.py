@@ -26,9 +26,13 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
   accept order is ``chain_order(-errs, live)``. A key exists while ``d + 1 <
   r_max`` and the block's errors are positive.
 - Rounds. Round d fits level d of every block whose chain is live at depth
-  d - 1, one ``ternarize_rows`` call per block length. The sorted keys hold
-  up to the first key at the last fitted depth; that prefix is final, and
-  the order picks up where it ends after the next round.
+  d - 1, one ``ternarize_rows`` call per chunk per block length. A chunk's
+  float64 ``(blocks, N)`` work arrays hold about ``CHUNK_BYTES``, and the
+  float32 source widens to float64 one chunk at a time (exactly). The kernel
+  and the per-row error product are row-wise, so the chunk size moves no
+  bit. The sorted keys hold up to the first key at the last fitted depth;
+  that prefix is final, and the order picks up where it ends after the
+  next round.
 - Exact deltas. The loop stores ``(np.sum(errs * errs) - errs[k] ** 2 +
   new ** 2) / ||W||^2`` per step. ``pairwise_version_sums`` replays numpy's
   pairwise summation (chains of at most 16 strided elements under spans of
@@ -54,6 +58,7 @@ from .ternary import ternarize_rows
 from .ternary import ternarize  # noqa: F401  (bench/workloads.py traces this name)
 
 DEFAULT_R_MAX = 16
+CHUNK_BYTES = 256 << 10  # a fit chunk's float64 (blocks, N) work arrays stay near this size
 _PW_SPAN = 128  # numpy sums at most this many elements without halving
 
 
@@ -343,15 +348,17 @@ def ternary_residual(
 
     flat = w.unrolled().astype(np.float64)
     total_sq = float(flat @ flat)
+    del flat
     full, tail = divmod(w.size, block_size)  # blocks of length N, then a ragged tail
     num_blocks = full + (tail > 0)
     width = min(block_size, w.size)
     every = np.arange(num_blocks)
+    step = max(1, CHUNK_BYTES // (8 * width))  # blocks per fit chunk
 
-    # Block-major state, zero-padded to full width for the ragged tail;
+    # Block-major float32 state, zero-padded to full width for the ragged tail;
     # ``recons`` is each block's reconstruction from the levels fitted so far.
-    target = np.zeros((num_blocks, width))
-    target.reshape(-1)[:w.size] = flat
+    target = np.zeros((num_blocks, width), dtype=np.float32)
+    target.reshape(-1)[:w.size] = w.unrolled()
     recons = np.zeros((num_blocks, width), dtype=np.float32)
     # errs[k, d] is block k's residual norm after its levels 0..d, alphas[k, d]
     # the scale of its level d and signs[d][k] its sign row, once fitted.
@@ -360,23 +367,25 @@ def ternary_residual(
     signs = []
 
     def fit(ks: np.ndarray) -> None:
-        """Fit level ``len(signs)`` of ascending blocks ``ks``, one kernel call per length."""
+        """Fit level ``len(signs)`` of ascending blocks ``ks``, one kernel call per
+        chunk of at most ``step`` blocks of one length."""
         depth = len(signs)
         signs.append(np.zeros((num_blocks, width), dtype=np.int8))
         split = np.searchsorted(ks, full)
         for part, n in ((ks[:split], block_size), (ks[split:], tail)):
-            if part.size == 0:
-                continue
-            recon = recons[part, :n]
-            alpha, s, _ = ternarize_rows(target[part, :n] - recon.astype(np.float64))
-            new_recon = recon + alpha.astype(np.float32)[:, None] * s.astype(np.float32)
-            diff = target[part, :n] - new_recon.astype(np.float64)
-            # Stacked 1xn @ nx1 products sum each row exactly as ``diff @ diff``.
-            errs[part, depth] = np.sqrt(
-                np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-            alphas[part, depth] = alpha
-            signs[depth][part, :n] = s
-            recons[part, :n] = new_recon
+            for at in range(0, part.size, step):
+                c = part[at:at + step]
+                source = target[c, :n].astype(np.float64)  # exact: a float32 widens
+                recon = recons[c, :n]
+                alpha, s, _ = ternarize_rows(source - recon.astype(np.float64))
+                new_recon = recon + alpha.astype(np.float32)[:, None] * s.astype(np.float32)
+                diff = source - new_recon.astype(np.float64)
+                # Stacked 1xn @ nx1 products sum each row exactly as ``diff @ diff``.
+                errs[c, depth] = np.sqrt(
+                    np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+                alphas[c, depth] = alpha
+                signs[depth][c, :n] = s
+                recons[c, :n] = new_recon
 
     fit(every)
     counts = np.ones(num_blocks, dtype=np.int64)
@@ -426,6 +435,7 @@ def ternary_residual(
             break
         fit(np.flatnonzero(live[:, -1]))  # every block whose chain is live
 
+    del target, recons  # freed before the gather below stacks the sign rows
     # Keep the accepted levels, block-major with each block's base level first.
     owner, level = level_index(counts)
     blocks, e_before, after = (np.concatenate(part) for part in zip(

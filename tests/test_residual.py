@@ -490,6 +490,88 @@ class TestTernaryResidual:
         assert lines[0] == "iteration,layer,block,E_k_before,delta_after"
         assert len(lines) == 1 + len(layer.trace)
 
+    def test_conversion_peak_memory_stays_bounded(self):
+        # The source stays float32 and widens one chunk at a time, so the peak
+        # reads about 7.7x; a float64 copy and whole-round temporaries read 21x.
+        t = Tensor("w", np.random.default_rng(17).normal(size=(512, 512)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            ternary_residual(t, 64, epsilon=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 4 * t.size
+
+
+def conversion_bytes(t, block_size, eps_sq, r_max):
+    """Every output of one conversion as bytes, or its ConvergenceError."""
+    try:
+        layer = ternary_residual(t, block_size, epsilon_sq=eps_sq, r_max=r_max)
+    except ConvergenceError as exc:
+        return ("ConvergenceError", str(exc), np.float64(exc.delta).tobytes())
+    return (layer.counts.tobytes(), layer.alphas.tobytes(), layer.signs.tobytes(),
+            np.array(layer.delta_sequence).tobytes(), layer.trace.blocks.tobytes(),
+            layer.trace.e_before.tobytes(), layer.trace.delta_after.tobytes(),
+            np.float64(layer.delta).tobytes(), layer.exhausted)
+
+
+CHUNK_CASES = {
+    "ragged-tail": (random_tensor(np.random.default_rng(60), 1000), 64, 0.005, 16),
+    "no-tail": (random_tensor(np.random.default_rng(61), 1024), 16, 0.001, 16),
+    "tail-only": (random_tensor(np.random.default_rng(62), 40), 64, 0.001, 16),
+    "r_max-capped": (Tensor("w", np.random.default_rng(45).standard_t(2, size=3000)
+                            .astype(np.float32)), 7, 0.003, 3),
+    "convergence-error": (random_tensor(np.random.default_rng(3), 512), 64, 1e-12, 2),
+    "exhausted": (stalling_tensor(np.random.default_rng(0)), 8, 1e-30, 16),
+}
+
+
+class TestChunkedFit:
+    """A round fitted in chunks of ``CHUNK_BYTES`` gives the one-chunk result
+    byte for byte, wherever the chunk boundaries fall."""
+
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_every_chunk_size_matches_one_chunk(self, monkeypatch, case):
+        t, block_size, eps_sq, r_max = CHUNK_CASES[case]
+        monkeypatch.setattr(residual, "CHUNK_BYTES", 1 << 40)
+        want = conversion_bytes(t, block_size, eps_sq, r_max)
+        if case == "convergence-error":
+            assert want[0] == "ConvergenceError"
+        if case == "exhausted":
+            assert want[-1] is True
+        if case == "r_max-capped":
+            assert max(np.frombuffer(want[0], dtype=np.int32)) == r_max
+        k = -(-t.size // block_size)
+        width = min(block_size, t.size)
+        for rows in (1, k - 1, k, k + 1):
+            monkeypatch.setattr(residual, "CHUNK_BYTES", max(rows, 1) * 8 * width)
+            assert conversion_bytes(t, block_size, eps_sq, r_max) == want
+
+    @pytest.mark.parametrize("rows", [1, 3, 15, 16, 17])
+    def test_kernel_calls_hold_at_most_one_chunk_of_one_length(self, monkeypatch, rows):
+        # 15 blocks of 64 and a tail of 40: the tail is always a call of its own.
+        t, block_size, eps_sq, r_max = CHUNK_CASES["ragged-tail"]
+
+        def kernel_calls(chunk_bytes):
+            calls = []
+
+            def spy(x):
+                calls.append(x.shape)
+                return ternarize_rows(x)
+
+            monkeypatch.setattr(residual, "ternarize_rows", spy)
+            monkeypatch.setattr(residual, "CHUNK_BYTES", chunk_bytes)
+            ternary_residual(t, block_size, epsilon_sq=eps_sq, r_max=r_max)
+            return calls
+
+        whole = kernel_calls(1 << 40)
+        calls = kernel_calls(rows * 8 * block_size)
+        assert whole[:2] == [(15, 64), (1, 40)]
+        assert calls[0] == (min(rows, 15), 64)
+        assert all(b <= rows and n == 64 or (b, n) == (1, 40) for b, n in calls)
+        assert calls.count((1, 40)) == whole.count((1, 40))
+        assert sum(b for b, _ in calls) == sum(b for b, _ in whole)
+
 
 class TestReconstruct:
     def test_alpha_zero_reconstructs_zeros(self):

@@ -397,6 +397,28 @@ def test_a_file_off_the_v1_layout_is_a_format_error(tmp_path, damage, match):
     assert main(["stats", str(path)]) == 1
 
 
+def _offset_as(key, i, kind):
+    def edit(l0, l1):
+        assert kind(l0[key][i]) == l0[key][i]
+        l0[key][i] = kind(l0[key][i])
+    return edit
+
+
+# Each of these equals the v1 offset under Python's ``==``, so it loaded.
+@pytest.mark.parametrize("damage", [
+    _edit_layers(_offset_as("scale_offsets", 0, bool)),
+    _edit_layers(_offset_as("scale_offsets", 1, float)),
+    _edit_layers(_offset_as("sign_offsets", 0, float)),
+], ids=["false for scale offset 0", "float scale offset", "float sign offset"])
+def test_an_offset_that_is_not_an_integer_is_a_format_error(tmp_path, damage):
+    path = tmp_path / "m.tq"
+    _two_layer_container(path)
+    damage(path)
+    with pytest.raises(FormatError, match="'l0'.*v1 layout"):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+
+
 def test_a_reserved_code_in_a_tail_row_is_a_format_error(tmp_path):
     path = tmp_path / "m.tq"
     _two_layer_container(path)
