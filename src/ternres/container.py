@@ -2,16 +2,18 @@
 
 One file holds a little magic header, a JSON index and a binary blob. Per
 layer the blob holds the layer's ``alphas`` as consecutive little-endian
-float32 values, then its sign rows, 2 bits per weight in two bit planes: bit
-0 set for plus one, bit 1 for minus one, both set reserved and rejected on
-read. numpy packs them in its little bit order, so weight i of a row holds
-bits ``2*(i%4)`` and ``2*(i%4)+1`` of the row's byte ``i//4``; each row is
-padded to whole bytes, and padding bits are ignored on read. Both sections are
-block-major, each block's base level first, and each layer starts where the
-previous one ends. The index stores each block's level count and the blob
-offsets of its scales and sign rows, which must be the ones ``_layout``
-derives from the counts; no byte may follow the last layer. Writing is
-fully deterministic: identical models produce identical bytes.
+float32 values, then its sign rows at 2 bits per weight: weight i of a row
+owns bits ``2*(i%4)`` (set for plus one) and ``2*(i%4)+1`` (set for minus
+one) of the row's byte ``i//4``; both set is the reserved code ``0b11``,
+rejected on read. Each row is padded to whole bytes, and padding bits are
+ignored on read. The reader decodes a packed byte at a time through
+``_DECODE``, whose 256 words hold the four int8 signs of every byte value,
+and checks the payload on the packed bytes. Both sections are block-major,
+each block's base level first, and each layer starts where the previous one
+ends. The index stores each block's level count and the blob offsets of its
+scales and sign rows, which must be the ones ``_layout`` derives from the
+counts; no byte may follow the last layer. Writing is fully deterministic:
+identical models produce identical bytes.
 """
 
 from __future__ import annotations
@@ -38,8 +40,45 @@ def pack_signs(signs: np.ndarray) -> bytes:
     """
     signs = np.asarray(signs, dtype=np.int8)
     *rows, n = signs.shape
-    planes = np.stack((signs == 1, signs == -1), axis=-1).reshape(*rows, 2 * n)
-    return np.packbits(planes, axis=-1, bitorder="little").tobytes()
+    # One little-endian word per output byte, weight j of it in byte j.
+    words = np.zeros((*rows, (n + 3) // 4), "<u4")
+    words.view(np.int8)[..., :n] = signs
+    # Byte j becomes its 2-bit code: 1 (0x01) stays 0b01, -1 (0xFF) turns 0b10.
+    code = words >> 1
+    code &= 0x01010101
+    words &= 0x03030303
+    code ^= words
+    # Move the code of byte j to bits 2j and 2j+1 of the low byte.
+    code |= code >> 6
+    code |= code >> 12
+    return code.astype(np.uint8).tobytes()
+
+
+# Word b holds the four int8 signs of packed byte b, weight 0 in its lowest
+# byte; the reserved code decodes to 0 but never gets past _checked_rows.
+_DECODE = np.array([0, 1, -1, 0], np.int8)[
+    (np.arange(256)[:, None] >> np.arange(0, 8, 2)) & 3].view("<i4").ravel()
+
+
+def _checked_rows(packed: np.ndarray, length: int) -> np.ndarray:
+    """Packed rows of ``length`` weights with their padding bits cleared;
+    raises ``FormatError`` on the reserved code."""
+    if length % 4:
+        mask = np.full(packed.shape[-1], 0xFF, np.uint8)
+        mask[-1] >>= 8 - 2 * (length % 4)
+        packed = packed & mask
+    if np.any(packed & (packed >> 1) & 0x55):
+        raise FormatError("sign payload uses the reserved code 0b11")
+    return packed
+
+
+def _decode_into(out: np.ndarray, packed: np.ndarray) -> None:
+    """Write the signs of checked packed rows into the int8 rows ``out``."""
+    if out.shape[-1] % 4 == 0 and out.flags.c_contiguous:
+        # A uint8 index never wraps; mode="raise" would buffer ``out``.
+        np.take(_DECODE, packed, out=out.view("<i4"), mode="wrap")
+    else:
+        out[...] = np.take(_DECODE, packed, mode="wrap").view(np.int8)[..., :out.shape[-1]]
 
 
 def unpack_signs(payload, length: int) -> np.ndarray:
@@ -54,11 +93,9 @@ def unpack_signs(payload, length: int) -> np.ndarray:
         raise FormatError(
             f"sign payload holds {packed.shape[-1]} bytes, expected {(length + 3) // 4}"
         )
-    bits = np.unpackbits(packed, axis=-1, count=2 * length, bitorder="little").view(np.int8)
-    plus, minus = bits[..., 0::2], bits[..., 1::2]
-    if np.any(plus & minus):
-        raise FormatError("sign payload uses the reserved code 0b11")
-    return plus - minus
+    signs = np.empty(packed.shape[:-1] + (length,), np.int8)
+    _decode_into(signs, _checked_rows(packed, length))
+    return signs
 
 
 def _layout(counts, block_size: int, size: int, start: int):
@@ -144,16 +181,19 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLay
         raise FormatError(f"layer {name!r}: truncated payload")
 
     num_levels = int(counts.sum())
-    alphas = blob[start:start + 4 * num_levels].view("<f4")
-    packed = blob[start + 4 * num_levels:end]
-    split = full_rows * ((block_size + 3) // 4)
+    signs_at = start + 4 * num_levels
+    alphas = blob[start:signs_at].view("<f4")
     signs = np.zeros((num_levels, min(block_size, size)), dtype=np.int8)
-    for rows, n, part in ((slice(None, full_rows), block_size, packed[:split]),
-                          (slice(full_rows, None), size % block_size, packed[split:])):
+    nonzero = np.zeros(num_levels, dtype=bool)
+    split = signs_at + full_rows * ((block_size + 3) // 4)
+    for rows, n, part in ((slice(None, full_rows), block_size, blob[signs_at:split]),
+                          (slice(full_rows, None), size % block_size, blob[split:end])):
         if part.size:
-            signs[rows, :n] = unpack_signs(part.reshape(-1, (n + 3) // 4), n)
+            packed = _checked_rows(part.reshape(-1, (n + 3) // 4), n)
+            nonzero[rows] = packed.any(axis=1)
+            _decode_into(signs[rows, :n], packed)
     if not np.all(np.isfinite(alphas) & ~np.signbit(alphas)) or np.any(
-            (alphas == 0) == signs.any(axis=1)):
+            (alphas == 0) == nonzero):
         raise FormatError(
             f"layer {name!r}: inconsistent level (alpha must be finite with no sign "
             f"bit, and zero exactly when all signs are zero)")

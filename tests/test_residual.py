@@ -2,6 +2,7 @@
 
 import heapq
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ternres.residual import (
     TraceRow,
     block_sensitivity,
     chain_order,
+    fixed_point_exponent,
     layer_delta,
     level_index,
     pairwise_version_sums,
@@ -994,6 +996,19 @@ class TestQuantizeScales8bit:
         model = QuantizedModel({}, (layer,), {})
         q = quantize_scales_8bit(model, {"w": t})
         assert layer_delta(t, q.layers[0]) == pytest.approx(q.layers[0].delta, rel=1e-9)
+
+    def test_fixed_point_exponent_at_the_grid_boundaries(self):
+        # Each peak 127 * 2^k of the float32 range and its two float
+        # neighbours; the exponent is checked in exact rational arithmetic.
+        undershot = 0
+        for k in range(-140, 120):
+            at = 127.0 * 2.0 ** k
+            for peak in (np.nextafter(at, 0.0), at, np.nextafter(at, np.inf)):
+                e = fixed_point_exponent(float(peak))
+                assert 127 * Fraction(2) ** (e - 1) < Fraction(peak) <= 127 * Fraction(2) ** e
+                undershot += int(np.ceil(np.log2(peak / 127.0))) < e
+        # Just above a boundary log2 rounds down to k, so the guard adds one.
+        assert undershot > 0
 
 
 class TestRejectedInputs:

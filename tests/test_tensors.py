@@ -186,6 +186,40 @@ def _reference_pack(rows) -> bytes:
     return bytes(out)
 
 
+def _reference_unpack(matrix, length):
+    """The v1 sign code read one weight at a time, or None when a weight
+    holds the reserved code ``0b11``; padding bits are never read."""
+    rows = np.zeros((len(matrix), length), dtype=np.int8)
+    for r, packed in enumerate(matrix):
+        for i in range(length):
+            code = (int(packed[i // 4]) >> 2 * (i % 4)) & 0b11
+            if code == 0b11:
+                return None
+            rows[r, i] = {0b00: 0, 0b01: 1, 0b10: -1}[code]
+    return rows
+
+
+# Bytes with no reserved code are drawn as often as arbitrary ones, so that
+# matrices that decode are common too, long ones included.
+_CLEAN_BYTES = [b for b in range(256) if not b & (b >> 1) & 0x55]
+
+
+@given(st.integers(1, 70).flatmap(lambda length: st.tuples(st.just(length), hnp.arrays(
+    np.uint8, st.tuples(st.integers(0, 70), st.just((length + 3) // 4)),
+    elements=st.one_of(st.sampled_from(_CLEAN_BYTES), st.integers(0, 255))))))
+@settings(max_examples=300, deadline=None)
+def test_unpack_matches_the_per_weight_reference_on_any_bytes(case):
+    length, matrix = case
+    expected = _reference_unpack(matrix, length)
+    if expected is None:
+        with pytest.raises(FormatError, match="reserved"):
+            unpack_signs(matrix, length)
+    else:
+        assert np.array_equal(unpack_signs(matrix, length), expected)
+        if len(matrix):
+            assert np.array_equal(unpack_signs(matrix[0].tobytes(), length), expected[0])
+
+
 def _random_model(rng, layer_sizes, block=16) -> tuple[QuantizedModel, dict]:
     layers = []
     tensors = {}
@@ -429,6 +463,53 @@ def test_a_reserved_code_in_a_tail_row_is_a_format_error(tmp_path):
     damaged[at] |= 0b11 << 4
     path.write_bytes(_container(encoded, bytes(damaged)))
     with pytest.raises(FormatError, match="reserved"):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+
+
+def _n7_container(path) -> QuantizedModel:
+    """Two N=7 layers with ragged tails: 100 = 14*7 + 2 and 40 = 5*7 + 5."""
+    model, _ = _random_model(np.random.default_rng(10), [100, 40], block=7)
+    save_quantized(model, path)
+    return model
+
+
+def _sign_rows(entry):
+    """(blob offset, bytes, padding bits of the last byte) of each sign row
+    of a layer entry, block by block."""
+    size, block = int(np.prod(entry["shape"])), entry["N"]
+    for b, (at, count) in enumerate(zip(entry["sign_offsets"], entry["levels_per_block"])):
+        n = min(block, size - b * block)
+        for j in range(count):
+            yield at + j * ((n + 3) // 4), (n + 3) // 4, (0xFF << 2 * (n % 4)) & 0xFF
+
+
+def test_set_padding_bits_in_a_container_are_ignored(tmp_path):
+    path = tmp_path / "m.tq"
+    model = _n7_container(path)
+    doc, encoded, blob = _split_container(path)
+    damaged = bytearray(blob)
+    for entry in doc["layers"]:
+        for at, width, padding in _sign_rows(entry):
+            damaged[at + width - 1] |= padding
+    assert damaged != blob
+    path.write_bytes(_container(encoded, bytes(damaged)))
+    assert _same_models(load_quantized(path), model)
+
+
+@pytest.mark.parametrize("block", [0, -1], ids=["full block", "tail block"])
+def test_a_scaled_row_with_only_padding_bits_set_is_a_format_error(tmp_path, block):
+    path = tmp_path / "m.tq"
+    model = _n7_container(path)
+    doc, encoded, blob = _split_container(path)
+    # The base level of layer l0's first block, or of its 2-weight tail block.
+    level = model.layers[0].level_starts()[block]
+    assert model.layers[0].alphas[level] != 0
+    at, width, padding = list(_sign_rows(doc["layers"][0]))[level]
+    damaged = bytearray(blob)
+    damaged[at:at + width] = bytes(width - 1) + bytes([padding])
+    path.write_bytes(_container(encoded, bytes(damaged)))
+    with pytest.raises(FormatError, match="'l0'.*zero exactly when all signs are zero"):
         load_quantized(path)
     assert main(["stats", str(path)]) == 1
 
