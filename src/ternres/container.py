@@ -30,28 +30,39 @@ from .residual import QuantizedLayer, QuantizedModel
 
 MAGIC = b"TRQ0"
 FORMAT_VERSION = 1
+CHUNK_BYTES = 256 << 10  # pack_signs' uint32 work words stay near this size
 
 
 def pack_signs(signs: np.ndarray) -> bytes:
     """Pack {-1,0,+1} rows, 4 weights per byte, first weight in low bits.
 
     ``signs`` is one vector or an ``(L, n)`` matrix; each row is padded to
-    whole bytes and the packed rows follow each other.
+    whole bytes and the packed rows follow each other. Rows are packed in
+    chunks whose uint32 work words hold about ``CHUNK_BYTES``.
     """
     signs = np.asarray(signs, dtype=np.int8)
-    *rows, n = signs.shape
-    # One little-endian word per output byte, weight j of it in byte j.
-    words = np.zeros((*rows, (n + 3) // 4), "<u4")
-    words.view(np.int8)[..., :n] = signs
-    # Byte j becomes its 2-bit code: 1 (0x01) stays 0b01, -1 (0xFF) turns 0b10.
-    code = words >> 1
-    code &= 0x01010101
-    words &= 0x03030303
-    code ^= words
-    # Move the code of byte j to bits 2j and 2j+1 of the low byte.
-    code |= code >> 6
-    code |= code >> 12
-    return code.astype(np.uint8).tobytes()
+    n = signs.shape[-1]
+    signs = signs.reshape(math.prod(signs.shape[:-1]), n)
+    out = np.empty((len(signs), (n + 3) // 4), np.uint8)
+    step = max(1, CHUNK_BYTES // max(1, 4 * out.shape[1]))
+    # One little-endian word per output byte, weight j of it in byte j; the
+    # padding bytes of each word stay zero from here on.
+    words = np.zeros((min(step, len(signs)), out.shape[1]), "<u4")
+    code = np.empty_like(words)
+    for at in range(0, len(signs), step):
+        rows = signs[at:at + step]
+        w, c = words[:len(rows)], code[:len(rows)]
+        w.view(np.int8)[:, :n] = rows
+        # Byte j becomes its 2-bit code: 1 (0x01) stays 0b01, -1 (0xFF) turns 0b10.
+        np.right_shift(w, 1, out=c)
+        c &= 0x01010101
+        w &= 0x03030303
+        c ^= w
+        # Move the code of byte j to bits 2j and 2j+1 of the low byte.
+        c |= c >> 6
+        c |= c >> 12
+        out[at:at + len(rows)] = c
+    return out.tobytes()
 
 
 # Word b holds the four int8 signs of packed byte b, weight 0 in its lowest
@@ -70,6 +81,18 @@ def _checked_rows(packed: np.ndarray, length: int) -> np.ndarray:
     if np.any(packed & (packed >> 1) & 0x55):
         raise FormatError("sign payload uses the reserved code 0b11")
     return packed
+
+
+def _nonzero_rows(packed: np.ndarray) -> np.ndarray:
+    """Whether each packed row has a set bit. Rows of whole uint64 words are
+    ORed one word column at a time, since numpy reduces short rows slowly."""
+    if packed.shape[-1] % 8 or not packed.flags.c_contiguous:
+        return packed.any(axis=1)
+    words = packed.view("<u8")
+    acc = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        acc |= words[:, j]
+    return acc != 0
 
 
 def _decode_into(out: np.ndarray, packed: np.ndarray) -> None:
@@ -190,7 +213,7 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLay
                           (slice(full_rows, None), size % block_size, blob[split:end])):
         if part.size:
             packed = _checked_rows(part.reshape(-1, (n + 3) // 4), n)
-            nonzero[rows] = packed.any(axis=1)
+            nonzero[rows] = _nonzero_rows(packed)
             _decode_into(signs[rows, :n], packed)
     if not np.all(np.isfinite(alphas) & ~np.signbit(alphas)) or np.any(
             (alphas == 0) == nonzero):

@@ -25,14 +25,27 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
   lowest block), which is a heap over each block's chain of errors, so the
   accept order is ``chain_order(-errs, live)``. A key exists while ``d + 1 <
   r_max`` and the block's errors are positive.
-- Rounds. Round d fits level d of every block whose chain is live at depth
-  d - 1, one ``ternarize_rows`` call per chunk per block length. A chunk's
-  float64 ``(blocks, N)`` work arrays hold about ``CHUNK_BYTES``, and the
-  float32 source widens to float64 one chunk at a time (exactly). The kernel
-  and the per-row error product are row-wise, so the chunk size moves no
-  bit. The sorted keys hold up to the first key at the last fitted depth;
-  that prefix is final, and the order picks up where it ends after the
-  next round.
+- Rounds. Key (k, d) can be sorted once level d of block k is fitted, and
+  taken once level d + 1 is too. The sortable keys not yet taken, in order,
+  hold up to the first key whose next level is not fitted; that prefix is
+  final (a key not yet sortable sorts after its block's last sortable one),
+  and the merge takes it. Then one round fits the next level of the blocks
+  that the rest of the order can reach before ``delta <= epsilon^2``. Walking
+  on from the prefix, a fitted key lowers ``delta`` by its exact drop
+  ``old^2 - new^2`` and an unfitted one by at least ``l1^2 / n`` (``l1`` the
+  norm of its residual of length n): keeping every nonzero entry at its mean
+  magnitude is one of the cuts the kernel scans. The round fits the unfitted
+  keys up to where that estimate meets the tolerance; ``L1_DROP_SAFETY``
+  scales the bound. The estimate only saves work, it decides no result: a
+  block the merge reaches unfitted is fitted in the next round (a top-up),
+  so each block has its own fitted depth. Round 0 fits every block.
+- Chunks. A round makes one ``ternarize_rows`` call per chunk per block
+  length. A chunk's float64 ``(blocks, N)`` work arrays hold about
+  ``CHUNK_BYTES``, and the float32 source widens to float64 one chunk at a
+  time (exactly). The kernel and the per-row error product are row-wise, so
+  neither the chunks nor the rounds a block is fitted in move a bit. Only
+  fitted levels are stored: sign rows one round at a time, errors and
+  scales one column per fitted depth.
 - Exact deltas. The loop stores ``(np.sum(errs * errs) - errs[k] ** 2 +
   new ** 2) / ||W||^2`` per step. ``pairwise_version_sums`` replays numpy's
   pairwise summation (chains of at most 16 strided elements under spans of
@@ -59,6 +72,10 @@ from .ternary import ternarize  # noqa: F401  (bench/workloads.py traces this na
 
 DEFAULT_R_MAX = 16
 CHUNK_BYTES = 256 << 10  # a fit chunk's float64 (blocks, N) work arrays stay near this size
+# A round counts on an unfitted level lowering its block's squared error by
+# this share of ``l1^2 / n``: below 1 it fits further ahead, above 1 it leaves
+# more blocks to top-ups. No result depends on it.
+L1_DROP_SAFETY = 1.0
 _PW_SPAN = 128  # numpy sums at most this many elements without halving
 
 
@@ -273,9 +290,11 @@ def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray,
     sibling[kids[:, 0]], sibling[kids[:, 1]] = kids[:, 1], kids[:, 0]
 
     # Each updated chain from its elements' latest values: updates grouped
-    # by chain in order, each column's latest writer by a running max.
+    # by chain in order, each column's latest writer by a running max. (A
+    # group in order is one sort of the unique keys ``group * m + update``,
+    # which numpy runs several times faster than a stable sort of the groups.)
     node = chain_of[pos]
-    order = np.argsort(node, kind="stable")
+    order = np.argsort(node * m + np.arange(m))
     writer = np.full((m, table.shape[1]), -1)
     writer[np.arange(m), col_of[pos[order]]] = np.arange(m)
     np.maximum.accumulate(writer, axis=0, out=writer)
@@ -288,7 +307,7 @@ def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray,
     for t in range(int(depth[node].max()), 0, -1):
         at = np.flatnonzero(depth[node] == t)
         here = node[at]
-        order = np.argsort(parent[here], kind="stable")
+        order = np.argsort(parent[here] * m + at)
         at, here = at[order], here[order]
         up = parent[here]
         left = kids[up - c, 0] == here
@@ -311,10 +330,11 @@ def chain_order(keys: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndar
     and once they have left, it leaves as soon as its row's largest key so far
     is the smallest in the heap: a key that does not rise is popped at once,
     since ``(key, r)`` is then at most the entry just popped. So the pop order
-    is one sort by (the row's running max of keys, row, column).
+    is one sort by (the row's running max of keys, row, column): a stable sort
+    by the running max, since ``np.nonzero`` lists entries by row, then column.
     """
     rows, cols = np.nonzero(live)
-    order = np.lexsort((cols, rows, np.maximum.accumulate(keys, axis=1)[rows, cols]))
+    order = np.argsort(np.maximum.accumulate(keys, axis=1)[rows, cols], kind="stable")
     return rows[order], cols[order]
 
 
@@ -360,32 +380,46 @@ def ternary_residual(
     target = np.zeros((num_blocks, width), dtype=np.float32)
     target.reshape(-1)[:w.size] = w.unrolled()
     recons = np.zeros((num_blocks, width), dtype=np.float32)
-    # errs[k, d] is block k's residual norm after its levels 0..d, alphas[k, d]
-    # the scale of its level d and signs[d][k] its sign row, once fitted.
-    errs = np.zeros((num_blocks, r_max))
-    alphas = np.zeros((num_blocks, r_max))
-    signs = []
+    # Block k has ``fitted[k]`` levels fitted. errs[k, d] is its residual norm
+    # after levels 0..d (0 until fitted), alphas[k, d] the scale of level d and
+    # sign_rows[k, d] the row of its signs in the rounds' ``pieces``, a column per
+    # fitted depth; ``l1[k]`` is the l1 norm of its last residual.
+    fitted = np.zeros(num_blocks, dtype=np.int64)
+    errs = np.zeros((num_blocks, 0))
+    alphas = np.zeros((num_blocks, 0))
+    sign_rows = np.zeros((num_blocks, 0), dtype=np.int64)
+    l1 = np.zeros(num_blocks)
+    pieces = []
 
     def fit(ks: np.ndarray) -> None:
-        """Fit level ``len(signs)`` of ascending blocks ``ks``, one kernel call per
-        chunk of at most ``step`` blocks of one length."""
-        depth = len(signs)
-        signs.append(np.zeros((num_blocks, width), dtype=np.int8))
+        """Fit the next level of each of the ascending blocks ``ks``, one kernel
+        call per chunk of at most ``step`` blocks of one length."""
+        nonlocal errs, alphas, sign_rows
+        if fitted[ks].max() == errs.shape[1]:  # a column for the new depth
+            errs, alphas, sign_rows = (np.hstack([a, np.zeros((num_blocks, 1), a.dtype)])
+                                       for a in (errs, alphas, sign_rows))
+        piece = np.zeros((len(ks), width), dtype=np.int8)
+        sign_rows[ks, fitted[ks]] = sum(map(len, pieces)) + np.arange(len(ks))
         split = np.searchsorted(ks, full)
-        for part, n in ((ks[:split], block_size), (ks[split:], tail)):
+        for first, part, n in ((0, ks[:split], block_size), (split, ks[split:], tail)):
             for at in range(0, part.size, step):
                 c = part[at:at + step]
+                d = fitted[c]
                 source = target[c, :n].astype(np.float64)  # exact: a float32 widens
                 recon = recons[c, :n]
                 alpha, s, _ = ternarize_rows(source - recon.astype(np.float64))
                 new_recon = recon + alpha.astype(np.float32)[:, None] * s.astype(np.float32)
                 diff = source - new_recon.astype(np.float64)
                 # Stacked 1xn @ nx1 products sum each row exactly as ``diff @ diff``.
-                errs[c, depth] = np.sqrt(
+                errs[c, d] = np.sqrt(
                     np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-                alphas[c, depth] = alpha
-                signs[depth][c, :n] = s
+                # Only the reach of a round reads l1, so its summation order is free.
+                l1[c] = np.abs(diff, out=diff) @ np.ones(n)
+                alphas[c, d] = alpha
+                piece[first + at:first + at + len(c), :n] = s
                 recons[c, :n] = new_recon
+        pieces.append(piece)
+        fitted[ks] += 1
 
     fit(every)
     counts = np.ones(num_blocks, dtype=np.int64)
@@ -396,20 +430,18 @@ def ternary_residual(
     steps = []  # (blocks, errors before, deltas after) of the accepted levels
     exhausted = False
     tree = _pairwise_tree(num_blocks)  # the order of every ``np.sum(errs * errs)``
-    done = 0  # levels accepted past the base ones: a prefix of the key order
 
     while delta > eps_sq:
-        # Every fitted key in the loop's order, which holds up to the first key
-        # at the last fitted depth (its next level is not fitted yet).
-        depth = len(signs)
-        cols = np.arange(depth)
-        ok = (errs[:, :depth] > 0.0) & ((alphas[:, :depth] != 0.0) | (cols == 0))
+        # The keys not yet accepted in the loop's order, up to the first key
+        # whose next level is not fitted yet.
+        cols = np.arange(errs.shape[1])
+        ok = (errs > 0.0) & ((alphas != 0.0) | (cols == 0))
         live = np.logical_and.accumulate(ok, axis=1) & (cols + 1 < r_max)
-        kb, kd = chain_order(-errs[:, :depth], live)
-        unfitted = kd == depth - 1
+        kb, kd = chain_order(-errs, live & (cols + 1 >= counts[:, None]))
+        unfitted = kd + 1 == fitted[kb]
         stop = int(np.argmax(unfitted)) if unfitted.any() else len(kb)
 
-        b, d = kb[done:stop], kd[done:stop]
+        b, d = kb[:stop], kd[:stop]
         if len(b):
             old, new, alpha = errs[b, d], errs[b, d + 1], alphas[b, d + 1]
             sums = pairwise_version_sums(current * current, b[:-1], (new * new)[:-1], tree)
@@ -424,7 +456,6 @@ def ternary_residual(
                 exhausted = delta > eps_sq  # a zero alpha, or delta stalled
                 break
             delta = float(after[-1])
-            done = stop
         current = errs[every, counts - 1]
         if delta <= eps_sq:
             break
@@ -433,16 +464,26 @@ def ternary_residual(
                 raise ConvergenceError(w.name, delta, eps_sq, r_max)
             exhausted = True  # every residual is exactly zero yet delta > eps^2
             break
-        fit(np.flatnonzero(live[:, -1]))  # every block whose chain is live
+        # One round: fit the unfitted keys the order can reach before delta
+        # meets the tolerance, a fitted key lowering it by its exact drop and
+        # an unfitted one by at least ``l1^2 / n``.
+        b, d, unfit = kb[stop:], kd[stop:], unfitted[stop:]
+        drop = L1_DROP_SAFETY * l1[b] ** 2 / np.where(b < full, block_size, tail)
+        sure = ~unfit
+        drop[sure] = errs[b[sure], d[sure]] ** 2 - errs[b[sure], d[sure] + 1] ** 2
+        crossed = delta * total_sq - np.cumsum(drop) <= eps_sq * total_sq
+        reach = int(np.argmax(crossed)) + 1 if crossed.any() else len(b)
+        fit(np.sort(b[:reach][unfit[:reach]]))
 
-    del target, recons  # freed before the gather below stacks the sign rows
+    del target, recons  # freed before the gather below
     # Keep the accepted levels, block-major with each block's base level first.
     owner, level = level_index(counts)
     blocks, e_before, after = (np.concatenate(part) for part in zip(
         (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)), *steps))
+    signs = np.concatenate(pieces)[sign_rows[owner, level]]
     return QuantizedLayer(
         w.name, w.shape, block_size, counts.astype(np.int32),
-        alphas[owner, level].astype(np.float32), np.stack(signs)[level, owner],
+        alphas[owner, level].astype(np.float32), signs,
         delta, eps_sq, total_sq, exhausted=exhausted,
         trace=Trace(w.name, blocks, e_before, after),
         delta_sequence=tuple(np.concatenate([[delta0], after]).tolist()),

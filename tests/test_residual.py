@@ -315,11 +315,12 @@ class TestTernaryResidual:
         assert info.value.r_max == 2
 
     def test_each_round_fits_exactly_the_blocks_whose_chain_is_live(self, monkeypatch):
-        """Round 0 fits every block; round d fits each block whose chain is live
-        at depth d-1, once, in block order. All-zero and exact-ternary blocks
-        end at their base level, a two-level exact block after its first
-        residual, and random blocks run to r_max. Each kernel row must be the
-        residual its block has left after the levels fitted before."""
+        """With the tolerance out of reach, round 0 fits every block and round
+        d each block whose chain is live at depth d-1, once, in block order.
+        All-zero and exact-ternary blocks end at their base level, a two-level
+        exact block after its first residual, and random blocks run to r_max.
+        Each kernel row must be the residual its block has left after the
+        levels fitted before."""
         rng = np.random.default_rng(3)
         full = np.zeros((8, 8))  # blocks 1 and 6 are all zero
         full[[0, 3, 5, 7]] = rng.normal(size=(4, 8))
@@ -493,16 +494,18 @@ class TestTernaryResidual:
         assert len(lines) == 1 + len(layer.trace)
 
     def test_conversion_peak_memory_stays_bounded(self):
-        # The source stays float32 and widens one chunk at a time, so the peak
-        # reads about 7.7x; a float64 copy and whole-round temporaries read 21x.
-        t = Tensor("w", np.random.default_rng(17).normal(size=(512, 512)).astype(np.float32))
+        # The source stays float32 and widens one chunk at a time, and only the
+        # fitted levels are stored, so the peak reads 6.66x the layer's float32
+        # bytes; dense per-depth sign matrices and (K, r_max) errors read 7.4x,
+        # a float64 copy and whole-round temporaries 21x.
+        t = Tensor("w", np.random.default_rng(17).normal(size=(1024, 1024)).astype(np.float32))
         tracemalloc.start()
         try:
             ternary_residual(t, 64, epsilon=0.1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 4 * t.size
+        assert peak <= 7.0 * 4 * t.size
 
 
 def conversion_bytes(t, block_size, eps_sq, r_max):
@@ -573,6 +576,70 @@ class TestChunkedFit:
         assert all(b <= rows and n == 64 or (b, n) == (1, 40) for b, n in calls)
         assert calls.count((1, 40)) == whole.count((1, 40))
         assert sum(b for b, _ in calls) == sum(b for b, _ in whole)
+
+
+class TestOnDemandFit:
+    """A round fits only the blocks the merge order can reach before the
+    tolerance is met. A block the merge reaches past that horizon is fitted
+    then (a top-up), so the horizon never changes a result."""
+
+    @pytest.mark.parametrize("safety", [4.0, 1e12])
+    def test_a_short_horizon_tops_up_to_the_sequential_result(self, monkeypatch, safety):
+        # Scaled far up, the bound makes each round reach too few blocks; at
+        # 1e12 a round fits only the block the merge is waiting for.
+        monkeypatch.setattr(residual, "L1_DROP_SAFETY", safety)
+        same = TestBatchedMatchesSequential().assert_same
+        rng = np.random.default_rng(46)
+        assert same(random_tensor(rng, 1000), 64, 0.005) == "converged"
+        assert same(random_tensor(rng, 700), 16, 0.001) == "converged"
+        pattern = np.round(rng.normal(size=16) * 4) / 4  # many tied block errors
+        tied = Tensor("w", np.tile(pattern, 20).astype(np.float32))
+        assert same(tied, 16, 0.01) == "converged"
+        capped = Tensor("w", rng.standard_t(2, size=1500).astype(np.float32))
+        assert same(capped, 7, 0.003, r_max=3) == "converged"
+        assert same(random_tensor(rng, 500), 32, 0.01, r_max=1) == "converge-error"
+        assert same(random_tensor(rng, 512), 64, 1e-12, r_max=2) == "converge-error"
+        assert same(stalling_tensor(np.random.default_rng(0)), 8, 1e-30) == "exhausted"
+        assert same(Tensor("w", np.zeros(100, dtype=np.float32)), 16, 0.01) == "converged"
+
+    def test_a_short_horizon_tops_up_a_rising_error(self, monkeypatch):
+        monkeypatch.setattr(ternary, "ternarize_rows", overshooting_rows)
+        monkeypatch.setattr(residual, "ternarize_rows", overshooting_rows)
+        monkeypatch.setattr(residual, "L1_DROP_SAFETY", 1e12)
+        same = TestBatchedMatchesSequential().assert_same
+        assert same(tiny_entry_layer(1078), 8, 1e-5) == "exhausted"
+
+    def test_a_short_horizon_takes_more_rounds(self, monkeypatch):
+        t = random_tensor(np.random.default_rng(47), 1000)
+
+        def kernel_calls(safety):
+            calls = []
+
+            def spy(rows):
+                calls.append(len(rows))
+                return ternarize_rows(rows)
+
+            monkeypatch.setattr(residual, "ternarize_rows", spy)
+            monkeypatch.setattr(residual, "L1_DROP_SAFETY", safety)
+            ternary_residual(t, 64, epsilon_sq=0.005)
+            return calls
+
+        planned, topped_up = kernel_calls(1.0), kernel_calls(1e12)
+        assert len(topped_up) > 2 * len(planned)
+        assert topped_up[:2] == planned[:2] == [15, 1]  # round 0 fits every block
+
+    def test_fitted_rows_stay_near_the_kept_levels(self, monkeypatch):
+        # 1.044x here; fitting every live block in each round fits 1.28x.
+        t = Tensor("w", np.random.default_rng(48).normal(size=(1024, 256)).astype(np.float32))
+        rows = []
+
+        def spy(x):
+            rows.append(len(x))
+            return ternarize_rows(x)
+
+        monkeypatch.setattr(residual, "ternarize_rows", spy)
+        layer = ternary_residual(t, 64, epsilon=0.1)
+        assert sum(rows) <= 1.10 * layer.num_levels
 
 
 class TestReconstruct:

@@ -20,6 +20,7 @@ from ternres import (
     save_tensor,
     ternary_residual,
 )
+from ternres import container
 from ternres.container import MAGIC, pack_signs, unpack_signs
 from ternres.tensors import load_tensor, partition_blocks
 from ternres.cli import main
@@ -172,6 +173,27 @@ class TestSignPacking:
             matrix[:, -1] |= (0xFF << 2 * (n % 4)) & 0xFF
             assert np.array_equal(unpack_signs(matrix, n), rows)
             assert np.array_equal(unpack_signs(matrix[0].tobytes(), n), rows[0])
+
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 4, 12, 100, 1 << 40])
+    def test_chunked_packing_matches_the_reference(self, monkeypatch, chunk_bytes):
+        # A chunk holds max(1, chunk_bytes // (4 * bytes per row)) rows.
+        monkeypatch.setattr(container, "CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(2)
+        for shape in [(0, 0), (3, 0), (0, 5), (7,), (1, 1), (9, 6), (33, 64), (40, 13)]:
+            rows = rng.integers(-1, 2, size=shape).astype(np.int8)
+            assert pack_signs(rows) == _reference_pack(np.atleast_2d(rows))
+
+    def test_nonzero_rows_match_any_at_every_alignment(self):
+        rng = np.random.default_rng(3)
+        for width in (1, 3, 8, 16, 24, 40):
+            for offset in range(8):  # blob rows need not start on a word boundary
+                buf = np.zeros(offset + 50 * width, np.uint8)
+                packed = buf[offset:].reshape(50, width)
+                hit = rng.random(50) < 0.5
+                bits = 1 << rng.integers(0, 8, hit.sum())  # one set bit in a random byte
+                packed[hit, rng.integers(0, width, hit.sum())] = bits
+                assert np.array_equal(container._nonzero_rows(packed), hit)
 
 
 def _reference_pack(rows) -> bytes:
