@@ -26,7 +26,7 @@ from .costs import (
     throughput_gains,
 )
 from .errors import ConvergenceError, FormatError
-from .manifest import load_manifest, load_weights
+from .manifest import is_count, load_manifest, load_weights
 from .planner import (
     DEPTH_GRADED_HI,
     DEPTH_GRADED_LO,
@@ -231,6 +231,9 @@ def _cmd_infer(args) -> int:
 
 def _cmd_trace(args) -> int:
     manifest, weights, qmodel, arr = _load_inference_inputs(args)
+    block_size = qmodel.provenance.get("N")
+    if args.depth_sensitivity is not None and not is_count(block_size):
+        raise FormatError(f"{args.container}: provenance holds no block size N")
     _, _, trace = forward_quantized(
         manifest, weights, qmodel, arr, act_quant=args.act_quant)
     header = f"{'layer':>5}  {'name':<16} {'kind':<8} {'delta':>12} {'gamma':>12} {'epsilon':>12}"
@@ -245,9 +248,6 @@ def _cmd_trace(args) -> int:
             fp.write(trace.to_json())
             fp.write("\n")
     if args.depth_sensitivity is not None:
-        block_size = qmodel.provenance.get("N")
-        if not isinstance(block_size, int) or block_size < 1:
-            raise FormatError(f"{args.container}: provenance holds no block size N")
         _depth_sensitivity_report(manifest, weights, arr, args.depth_sensitivity,
                                   block_size)
     return 0

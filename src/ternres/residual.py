@@ -49,9 +49,10 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
 - Exact deltas. The loop stores ``(np.sum(errs * errs) - errs[k] ** 2 +
   new ** 2) / ||W||^2`` per step. ``pairwise_version_sums`` replays numpy's
   pairwise summation (chains of at most 16 strided elements under spans of
-  128, halves split on multiples of 8) for every step at once. The scalar
-  ``** 2`` calls libm ``pow``, which can differ from ``x * x`` in the last
-  bit; ``np.float_power(x, 2.0)`` gives the same bits.
+  128, halves split on multiples of 8) for every step at once, re-adding
+  the changed chains in waves that hold no chain twice. The scalar ``** 2``
+  calls libm ``pow``, which can differ from ``x * x`` in the last bit;
+  ``np.float_power(x, 2.0)`` gives the same bits.
 - Stop rules are masks along the order: ``delta <= epsilon^2``, a zero
   alpha, a ``delta`` that does not fall, and running out of keys (which
   raises ConvergenceError if a capped block still carries error).
@@ -196,10 +197,10 @@ def _pairwise_tree(n: int):
     span adds its two halves, split at half its length rounded down to a
     multiple of 8.
 
-    Returns ``(table, chain_of, col_of, kids, parent, depth)``: each chain's
-    elements as a row padded with -1, the chain and the column of every
-    element, each binary node's two children, and each node's parent and
-    depth. Chains are numbered first, then binary nodes; the root is last.
+    Returns ``(table, chain_of, kids, parent, depth)``: each chain's elements
+    as a row padded with -1, the chain of every element, each binary node's
+    two children, and each node's parent and depth. Chains are numbered
+    first, then binary nodes; the root is last.
     """
     chains: list[range] = []
     kids: list[tuple[int, int]] = []  # binary node b is -1 - b until renumbered
@@ -235,12 +236,11 @@ def _pairwise_tree(n: int):
     for b in range(len(kids) - 1, -1, -1):  # a parent is numbered after its children
         depth[kids[b]] = depth[c + b] + 1
     table = np.full((c, max(map(len, chains))), -1)
-    chain_of, col_of = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    chain_of = np.empty(n, dtype=np.int64)
     for i, ch in enumerate(chains):
         table[i, :len(ch)] = ch
         chain_of[ch.start:ch.stop:ch.step] = i
-        col_of[ch.start:ch.stop:ch.step] = np.arange(len(ch))
-    return table, chain_of, col_of, kids, parent, depth
+    return table, chain_of, kids, parent, depth
 
 
 def _run_starts(ids: np.ndarray) -> np.ndarray:
@@ -257,29 +257,26 @@ def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray,
 
     Entry v is the sum with updates ``0..v-1`` applied. ``tree`` is
     ``_pairwise_tree(len(x))``, built here if not given. An update changes
-    one chain of numpy's summation tree: the chain
-    is re-added from its elements' latest values, and each node above it
-    adds its sibling's latest value before that update. All updates go up
-    together, one tree level at a time.
+    one chain of numpy's summation tree. Wave w writes every chain's w-th
+    update into one copy of ``x`` and re-adds those chains, each from the
+    values it holds at that update; each node above adds its sibling's
+    latest value before that update, one tree level at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     pos = np.asarray(pos, dtype=np.int64)
     new = np.asarray(new, dtype=np.float64)
     if tree is None:
         tree = _pairwise_tree(len(x))
-    table, chain_of, col_of, kids, parent, depth = tree
+    table, chain_of, kids, parent, depth = tree
     c, nodes = len(table), len(parent)
     padded = np.append(x, 0.0)  # a short chain's -1 columns read 0.0, which adds nothing
 
-    def chain_sums(rows):
-        out = rows[:, 0].copy()
-        for i in range(1, rows.shape[1]):
-            out += rows[:, i]
-        return out
+    def chain_sums(rows):  # left to right: accumulate adds one element at a time
+        return np.add.accumulate(padded[rows], axis=1)[:, -1]
 
     # Every node's value before the first update, children before parents.
     value = np.empty(nodes)
-    value[:c] = chain_sums(padded[table])
+    value[:c] = chain_sums(table)
     for t in range(int(depth.max()) - 1, -1, -1):
         b = np.flatnonzero(depth[c:] == t)
         value[c + b] = value[kids[b, 0]] + value[kids[b, 1]]
@@ -289,18 +286,19 @@ def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray,
     sibling = np.empty(nodes, dtype=np.int64)
     sibling[kids[:, 0]], sibling[kids[:, 1]] = kids[:, 1], kids[:, 0]
 
-    # Each updated chain from its elements' latest values: updates grouped
-    # by chain in order, each column's latest writer by a running max. (A
-    # group in order is one sort of the unique keys ``group * m + update``,
-    # which numpy runs several times faster than a stable sort of the groups.)
+    # An update's wave is its rank among its chain's updates. (A group in
+    # order is one sort of the unique keys ``group * m + update``, which numpy
+    # runs several times faster than a stable sort of the groups.)
     node = chain_of[pos]
     order = np.argsort(node * m + np.arange(m))
-    writer = np.full((m, table.shape[1]), -1)
-    writer[np.arange(m), col_of[pos[order]]] = np.arange(m)
-    np.maximum.accumulate(writer, axis=0, out=writer)
-    fresh = writer >= _run_starts(node[order])[:, None]
-    val = np.empty(m)
-    val[order] = chain_sums(np.where(fresh, new[order][writer], padded[table[node[order]]]))
+    wave = np.empty(m, dtype=np.int64)
+    wave[order] = np.arange(m) - _run_starts(node[order])
+    order = np.argsort(wave * m + np.arange(m))
+    val, ends = np.empty(m), np.cumsum(np.bincount(wave)).tolist()
+    for a, b in zip([0] + ends, ends):
+        at = order[a:b]
+        padded[pos[at]] = new[at]
+        val[at] = chain_sums(table[node[at]])
 
     # Up the tree: the updates at one depth, grouped by parent in order; a
     # node's sibling holds the value of the last earlier update through it.

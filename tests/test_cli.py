@@ -500,6 +500,22 @@ def test_depth_sensitivity_without_block_size_exits_1(net_dir, capsys):
     assert "block size" in capsys.readouterr().err
 
 
+def test_depth_sensitivity_with_boolean_block_size_exits_1_before_output(net_dir, capsys):
+    # JSON ``true`` decodes to a Python bool, which is an int but no block size.
+    tmp, manifest_path, input_path = net_dir
+    main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+          "-o", str(tmp / "net.tq")])
+    model = load_quantized(tmp / "net.tq")
+    save_quantized(QuantizedModel(model.manifest_doc, model.layers,
+                                  {**model.provenance, "N": True}), tmp / "bool.tq")
+    capsys.readouterr()
+    assert main(["trace", str(tmp / "bool.tq"), "-m", manifest_path,
+                 "-i", input_path, "--depth-sensitivity", "0.02"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {tmp / 'bool.tq'}: provenance holds no block size N"]
+
+
 def test_lemma_check_random_trials(capsys):
     assert main(["lemma-check", "--trials", "50", "--seed", "3"]) == 0
     assert "0 violations" in capsys.readouterr().out
