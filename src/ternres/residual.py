@@ -131,6 +131,9 @@ class QuantizedLayer:
     ``counts`` (int32[K]) holds the levels per block, ``alphas`` (float32[L])
     one scale per level and ``signs`` (int8[L, min(N, size)]) one sign row
     per level; a ragged tail block's rows are zero past its length.
+    ``delta_sequence`` (float64) holds ``delta`` after the base levels and
+    after each accepted residual level; it is empty once levels were
+    dropped or scales snapped.
     """
 
     layer: str
@@ -144,7 +147,7 @@ class QuantizedLayer:
     source_norm_sq: float
     exhausted: bool = False
     trace: Sequence[TraceRow] = field(default=(), repr=False)
-    delta_sequence: tuple[float, ...] = field(default=(), repr=False)
+    delta_sequence: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
 
     @property
     def num_weights(self) -> int:
@@ -200,47 +203,82 @@ def _pairwise_tree(n: int):
     Returns ``(table, chain_of, kids, parent, depth)``: each chain's elements
     as a row padded with -1, the chain of every element, each binary node's
     two children, and each node's parent and depth. Chains are numbered
-    first, then binary nodes; the root is last.
+    first, then binary nodes, both in the order the recursion makes them
+    (a span's own node after its halves'); the root is last.
+
+    Only the split into spans recurses in Python. The spans of one length
+    share one layout (``_span_layout``), laid out for all of them at once,
+    and depths are set one tree level at a time.
     """
-    chains: list[range] = []
-    kids: list[tuple[int, int]] = []  # binary node b is -1 - b until renumbered
+    spans = []  # start, length, first chain and first binary node of each short span
+    splits = []  # node, left and right child of each long span
+    c = b = 0
 
-    def chain(elems):
-        chains.append(elems)
-        return len(chains) - 1
-
-    def add(a, b):
-        kids.append((a, b))
-        return -len(kids)
-
-    def span(s, m):
+    def span(s, m):  # a chain is referred to by its number, binary node b by -1 - b
+        nonlocal c, b
         if m > _PW_SPAN:
             half = m // 2 - m // 2 % 8
-            return add(span(s, half), span(s + half, m - half))
+            left = span(s, half)
+            right = span(s + half, m - half)
+            splits.extend((b, left, right))
+            b += 1
+            return -b
+        spans.extend((s, m, c, b))
         if m < 8:
-            return chain(range(s, s + m))
-        whole = s + m - m % 8
-        r = [chain(range(s + j, whole, 8)) for j in range(8)]
-        node = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
-        for i in range(whole, s + m):
-            node = add(node, chain(range(i, i + 1)))
-        return node
+            c += 1
+            return c - 1
+        c, b = c + 8 + m % 8, b + 7 + m % 8
+        return -b
 
     span(0, n)
-    c = len(chains)
-    kids = np.array(kids, dtype=np.int64).reshape(-1, 2)
+    layouts = {m: _span_layout(m) for m in set(spans[1::4])}
+    start, length, chain0, node0 = np.array(spans, dtype=np.int64).reshape(-1, 4).T
+    table = np.full((c, max(elems.shape[1] for elems, _, _ in layouts.values())), -1)
+    kids = np.empty((b, 2), dtype=np.int64)
+    for m, (elems, _, refs) in layouts.items():  # every span of length m at once
+        at = length == m
+        s, c0, b0 = start[at, None], chain0[at, None], node0[at, None]
+        rows = s + elems.reshape(-1)  # padding where elems is -1
+        np.copyto(rows, -1, where=elems.reshape(-1) < 0)
+        table[c0 + np.arange(len(elems)), :elems.shape[1]] = rows.reshape(len(s), *elems.shape)
+        kids[b0 + np.arange(len(refs))] = np.where(
+            refs >= 0, c0[..., None] + refs, refs - b0[..., None])
+    # Spans, and the chains within a span, are numbered left to right.
+    chain_of = np.repeat(chain0, length) + np.concatenate(
+        [layouts[m][1] for m in length.tolist()])
+    splits = np.array(splits, dtype=np.int64).reshape(-1, 3)
+    kids[splits[:, 0]] = splits[:, 1:]
     kids = np.where(kids < 0, c - 1 - kids, kids)
-    parent = np.full(c + len(kids), -1)
-    parent[kids] = np.arange(c, c + len(kids))[:, None]
-    depth = np.zeros(c + len(kids), dtype=np.int64)
-    for b in range(len(kids) - 1, -1, -1):  # a parent is numbered after its children
-        depth[kids[b]] = depth[c + b] + 1
-    table = np.full((c, max(map(len, chains))), -1)
-    chain_of = np.empty(n, dtype=np.int64)
-    for i, ch in enumerate(chains):
-        table[i, :len(ch)] = ch
-        chain_of[ch.start:ch.stop:ch.step] = i
+
+    parent = np.full(c + b, -1)
+    parent[kids] = np.arange(c, c + b)[:, None]
+    depth = np.zeros(c + b, dtype=np.int64)
+    level, t = np.array([c + b - 1]), 0  # the root
+    while level.size:
+        t += 1
+        level = kids[level[level >= c] - c].reshape(-1)
+        depth[level] = t
     return table, chain_of, kids, parent, depth
+
+
+def _span_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One span of ``m <= 128`` elements, numbered as ``_pairwise_tree`` does.
+
+    Returns each chain's element offsets as a row padded with -1, the chain
+    of every element, and each binary node's two children, chain j as j and
+    the span's binary node i as -1 - i.
+    """
+    if m < 8:
+        return np.arange(m)[None, :], np.zeros(m, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
+    whole, tail = m - m % 8, m % 8
+    elems = np.full((8 + tail, whole // 8), -1)
+    elems[:8] = np.arange(whole).reshape(-1, 8).T
+    elems[8:, 0] = np.arange(whole, m)
+    chain = np.concatenate([np.arange(whole) % 8, np.arange(8, 8 + tail)])
+    # ((0+1)+(2+3))+((4+5)+(6+7)), then one tail element at a time.
+    refs = [(0, 1), (2, 3), (-1, -2), (4, 5), (6, 7), (-4, -5), (-3, -6)]
+    refs += [(-7 - i, 8 + i) for i in range(tail)]
+    return elems, chain, np.array(refs, dtype=np.int64)
 
 
 def _run_starts(ids: np.ndarray) -> np.ndarray:
@@ -476,15 +514,15 @@ def ternary_residual(
     del target, recons  # freed before the gather below
     # Keep the accepted levels, block-major with each block's base level first.
     owner, level = level_index(counts)
-    blocks, e_before, after = (np.concatenate(part) for part in zip(
-        (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)), *steps))
+    blocks, e_before, deltas = (np.concatenate(part) for part in zip(
+        (np.zeros(0, dtype=np.int64), np.zeros(0), np.array([delta0])), *steps))
     signs = np.concatenate(pieces)[sign_rows[owner, level]]
     return QuantizedLayer(
         w.name, w.shape, block_size, counts.astype(np.int32),
         alphas[owner, level].astype(np.float32), signs,
         delta, eps_sq, total_sq, exhausted=exhausted,
-        trace=Trace(w.name, blocks, e_before, after),
-        delta_sequence=tuple(np.concatenate([[delta0], after]).tolist()),
+        trace=Trace(w.name, blocks, e_before, deltas[1:]),  # shares the buffer
+        delta_sequence=deltas,
     )
 
 
@@ -593,7 +631,7 @@ def downgrade(
         keep = depth < counts[owner]
         new_layers.append(replace(
             l, counts=counts.astype(np.int32), alphas=l.alphas[keep], signs=l.signs[keep],
-            delta=delta, trace=(), delta_sequence=(),
+            delta=delta, trace=(), delta_sequence=np.zeros(0),
         ))
     provenance = dict(model.provenance)
     provenance["downgraded_to_levels"] = keep_levels
@@ -645,7 +683,7 @@ def quantize_scales_8bit(
         e = fixed_point_exponent(amax)
         alphas = snap_8bit(l.alphas.astype(np.float64), e).astype(np.float32)
         signs = np.where((alphas == 0.0)[:, None], np.int8(0), l.signs)
-        probe = replace(l, alphas=alphas, signs=signs, trace=(), delta_sequence=())
+        probe = replace(l, alphas=alphas, signs=signs, trace=(), delta_sequence=np.zeros(0))
         new_layers.append(replace(probe, delta=layer_delta(weights[l.layer], probe)))
     provenance = dict(model.provenance)
     provenance["scales_8bit"] = True

@@ -52,6 +52,11 @@ def ternarize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     threshold, i.e. the sparser level. Prefix sums accumulate in float64 in
     row order, so each row's result does not depend on the other rows.
 
+    The scan runs on the negated magnitudes, sorted ascending in place: their
+    prefix sums are the negated descending ones, bit for bit (IEEE negation
+    is exact and rounding is symmetric), over a contiguous array. Scores are
+    squares, so they keep their bits too.
+
     Returns ``(alpha, signs, threshold)``: float64[B] alphas rounded to
     float32, int8[B, n] signs and float64[B] magnitude cuts. A row whose
     alpha rounds to zero (all zeros, or magnitudes below the float32
@@ -60,33 +65,40 @@ def ternarize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError(f"need a non-empty (B, n) matrix, got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("cannot ternarize non-finite values")
 
     b, n = rows.shape
-    mags = np.abs(rows)
-    sorted_mags = np.sort(mags, axis=1)[:, ::-1]  # descending; only the values matter
-    prefix = np.cumsum(sorted_mags, axis=1)
-    scores = prefix * prefix / np.arange(1, n + 1, dtype=np.float64)
+    low = np.abs(rows)
+    if not np.isfinite(low.max()):  # a NaN or an infinity makes the max one
+        raise ValueError("cannot ternarize non-finite values")
+    np.negative(low, out=low)
+    low.sort(axis=1)  # low[:, j] is minus the (j+1)-th largest magnitude
+    prefix = np.cumsum(low, axis=1)  # minus the top-(j+1) magnitude sum
+    scores = np.multiply(prefix, prefix)
+    scores /= np.arange(1, n + 1, dtype=np.float64)
 
     # A cut after position m is a real threshold only if it keeps a nonzero
     # magnitude and separates two distinct magnitudes (ties are kept or
-    # dropped together).
-    valid = sorted_mags > 0.0
-    valid[:, :-1] &= sorted_mags[:, :-1] > sorted_mags[:, 1:]
-    scores[~valid] = -np.inf
+    # dropped together). A strict drop already keeps a nonzero magnitude, so
+    # only the last cut checks for one. Neighbours are compared along the
+    # flattened rows; a row's last entry, which meets the next row's first
+    # there, is compared with zero instead.
+    no_cut = np.empty((b, n), dtype=bool)
+    flat = low.reshape(-1)
+    np.greater_equal(flat[:-1], flat[1:], out=no_cut.reshape(-1)[:-1])
+    np.greater_equal(low[:, -1], 0.0, out=no_cut[:, -1])
+    np.copyto(scores, -np.inf, where=no_cut)
 
     rowix = np.arange(b)
     m = np.argmax(scores, axis=1) + 1  # first max = smallest support = largest T
-    alpha = (prefix[rowix, m - 1] / m).astype(np.float32).astype(np.float64)
-    threshold = np.where(m < n, sorted_mags[rowix, np.minimum(m, n - 1)], 0.0)
+    alpha = (-prefix[rowix, m - 1] / m).astype(np.float32).astype(np.float64)
+    threshold = np.where(m < n, -low[rowix, np.minimum(m, n - 1)], 0.0)
     dead = alpha == 0.0  # all-zero row, or magnitudes below float32 range
     threshold[dead] = 0.0
 
-    # The top-m magnitudes are exactly those above the cut.
-    kept = (mags > threshold[:, None]) & ~dead[:, None]
-    # Kept entries are never zero: +1 where kept, -1 where kept and negative.
-    signs = kept.view(np.int8) - (kept & (rows < 0)).view(np.int8) * 2
+    # The top-m magnitudes are exactly those above the cut; a dead row keeps
+    # none. Kept entries are never zero: +1 above the cut, -1 below minus it.
+    cut = np.where(dead, np.inf, threshold)[:, None]
+    signs = (rows > cut).view(np.int8) - (rows < -cut).view(np.int8)
     return alpha, signs, threshold
 
 
@@ -108,37 +120,3 @@ def level_error(w: np.ndarray, level: TernaryLevel) -> float:
         )
     diff = w - level.alpha * level.signs.astype(np.float64)
     return float(diff @ diff)
-
-
-def oracle_best_support(w: np.ndarray, max_n: int = 12) -> tuple[float, np.ndarray]:
-    """Exhaustive 2^n search over retained sets; test oracle for ternarize.
-
-    For every support S the candidate uses sign(w_i) on S and alpha equal to
-    the mean magnitude over S; returns (alpha, signs) of the global error
-    minimizer. Error is evaluated directly, independent of the prefix-scan
-    path.
-    """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    n = w.size
-    if n == 0:
-        raise ValueError("empty vector")
-    if n > max_n:
-        raise ValueError(f"oracle limited to n <= {max_n}, got {n}")
-
-    base_signs = np.sign(w)
-    best_err = np.inf
-    best = (0.0, np.zeros(n, dtype=np.int8))
-    for mask in range(1 << n):
-        keep = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-        m = int(keep.sum())
-        if m == 0:
-            alpha = 0.0
-            signs = np.zeros(n)
-        else:
-            alpha = float(np.abs(w)[keep].mean())
-            signs = np.where(keep, base_signs, 0.0)
-        err = float(np.sum((w - alpha * signs) ** 2))
-        if err < best_err:
-            best_err = err
-            best = (alpha, signs.astype(np.int8))
-    return best

@@ -22,6 +22,7 @@ from ternres import (
 from ternres.residual import (
     QuantizedLayer,
     TraceRow,
+    _pairwise_tree,
     block_sensitivity,
     chain_order,
     fixed_point_exponent,
@@ -235,6 +236,50 @@ class TestBatchedMatchesSequential:
         assert layer.num_blocks > 3 * 128 and np.count_nonzero(layer.counts == 3) == 48
 
 
+def loop_pairwise_tree(n):
+    """numpy's pairwise summation tree built one chain and one node at a time,
+    kept as the reference of the array-built ``_pairwise_tree``."""
+    chains = []
+    kids = []  # binary node b is -1 - b until renumbered
+
+    def chain(elems):
+        chains.append(elems)
+        return len(chains) - 1
+
+    def add(a, b):
+        kids.append((a, b))
+        return -len(kids)
+
+    def span(s, m):
+        if m > 128:
+            half = m // 2 - m // 2 % 8
+            return add(span(s, half), span(s + half, m - half))
+        if m < 8:
+            return chain(range(s, s + m))
+        whole = s + m - m % 8
+        r = [chain(range(s + j, whole, 8)) for j in range(8)]
+        node = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
+        for i in range(whole, s + m):
+            node = add(node, chain(range(i, i + 1)))
+        return node
+
+    span(0, n)
+    c = len(chains)
+    kids = np.array(kids, dtype=np.int64).reshape(-1, 2)
+    kids = np.where(kids < 0, c - 1 - kids, kids)
+    parent = np.full(c + len(kids), -1)
+    parent[kids] = np.arange(c, c + len(kids))[:, None]
+    depth = np.zeros(c + len(kids), dtype=np.int64)
+    for b in range(len(kids) - 1, -1, -1):  # a parent is numbered after its children
+        depth[kids[b]] = depth[c + b] + 1
+    table = np.full((c, max(map(len, chains))), -1)
+    chain_of = np.empty(n, dtype=np.int64)
+    for i, ch in enumerate(chains):
+        table[i, :len(ch)] = ch
+        chain_of[ch.start:ch.stop:ch.step] = i
+    return table, chain_of, kids, parent, depth
+
+
 class TestExactDeltaArithmetic:
     """The two numpy facts the stored deltas rest on, pinned so that a numpy
     or libm upgrade fails here instead of silently moving a bit."""
@@ -247,6 +292,12 @@ class TestExactDeltaArithmetic:
     @example(n=7, updates=600, spread=1, seed=0)
     @example(n=40_000, updates=600, spread=1, seed=1)
     @example(n=1_000, updates=600, spread=8, seed=2)
+    # One full span, spans with and without a tail, and the first split.
+    @example(n=8, updates=40, spread=8, seed=3)
+    @example(n=127, updates=40, spread=128, seed=4)
+    @example(n=128, updates=40, spread=128, seed=5)
+    @example(n=129, updates=40, spread=128, seed=6)
+    @example(n=136, updates=40, spread=128, seed=7)
     @settings(max_examples=100, deadline=None)
     def test_version_sums_match_np_sum_on_squares(self, n, updates, spread, seed):
         rng = np.random.default_rng(seed)
@@ -261,6 +312,14 @@ class TestExactDeltaArithmetic:
             x[p] = v
             want.append(np.sum(x))
         assert got.tobytes() == np.array(want).tobytes()
+
+    def test_tree_matches_the_loop_builder(self):
+        # Every span length and tail up to 600, then three layer-sized counts:
+        # 4,096 and 65,536 split evenly into full spans, 65,541 does not.
+        for n in [*range(1, 601), 4_096, 65_536, 65_541]:
+            for got, want in zip(_pairwise_tree(n), loop_pairwise_tree(n), strict=True):
+                assert got.dtype == want.dtype and got.shape == want.shape, n
+                assert np.array_equal(got, want), n
 
     @given(st.lists(st.floats(0.0, 1e150), min_size=1, max_size=200))
     @settings(max_examples=100, deadline=None)

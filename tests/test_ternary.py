@@ -6,7 +6,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternres import level_error, ternarize
-from ternres.ternary import TernaryLevel, oracle_best_support, ternarize_rows
+from ternres.ternary import TernaryLevel, ternarize_rows
+
+
+def oracle_best_support(w, max_n=12):
+    """Exhaustive 2^n search over retained sets; test oracle for ternarize.
+
+    For every support S the candidate uses sign(w_i) on S and alpha equal to
+    the mean magnitude over S; returns (alpha, signs) of the global error
+    minimizer. Error is evaluated directly, independent of the prefix-scan
+    path.
+    """
+    w = np.asarray(w, dtype=np.float64).reshape(-1)
+    n = w.size
+    if n == 0:
+        raise ValueError("empty vector")
+    if n > max_n:
+        raise ValueError(f"oracle limited to n <= {max_n}, got {n}")
+
+    base_signs = np.sign(w)
+    best_err = np.inf
+    best = (0.0, np.zeros(n, dtype=np.int8))
+    for mask in range(1 << n):
+        keep = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+        m = int(keep.sum())
+        if m == 0:
+            alpha = 0.0
+            signs = np.zeros(n)
+        else:
+            alpha = float(np.abs(w)[keep].mean())
+            signs = np.where(keep, base_signs, 0.0)
+        err = float(np.sum((w - alpha * signs) ** 2))
+        if err < best_err:
+            best_err = err
+            best = (alpha, signs.astype(np.int8))
+    return best
 
 
 def scan_all_prefixes(w, float32_alpha=True):
@@ -117,8 +151,21 @@ class TestTernarizeRows:
             ternarize_rows(np.zeros(4))
         with pytest.raises(ValueError):
             ternarize_rows(np.zeros((2, 0)))
-        with pytest.raises(ValueError):
-            ternarize_rows(np.array([[1.0, np.inf]]))
+        # One check on the largest magnitude covers every place a NaN or an
+        # infinity can sit.
+        denormal = np.nextafter(0.0, 1.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            for rows in (
+                [[bad, 1.0, -2.0]],  # first column
+                [[1.0, -2.0, bad]],  # last column
+                [[1.0, 2.0, 3.0], [0.5, 0.25, 0.125], [4.0, 1.0, bad]],  # a later row
+                [[1.0, 2.0, 3.0], [0.0, bad, -0.0]],  # an otherwise all-zero row
+                [[0.0, 0.0], [bad, 0.0]],  # in an all-zero matrix
+                [[denormal, bad, -denormal, 4 * denormal]],  # next to denormals
+                [[bad]],
+            ):
+                with pytest.raises(ValueError, match="non-finite"):
+                    ternarize_rows(np.array(rows))
 
 
 class TestTernarize:
