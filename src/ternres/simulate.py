@@ -15,9 +15,12 @@ Everything computes in float32 (the toolkit's native precision) while norms
 and ratios accumulate in float64. Work arrays stay near ``CHUNK_BYTES``: a
 convolution builds its patch matrices a batch chunk at a time and writes
 each chunk's product into one output, and the decomposition check sums its
-squares a chunk at a time over the one stacked output. A paired run takes
-every trace norm through one float64 scratch buffer, with the same bits as
-``np.linalg.norm`` of a float64 copy.
+squares a chunk at a time over the one stacked output. A paired run puts
+its clean side, the FP32 pass and then every activation norm, on one helper
+thread while the calling thread runs the quantized side. The helper takes
+its norms through one float64 scratch buffer and the calling thread the
+weight norms through another, all with the same bits as ``np.linalg.norm``
+of a float64 copy.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -347,6 +351,24 @@ class PerturbationTrace:
         return json.dumps({"trace": self.to_rows()}, indent=2, sort_keys=True)
 
 
+def _clean_pass(manifest: ModelManifest, weights, x: np.ndarray):
+    """The paired run's helper task: the clean pass, and one float64 scratch
+    buffer for every activation norm the helper takes after it."""
+    clean = forward(manifest, weights, x)
+    return clean, np.empty(max([x.size] + [a.size for a in clean]), dtype=np.float64)
+
+
+def _helper_norm(clean_f: Future, a: np.ndarray, b: np.ndarray | None = None) -> float:
+    return math.sqrt(_sq_norm64(clean_f.result()[1], a, b))
+
+
+def _helper_layer_norms(clean_f: Future, li: int, out: np.ndarray) -> tuple[float, float]:
+    """``||clean_li||`` and ``||clean_li - out||`` for layer ``li``."""
+    clean, buf = clean_f.result()
+    return (math.sqrt(_sq_norm64(buf, clean[li])),
+            math.sqrt(_sq_norm64(buf, clean[li], out)))
+
+
 def forward_quantized(
     manifest: ModelManifest,
     weights: dict[str, tuple[Tensor, Tensor | None]],
@@ -359,51 +381,72 @@ def forward_quantized(
     Returns the quantized activations, the quantized logits, and the trace.
     Biases stay at full precision; activation quantization, when enabled,
     applies to every layer input including the network input.
+
+    The clean side runs on one helper thread while the calling thread runs
+    the quantized side; numpy releases the GIL in the products, copies and
+    dot products both sides spend their time in. The helper runs
+    ``forward`` and then every activation norm, in layer order, through its
+    own float64 scratch buffer; the calling thread keeps activation
+    quantization, the stacked products with their decomposition check and
+    the two weight norms of epsilon. The helper is shut down before this
+    returns. When both sides fail, the clean pass's error is raised.
     """
-    clean = forward(manifest, weights, x)
     cur = _as_batch(x)
-    # Scratch for every norm below; ref_norm is the norm of the clean
-    # activation handed to the next layer, the input's before layer 0.
-    weight_sizes = [weights[l.layer][0].data.size for l in qmodel.layers if l.layer in weights]
-    buf = np.empty(max([cur.size] + [a.size for a in clean] + weight_sizes), dtype=np.float64)
-
-    def norm(a, b=None):
-        return math.sqrt(_sq_norm64(buf, a, b))
-
-    ref_norm = norm(cur) if act_quant else 0.0
-
     qlayers = {l.layer: l for l in qmodel.layers}
-    entries = [TraceEntry(0, "input", "input", 0.0, 0.0, 0.0)]
-    acts = []
-    for li, layer in enumerate(manifest.layers):
-        if act_quant:
-            # gamma of entry li: the quantization error of the activation
-            # handed to this layer, i.e. of layer li-1's output.
-            x_in, _ = quantize_activations(cur)
-            gamma = _ratio(norm(cur, x_in), ref_norm)
-            entries[li] = replace(entries[li], gamma=gamma)
-        else:
+    weight_sizes = [weights[l.layer][0].data.size for l in qmodel.layers if l.layer in weights]
+    wbuf = np.empty(max(weight_sizes, default=0), dtype=np.float64)
+    pool = ThreadPoolExecutor(max_workers=1)
+    # The one worker runs its tasks in order, so every norm task finds the
+    # clean pass done and has the scratch buffer to itself.
+    clean_f = pool.submit(_clean_pass, manifest, weights, cur)
+    try:
+        input_norm = pool.submit(_helper_norm, clean_f, cur) if act_quant else None
+        gaps, layer_norms, epsilons, acts = [], [], [], []
+        for li, layer in enumerate(manifest.layers):
             x_in = cur
+            if act_quant:
+                x_in, _ = quantize_activations(cur)
+                gaps.append(pool.submit(_helper_norm, clean_f, cur, x_in))
+            w, b = _weight_arrays(weights, layer)
+            epsilon = 0.0
+            if layer.weight_ref is not None and layer.name in qlayers:
+                qlayer = qlayers[layer.name]
+                if qlayer.shape != w.shape:
+                    raise ValueError(
+                        f"layer {layer.name!r}: quantized shape {qlayer.shape} does not "
+                        f"match weight shape {w.shape}"
+                    )
+                dense_w = reconstruct(qlayer).data
+                cur = _apply_quantized(layer, qlayer, dense_w, b, x_in)
+                epsilon = _ratio(math.sqrt(_sq_norm64(wbuf, w, dense_w)),
+                                 math.sqrt(_sq_norm64(wbuf, w)))
+            else:
+                cur = apply_layer(layer, w, b, x_in)
+            acts.append(cur)
+            epsilons.append(epsilon)
+            layer_norms.append(pool.submit(_helper_layer_norms, clean_f, li, cur))
 
-        w, b = _weight_arrays(weights, layer)
-        epsilon = 0.0
-        if layer.weight_ref is not None and layer.name in qlayers:
-            qlayer = qlayers[layer.name]
-            if qlayer.shape != w.shape:
-                raise ValueError(
-                    f"layer {layer.name!r}: quantized shape {qlayer.shape} does not "
-                    f"match weight shape {w.shape}"
-                )
-            dense_w = reconstruct(qlayer).data
-            cur = _apply_quantized(layer, qlayer, dense_w, b, x_in)
-            epsilon = _ratio(norm(w, dense_w), norm(w))
-        else:
-            cur = apply_layer(layer, w, b, x_in)
-        acts.append(cur)
-        ref_norm = norm(clean[li])
-        delta = _ratio(norm(clean[li], cur), ref_norm)
-        entries.append(TraceEntry(li + 1, layer.name, layer.kind, delta, 0.0, epsilon))
-
+        clean = clean_f.result()[0]
+        # ref_norm is the norm of the clean activation handed to the next
+        # layer, the input's before layer 0; gamma of entry li is the
+        # quantization error of the activation handed to layer li over it.
+        ref_norm = input_norm.result() if act_quant else 0.0
+        entries = [TraceEntry(0, "input", "input", 0.0, 0.0, 0.0)]
+        for li, layer in enumerate(manifest.layers):
+            if act_quant:
+                entries[li] = replace(entries[li], gamma=_ratio(gaps[li].result(), ref_norm))
+            ref_norm, gap = layer_norms[li].result()
+            entries.append(TraceEntry(li + 1, layer.name, layer.kind, _ratio(gap, ref_norm),
+                                      0.0, epsilons[li]))
+    except BaseException:
+        # The clean pass's error wins, as it would if the clean pass ran
+        # first: a weight the reference pass rejects explains the rest.
+        error = clean_f.exception()
+        if error is not None:
+            raise error
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
     trace = PerturbationTrace(tuple(entries), clean[-1].copy(), acts[-1].copy())
     return acts, acts[-1], trace
 

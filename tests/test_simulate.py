@@ -1,5 +1,8 @@
 """Inference simulator: reference forward, paired passes, bounds, margins."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -640,6 +643,91 @@ class TestChunkedPasses:
         monkeypatch.setattr(simulate, "reconstruct", perturbed)
         with pytest.raises(RuntimeError, match=f"layer '{first}'.*deviates"):
             forward_quantized(manifest, weights, model, x)
+
+
+class TestHelperThread:
+    """A paired pass runs its clean side on a helper thread of its own."""
+
+    @staticmethod
+    def _mlp(seed):
+        manifest, weights = mlp_net(np.random.default_rng(seed))
+        model = _convert(manifest, weights, 16, 0.01)
+        x = np.random.default_rng(seed + 1).normal(size=(3, 48)).astype(np.float32)
+        return manifest, weights, model, x
+
+    @pytest.mark.parametrize("act_quant", [False, True], ids=["plain", "act-quant"])
+    def test_clean_error_wins_when_both_sides_fail(self, monkeypatch, act_quant):
+        # The quantized side fails its decomposition check at fc1; the clean
+        # pass rejects fc2's weight later. The clean pass used to run first,
+        # so its error is the one raised.
+        manifest, weights, model, x = self._mlp(30)
+        monkeypatch.setattr(simulate, "DECOMPOSITION_RTOL", -1.0)
+        with pytest.raises(RuntimeError, match="layer 'fc1'.*deviates"):
+            forward_quantized(manifest, weights, model, x, act_quant=act_quant)
+        bad = Tensor("fc2", np.ones((8, 31), dtype=np.float32))
+        weights = {**weights, "fc2": (bad, None)}
+        with pytest.raises(ValueError, match="layer 'fc2': fc expects 31 inputs"):
+            forward(manifest, weights, x)
+        with pytest.raises(ValueError, match="layer 'fc2': fc expects 31 inputs"):
+            forward_quantized(manifest, weights, model, x, act_quant=act_quant)
+
+    @pytest.mark.parametrize("outcome", ["return", "clean-error", "decomposition-error"])
+    def test_no_thread_outlives_the_call(self, monkeypatch, outcome):
+        manifest, weights, model, x = self._mlp(31)
+        if outcome != "return":
+            monkeypatch.setattr(simulate, "DECOMPOSITION_RTOL", -1.0)
+        if outcome == "clean-error":
+            weights = {**weights, "fc2": (Tensor("fc2", np.ones((8, 31), np.float32)), None)}
+        expected = {"return": None, "clean-error": ValueError,
+                    "decomposition-error": RuntimeError}[outcome]
+        before = threading.active_count()
+        for act_quant in (False, True):
+            if expected is None:
+                forward_quantized(manifest, weights, model, x, act_quant=act_quant)
+            else:
+                with pytest.raises(expected):
+                    forward_quantized(manifest, weights, model, x, act_quant=act_quant)
+            assert threading.active_count() == before
+
+    def test_concurrent_calls_match_serial_calls(self):
+        # Two calls at once on different inputs: each gets the trace rows
+        # and logit bytes of a serial call, so no scratch state is shared.
+        manifest, weights = conv_net(np.random.default_rng(32))
+        model = _convert(manifest, weights, 16, 0.01)
+        rng = np.random.default_rng(33)
+        inputs = [rng.normal(size=(5,) + manifest.input_shape).astype(np.float32)
+                  for _ in range(2)]
+
+        def digest(x):
+            _, logits, trace = forward_quantized(manifest, weights, model, x,
+                                                 act_quant=True)
+            return trace.to_rows(), logits.tobytes(), trace.logits.tobytes()
+
+        serial = [digest(x) for x in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to meet any shared state
+        try:
+            for _ in range(5):
+                start = threading.Barrier(2, timeout=60)
+                results, errors = [None, None], []
+
+                def run(i):
+                    try:
+                        start.wait()
+                        results[i] = digest(inputs[i])
+                    except BaseException as exc:  # reported by the assert below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert results == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMarginCheck:
