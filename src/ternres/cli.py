@@ -143,6 +143,9 @@ def _load_inference_inputs(args):
 def _cmd_quantize(args) -> int:
     if not args.schedule and args.mode == "uniform" and args.eps_sq is None and args.eps is None:
         raise ValueError("uniform mode needs --eps or --eps-sq")
+    for flag, value in (("--eps", args.eps), ("--eps-sq", args.eps_sq)):
+        if value is not None and not value > 0:  # eps^2 would hide the sign of --eps
+            raise ValueError(f"{flag} must be positive, got {value}")
     manifest = load_manifest(args.manifest)
     weights = load_weights(manifest)
     if args.schedule:

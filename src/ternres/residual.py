@@ -67,6 +67,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError
+from .manifest import is_count
 from .tensors import BlockView, Tensor
 from .ternary import ternarize_rows
 from .ternary import ternarize  # noqa: F401  (bench/workloads.py traces this name)
@@ -204,81 +205,51 @@ def _pairwise_tree(n: int):
     as a row padded with -1, the chain of every element, each binary node's
     two children, and each node's parent and depth. Chains are numbered
     first, then binary nodes, both in the order the recursion makes them
-    (a span's own node after its halves'); the root is last.
-
-    Only the split into spans recurses in Python. The spans of one length
-    share one layout (``_span_layout``), laid out for all of them at once,
-    and depths are set one tree level at a time.
+    (a node after its children); the root is last.
     """
-    spans = []  # start, length, first chain and first binary node of each short span
-    splits = []  # node, left and right child of each long span
-    c = b = 0
+    chains: list[range] = []
+    kids: list[tuple[int, int]] = []  # binary node b is -1 - b until renumbered
 
-    def span(s, m):  # a chain is referred to by its number, binary node b by -1 - b
-        nonlocal c, b
+    def chain(elems):
+        chains.append(elems)
+        return len(chains) - 1
+
+    def add(a, b):
+        kids.append((a, b))
+        return -len(kids)
+
+    def span(s, m):
         if m > _PW_SPAN:
             half = m // 2 - m // 2 % 8
-            left = span(s, half)
-            right = span(s + half, m - half)
-            splits.extend((b, left, right))
-            b += 1
-            return -b
-        spans.extend((s, m, c, b))
+            return add(span(s, half), span(s + half, m - half))
         if m < 8:
-            c += 1
-            return c - 1
-        c, b = c + 8 + m % 8, b + 7 + m % 8
-        return -b
+            return chain(range(s, s + m))
+        whole = s + m - m % 8
+        r = [chain(range(s + j, whole, 8)) for j in range(8)]
+        node = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
+        for i in range(whole, s + m):
+            node = add(node, chain(range(i, i + 1)))
+        return node
 
     span(0, n)
-    layouts = {m: _span_layout(m) for m in set(spans[1::4])}
-    start, length, chain0, node0 = np.array(spans, dtype=np.int64).reshape(-1, 4).T
-    table = np.full((c, max(elems.shape[1] for elems, _, _ in layouts.values())), -1)
-    kids = np.empty((b, 2), dtype=np.int64)
-    for m, (elems, _, refs) in layouts.items():  # every span of length m at once
-        at = length == m
-        s, c0, b0 = start[at, None], chain0[at, None], node0[at, None]
-        rows = s + elems.reshape(-1)  # padding where elems is -1
-        np.copyto(rows, -1, where=elems.reshape(-1) < 0)
-        table[c0 + np.arange(len(elems)), :elems.shape[1]] = rows.reshape(len(s), *elems.shape)
-        kids[b0 + np.arange(len(refs))] = np.where(
-            refs >= 0, c0[..., None] + refs, refs - b0[..., None])
-    # Spans, and the chains within a span, are numbered left to right.
-    chain_of = np.repeat(chain0, length) + np.concatenate(
-        [layouts[m][1] for m in length.tolist()])
-    splits = np.array(splits, dtype=np.int64).reshape(-1, 3)
-    kids[splits[:, 0]] = splits[:, 1:]
+    c, b = len(chains), len(kids)
+    kids = np.array(kids, dtype=np.int64).reshape(-1, 2)
     kids = np.where(kids < 0, c - 1 - kids, kids)
-
     parent = np.full(c + b, -1)
     parent[kids] = np.arange(c, c + b)[:, None]
     depth = np.zeros(c + b, dtype=np.int64)
-    level, t = np.array([c + b - 1]), 0  # the root
+    level, t = np.array([c + b - 1]), 0  # the root, then one tree level at a time
     while level.size:
         t += 1
         level = kids[level[level >= c] - c].reshape(-1)
         depth[level] = t
+    start, stop, step = np.array([(r.start, r.stop, r.step) for r in chains]).T[..., None]
+    table = start + step * np.arange(max(map(len, chains)))
+    table[table >= stop] = -1
+    filled = table >= 0
+    chain_of = np.empty(n, dtype=np.int64)
+    chain_of[table[filled]] = np.nonzero(filled)[0]
     return table, chain_of, kids, parent, depth
-
-
-def _span_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One span of ``m <= 128`` elements, numbered as ``_pairwise_tree`` does.
-
-    Returns each chain's element offsets as a row padded with -1, the chain
-    of every element, and each binary node's two children, chain j as j and
-    the span's binary node i as -1 - i.
-    """
-    if m < 8:
-        return np.arange(m)[None, :], np.zeros(m, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
-    whole, tail = m - m % 8, m % 8
-    elems = np.full((8 + tail, whole // 8), -1)
-    elems[:8] = np.arange(whole).reshape(-1, 8).T
-    elems[8:, 0] = np.arange(whole, m)
-    chain = np.concatenate([np.arange(whole) % 8, np.arange(8, 8 + tail)])
-    # ((0+1)+(2+3))+((4+5)+(6+7)), then one tail element at a time.
-    refs = [(0, 1), (2, 3), (-1, -2), (4, 5), (6, 7), (-4, -5), (-3, -6)]
-    refs += [(-7 - i, 8 + i) for i in range(tail)]
-    return elems, chain, np.array(refs, dtype=np.int64)
 
 
 def _run_starts(ids: np.ndarray) -> np.ndarray:
@@ -392,6 +363,8 @@ def ternary_residual(
     """
     if (epsilon is None) == (epsilon_sq is None):
         raise ValueError("give exactly one of epsilon or epsilon_sq")
+    if epsilon is not None and not float(epsilon) > 0:  # its square would pass the check below
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     eps_sq = float(epsilon_sq) if epsilon_sq is not None else float(epsilon) ** 2
     if not (0.0 < eps_sq <= 1.0):
         raise ValueError(f"tolerance^2 must be in (0, 1], got {eps_sq}")
@@ -585,7 +558,10 @@ def downgrade(
     its layer. Only the deepest level of a block is removable at any moment
     (and never the base level); peeling deepest-first keeps the remaining
     stack identical to an earlier state of the conversion, so each removal
-    raises the layer's delta by exactly the removed level's importance.
+    raises the layer's delta by exactly the removed level's importance while
+    the levels keep their fitted scales. After ``quantize_scales_8bit`` a
+    level is no longer orthogonal to the residual it leaves, and the stored
+    delta only approximates ``layer_delta``.
     Removal order is globally smallest-importance-first over that frontier,
     ties to the earlier layer and block: each block's residual levels,
     deepest first, form one row of ``chain_order``. Returns a new model; the
@@ -593,6 +569,8 @@ def downgrade(
     """
     if (keep_levels is None) == (target_factor is None):
         raise ValueError("give exactly one of keep_levels or target_factor")
+    if keep_levels is not None and not is_count(keep_levels, 0):
+        raise ValueError(f"keep_levels must be a non-negative integer, got {keep_levels!r}")
     base_blocks = model.num_blocks
     if target_factor is not None:
         if not np.isfinite(target_factor):

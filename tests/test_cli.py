@@ -206,6 +206,11 @@ def test_quantize_rejects_bad_x_or_c_before_converting(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("argv, message", [
     (["quantize", "-m", "net.json", "-o", "q.tq"], "uniform mode needs --eps or --eps-sq"),
+    (["quantize", "-m", "net.json", "--eps", "-0.1", "-o", "q.tq"],
+     "--eps must be positive, got -0.1"),
+    (["quantize", "-m", "net.json", "--eps", "-1", "-o", "q.tq"], "--eps must be positive, got -1.0"),
+    (["quantize", "-m", "net.json", "--eps-sq", "0", "-o", "q.tq"],
+     "--eps-sq must be positive, got 0.0"),
     (["stats"], "give a container, --n, or --pi"),
     (["downgrade", "net.tq", "-o", "d.tq"],
      "give exactly one of --keep-levels or --target-compute"),
@@ -214,8 +219,9 @@ def test_quantize_rejects_bad_x_or_c_before_converting(tmp_path, capsys, monkeyp
     (["lemma-check", "net.tq", "-m", "net.json"], "container mode needs -m and -i"),
     (["lemma-check", "--trials", "0"], "the number of trials must be at least 1, got 0"),
     (["lemma-check", "--trials", "-5"], "the number of trials must be at least 1, got -5"),
-], ids=["quantize", "stats", "downgrade-none", "downgrade-both", "lemma-check",
-        "lemma-check-no-trials", "lemma-check-negative-trials"])
+], ids=["quantize", "quantize-negative-eps", "quantize-eps-minus-one", "quantize-zero-eps-sq",
+        "stats", "downgrade-none", "downgrade-both", "lemma-check", "lemma-check-no-trials",
+        "lemma-check-negative-trials"])
 def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
