@@ -22,7 +22,13 @@ from .costs import (
     table2_stats,
     throughput_gains,
 )
-from .errors import ConvergenceError, FormatError, TernresError, UnsupportedDtypeError
+from .errors import (
+    ConvergenceError,
+    DecompositionError,
+    FormatError,
+    TernresError,
+    UnsupportedDtypeError,
+)
 from .manifest import LayerDecl, ModelManifest, load_manifest, load_weights
 from .planner import convert_model, make_schedule
 from .residual import (
@@ -40,6 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
+    "DecompositionError",
     "FormatError",
     "LayerDecl",
     "ModelManifest",

@@ -3,7 +3,8 @@
 Each subparser carries its handler (``args.run``), and each handler is one
 straight path: usage checks that need no file come first, then the library
 calls, then one print per output. ``main`` maps errors to exit codes: 0
-success, 1 I/O or format failure, 2 a usage error, non-convergence or an
+success, 1 I/O or format failure or a container whose levels fail the
+paired pass's decomposition check, 2 a usage error, non-convergence or an
 infeasible budget. All emitted artifacts are deterministic functions of the
 inputs and flags.
 """
@@ -25,7 +26,7 @@ from .costs import (
     table2_stats,
     throughput_gains,
 )
-from .errors import ConvergenceError, FormatError
+from .errors import ConvergenceError, DecompositionError, FormatError
 from .manifest import is_count, load_manifest, load_weights
 from .planner import (
     DEPTH_GRADED_HI,
@@ -318,10 +319,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConvergenceError, ValueError, FormatError, OSError) as exc:
+    except (ConvergenceError, DecompositionError, ValueError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # Unreadable or malformed files exit 1; bad arguments or budgets exit 2.
-        return 1 if isinstance(exc, (FormatError, OSError)) else 2
+        # Unreadable, malformed or inconsistent files exit 1; bad arguments or
+        # budgets exit 2.
+        return 1 if isinstance(exc, (DecompositionError, FormatError, OSError)) else 2
 
 
 if __name__ == "__main__":

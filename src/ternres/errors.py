@@ -29,3 +29,9 @@ class ConvergenceError(TernresError):
             f"layer {layer!r}: residual budget exhausted at r_max={r_max} "
             f"with delta={delta:.6g} > epsilon^2={epsilon_sq:.6g}"
         )
+
+
+class DecompositionError(TernresError, RuntimeError):
+    """A paired pass's level-decomposed accumulation deviates from the dense
+    product with the reconstructed weights: the container's levels do not
+    add up in float32 to the weights they stand for."""

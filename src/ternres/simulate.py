@@ -16,11 +16,16 @@ and ratios accumulate in float64. Work arrays stay near ``CHUNK_BYTES``: a
 convolution builds its patch matrices a batch chunk at a time and writes
 each chunk's product into one output, and the decomposition check sums its
 squares a chunk at a time over the one stacked output. A paired run puts
-its clean side, the FP32 pass and then every activation norm, on one helper
-thread while the calling thread runs the quantized side. The helper takes
-its norms through one float64 scratch buffer and the calling thread the
-weight norms through another, all with the same bits as ``np.linalg.norm``
-of a float64 copy.
+its clean side, the FP32 pass and then every activation norm and every
+decomposition check, on one helper thread while the calling thread runs the
+quantized side: activation quantization, the stacked products and the
+weight norms. The helper takes its norms through one float64 scratch buffer
+and the calling thread the weight norms through another, all with the same
+bits as ``np.linalg.norm`` of a float64 copy. With activation quantization,
+a layer whose input is a relu or maxpool over a quantized input skips the
+re-quantization, which would change no bit. Errors come in the order of a
+serial pass: the clean pass's error, then the earliest failed check, then
+the quantized side's own error.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import DecompositionError
 from .manifest import PARAMETRIC_KINDS, LayerDecl, ModelManifest, _check_weight_shape
 from .residual import QuantizedLayer, QuantizedModel, reconstruct
 from .residual import fixed_point_exponent, level_index, snap_8bit
@@ -41,6 +47,10 @@ from .tensors import Tensor
 
 DECOMPOSITION_RTOL = 1e-5
 CHUNK_BYTES = 4 << 20  # batch-chunked work arrays stay near this size
+FLOAT32_MIN_EXPONENT = -149  # 2^-149 is the smallest float32 above 0
+# A peak above 127 * 2^121 needs the step 2^122, which rounds the peak to
+# 64 * 2^122 = 2^128, past the largest float32.
+FLOAT32_MAX_EXPONENT = 121
 
 
 def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -48,7 +58,11 @@ def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, int]:
 
     Dynamic fixed point: returns the rounded values and the exponent e of the
     power-of-two step, the smallest integer with ``max|x| <= 127 * 2^e``, so
-    every element is off by at most ``2^(e-1)``.
+    every element is off by at most ``2^(e-1)``. Below a peak of
+    ``127 * 2^-149`` the exponent stops at -149, the smallest float32 step:
+    every float32 is a whole multiple of it, so such inputs come back as
+    they are. A peak above ``127 * 2^121`` has no grid in float32 and
+    raises ``ValueError``, as a non-finite one does.
     """
     x = np.asarray(x, dtype=np.float32)
     peak = float(max(x.max(), -x.min())) if x.size else 0.0
@@ -56,7 +70,10 @@ def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, int]:
         raise ValueError("cannot quantize non-finite activations")
     if peak == 0.0:
         return x.copy(), 0
-    e = fixed_point_exponent(peak)
+    e = max(fixed_point_exponent(peak), FLOAT32_MIN_EXPONENT)
+    if e > FLOAT32_MAX_EXPONENT:
+        raise ValueError(f"cannot quantize activations beyond 127 * 2^{FLOAT32_MAX_EXPONENT} "
+                         f"in float32, peak {peak:.9g}")
     return snap_8bit(x, e), e
 
 
@@ -253,18 +270,18 @@ def _sq_norm64(buf: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> f
 
 
 def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarray,
-                     bias: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """Dense pass with the reconstructed weights ``dense_w``, cross-checked
-    against the level-decomposed accumulation.
+                     bias: np.ndarray | None, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense pass with the reconstructed weights ``dense_w`` and every
+    level's product, from one stacked product.
 
     The dense weights and R depth slots are stacked along the output axis
     and run as one ``(1+R)*c_out``-output product: slot 0 holds the dense
     weights, slot 1+t every block's level t (zero where a block has fewer
-    levels). The first ``c_out`` outputs are the dense result, the remaining
-    ``(R, c_out)`` are the per-level products, summed for the decomposed
-    result. Each output is its own product, so the two sides stay
-    independent. bn_scale scales each channel by its own weight, so its
-    input is repeated once per slot.
+    levels). Returns the dense result, the first ``c_out`` outputs plus the
+    bias, and the remaining outputs as ``(B, R, c_out, ...)`` per-level
+    products for ``_check_decomposition``. Each output is its own product,
+    so the two sides stay independent. bn_scale scales each channel by its
+    own weight, so its input is repeated once per slot.
     """
     depths = int(qlayer.counts.max(initial=0))
     owner, depth = level_index(qlayer.counts)
@@ -280,15 +297,27 @@ def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarr
     y_dense = out[:, :c_out]
     levels = out[:, c_out:].reshape((out.shape[0], depths) + y_dense.shape[1:])
     if bias is not None:
-        bias = bias.reshape((c_out,) + (1,) * (y_dense.ndim - 2))
-        y_dense = y_dense + bias
-    y_dense = np.ascontiguousarray(y_dense)
-    # The check runs a batch chunk at a time and sums squares in float64.
+        y_dense = y_dense + bias.reshape((c_out,) + (1,) * (y_dense.ndim - 2))
+    return np.ascontiguousarray(y_dense), levels
+
+
+def _check_decomposition(clean_f: Future, layer: LayerDecl, y_dense: np.ndarray,
+                         levels: np.ndarray, bias: np.ndarray | None) -> None:
+    """Raise ``DecompositionError`` when the summed level products, plus the
+    bias, deviate from the dense result by more than ``DECOMPOSITION_RTOL``
+    relative.
+
+    A helper task: it sums a batch chunk at a time and takes both float64
+    norms through the helper's scratch buffer, which holds any activation
+    of the pass.
+    """
+    buf = clean_f.result()[1]
     sample = math.prod(y_dense.shape[1:])
     step = _batch_step(sample * 8)
-    buf = np.empty(step * sample, dtype=np.float64)
+    if bias is not None:
+        bias = bias.reshape((-1,) + (1,) * (y_dense.ndim - 2))
     err_sq = ref_sq = 0.0
-    for s in range(0, out.shape[0], step):
+    for s in range(0, y_dense.shape[0], step):
         y_dec = levels[s:s + step].sum(axis=1)
         if bias is not None:
             y_dec += bias
@@ -296,11 +325,10 @@ def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarr
         ref_sq += _sq_norm64(buf, y_dense[s:s + step])
     rel = _ratio(math.sqrt(err_sq), math.sqrt(ref_sq))
     if rel > DECOMPOSITION_RTOL:
-        raise RuntimeError(
+        raise DecompositionError(
             f"layer {layer.name!r}: level-decomposed accumulation deviates from "
             f"the dense reconstruction by {rel:.3g} relative"
         )
-    return y_dense
 
 
 @dataclass(frozen=True)
@@ -380,33 +408,44 @@ def forward_quantized(
 
     Returns the quantized activations, the quantized logits, and the trace.
     Biases stay at full precision; activation quantization, when enabled,
-    applies to every layer input including the network input.
+    applies to every layer input including the network input. The output
+    of a relu or maxpool over a quantized input is already on that input's
+    grid, which a re-quantization leaves bit for bit, so the next layer
+    takes it as it is, with a gap of exactly 0.
 
     The clean side runs on one helper thread while the calling thread runs
     the quantized side; numpy releases the GIL in the products, copies and
     dot products both sides spend their time in. The helper runs
-    ``forward`` and then every activation norm, in layer order, through its
-    own float64 scratch buffer; the calling thread keeps activation
-    quantization, the stacked products with their decomposition check and
-    the two weight norms of epsilon. The helper is shut down before this
-    returns. When both sides fail, the clean pass's error is raised.
+    ``forward`` and then, in layer order, every activation norm and every
+    layer's decomposition check, through its own float64 scratch buffer;
+    the calling thread keeps activation quantization, the stacked products
+    and the two weight norms of epsilon. It lets one layer's level products
+    at most wait for their check, and waits for every check after its last
+    layer. The helper is shut down before this returns. Errors
+    come in the order of a serial pass: the clean pass's error wins, then
+    the failed check of the earliest layer, then the quantized side's own
+    error.
     """
     cur = _as_batch(x)
     qlayers = {l.layer: l for l in qmodel.layers}
     weight_sizes = [weights[l.layer][0].data.size for l in qmodel.layers if l.layer in weights]
     wbuf = np.empty(max(weight_sizes, default=0), dtype=np.float64)
     pool = ThreadPoolExecutor(max_workers=1)
-    # The one worker runs its tasks in order, so every norm task finds the
-    # clean pass done and has the scratch buffer to itself.
+    # The one worker runs its tasks in order, so every norm and check task
+    # finds the clean pass done and has the scratch buffer to itself.
     clean_f = pool.submit(_clean_pass, manifest, weights, cur)
+    checks = []
     try:
         input_norm = pool.submit(_helper_norm, clean_f, cur) if act_quant else None
         gaps, layer_norms, epsilons, acts = [], [], [], []
+        on_grid = False  # cur is the output of a relu or maxpool over a quantized input
         for li, layer in enumerate(manifest.layers):
             x_in = cur
-            if act_quant:
+            if act_quant and not on_grid:
                 x_in, _ = quantize_activations(cur)
                 gaps.append(pool.submit(_helper_norm, clean_f, cur, x_in))
+            else:
+                gaps.append(None)
             w, b = _weight_arrays(weights, layer)
             epsilon = 0.0
             if layer.weight_ref is not None and layer.name in qlayers:
@@ -417,14 +456,27 @@ def forward_quantized(
                         f"match weight shape {w.shape}"
                     )
                 dense_w = reconstruct(qlayer).data
-                cur = _apply_quantized(layer, qlayer, dense_w, b, x_in)
+                cur, levels = _apply_quantized(layer, qlayer, dense_w, b, x_in)
+                if checks:
+                    # Only one layer's level products may wait for their
+                    # check: a helper that is behind holds this thread here
+                    # rather than let them pile up.
+                    checks[-1].result()
+                checks.append(pool.submit(_check_decomposition, clean_f, layer, cur,
+                                          levels, b))
+                del levels  # the check task alone keeps them, until it has run
                 epsilon = _ratio(math.sqrt(_sq_norm64(wbuf, w, dense_w)),
                                  math.sqrt(_sq_norm64(wbuf, w)))
             else:
                 cur = apply_layer(layer, w, b, x_in)
+            # relu and maxpool only pick or zero their input's elements, so
+            # their output stays on the input's 8-bit grid.
+            on_grid = act_quant and layer.kind in ("relu", "maxpool")
             acts.append(cur)
             epsilons.append(epsilon)
             layer_norms.append(pool.submit(_helper_layer_norms, clean_f, li, cur))
+        for check in checks:
+            check.result()
 
         clean = clean_f.result()[0]
         # ref_norm is the norm of the clean activation handed to the next
@@ -434,16 +486,19 @@ def forward_quantized(
         entries = [TraceEntry(0, "input", "input", 0.0, 0.0, 0.0)]
         for li, layer in enumerate(manifest.layers):
             if act_quant:
-                entries[li] = replace(entries[li], gamma=_ratio(gaps[li].result(), ref_norm))
+                gap = 0.0 if gaps[li] is None else gaps[li].result()
+                entries[li] = replace(entries[li], gamma=_ratio(gap, ref_norm))
             ref_norm, gap = layer_norms[li].result()
             entries.append(TraceEntry(li + 1, layer.name, layer.kind, _ratio(gap, ref_norm),
                                       0.0, epsilons[li]))
     except BaseException:
-        # The clean pass's error wins, as it would if the clean pass ran
-        # first: a weight the reference pass rejects explains the rest.
-        error = clean_f.exception()
-        if error is not None:
-            raise error
+        # Raise what a serial pass would have: the clean pass ran first, and
+        # each layer's check ran before the next layer. A weight the
+        # reference pass rejects explains the rest.
+        for task in [clean_f] + checks:
+            error = task.exception()
+            if error is not None:
+                raise error
         raise
     finally:
         pool.shutdown(cancel_futures=True)

@@ -21,6 +21,7 @@ from ternres import (
     ternary_residual,
 )
 from ternres import planner
+from ternres.residual import layer_delta
 from ternres.tensors import load_tensor
 from ternres.cli import main
 
@@ -573,3 +574,37 @@ def test_mlp_roundtrip_with_batch_input(tmp_path, capsys):
                  "-i", str(tmp_path / "net" / "batch.npy"),
                  "--logits", str(tmp_path / "y.npy")]) == 0
     assert load_tensor(tmp_path / "y.npy").shape == (3, 8)
+
+
+@pytest.mark.parametrize("command", ["infer", "trace", "lemma-check"])
+def test_cancelling_levels_fail_the_decomposition_check_exit_1(tmp_path, capsys, command):
+    # A well-formed container whose fc1 levels cancel: each block holds s
+    # at 1e7 and -s at the next float32 up, so the dense weights are -s
+    # while the float32 level products cancel with most of their bits.
+    rng = np.random.default_rng(3)
+    manifest, weights = mlp_net(rng)
+    manifest_path = write_net(manifest, weights, tmp_path / "net")
+    save_tensor(Tensor("x", rng.normal(size=(3, 48)).astype(np.float32)),
+                tmp_path / "net" / "x.npy")
+    main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.2",
+          "-o", str(tmp_path / "net.tq")])
+    model = load_quantized(tmp_path / "net.tq")
+    fc1 = model.layer("fc1")
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(fc1.num_blocks, 16))
+    big = np.float32(1e7)
+    cancelling = replace(
+        fc1, counts=np.full(fc1.num_blocks, 2, dtype=np.int32),
+        alphas=np.tile([big, np.nextafter(big, np.float32(np.inf))], fc1.num_blocks),
+        signs=np.stack([signs, -signs], axis=1).reshape(-1, 16),
+        delta_sequence=np.zeros(0), trace=())
+    cancelling = replace(cancelling, delta=layer_delta(weights["fc1"][0], cancelling))
+    layers = tuple(cancelling if l.layer == "fc1" else l for l in model.layers)
+    save_quantized(replace(model, layers=layers), tmp_path / "cancel.tq")
+    assert load_quantized(tmp_path / "cancel.tq").layer("fc1").delta == cancelling.delta
+    capsys.readouterr()
+    assert main([command, str(tmp_path / "cancel.tq"), "-m", manifest_path,
+                 "-i", str(tmp_path / "net" / "x.npy")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: layer 'fc1': level-decomposed accumulation deviates")
+    assert err.count("\n") == 1

@@ -2,9 +2,13 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
@@ -251,6 +255,36 @@ class TestActivationQuantization:
             with pytest.raises(ValueError, match="non-finite"):
                 quantize_activations(np.array([1.0, bad, -2.0], dtype=np.float32))
 
+    def test_tiny_peak_comes_back_unchanged(self):
+        # 2^e underflows in float32 below e = -149; there every float32 is
+        # a whole multiple of the step, so nothing may change.
+        x = np.array([0.0, 1e-44, -3e-45], dtype=np.float32)
+        q, exponent = quantize_activations(x)
+        assert exponent == -149
+        assert q.tobytes() == x.tobytes()
+
+    def test_peak_beyond_the_float32_grid_rejected(self):
+        edge = np.float32(127 * 2.0 ** 121)
+        q, exponent = quantize_activations(np.array([edge, -1.0], dtype=np.float32))
+        assert exponent == 121 and q[0] == edge
+        for peak in (np.nextafter(edge, np.float32(np.inf)), np.finfo(np.float32).max):
+            with pytest.raises(ValueError, match="beyond 127"):
+                quantize_activations(np.array([1.0, -peak], dtype=np.float32))
+
+    @given(hnp.arrays(np.float32, st.tuples(st.integers(1, 2), st.integers(1, 3),
+                                            st.integers(2, 5), st.integers(2, 5)),
+                      elements=st.one_of(
+                          st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 127 * 2.0 ** 121, -3e38]),
+                          st.floats(width=32, allow_nan=False, allow_infinity=False))))
+    @settings(max_examples=300, deadline=None)
+    def test_relu_and_maxpool_keep_the_grid(self, x):
+        # A paired pass with act-quant does not re-quantize these outputs.
+        # Peaks beyond 127 * 2^121 are rejected, as the test above checks.
+        assume(float(np.max(np.abs(x))) <= 127 * 2.0 ** 121)
+        q, _ = quantize_activations(x)
+        for y in (simulate._relu(q), simulate._maxpool(q, 2, 1), simulate._maxpool(q, 2, 2)):
+            assert quantize_activations(y)[0].tobytes() == y.tobytes()
+
 
 def _convert(manifest, weights, block, eps_sq):
     schedule = make_schedule(manifest, "uniform", epsilon_sq=eps_sq)
@@ -399,6 +433,26 @@ class TestForwardQuantized:
         # dense-plus-levels pass, not 1+R.
         expected = {l.layer: 2 for l in model.layers}
         assert {name: calls[name] for name in expected} == expected
+
+    def test_grid_outputs_are_not_quantized_again(self, monkeypatch):
+        # conv1 bn1 relu1 pool1(max) conv2 relu2 pool2(avg) fc1: the inputs
+        # of pool1 (after relu1), conv2 (after the maxpool) and pool2 (after
+        # relu2) are on their grid already, so 5 of 8 layers quantize.
+        rng = np.random.default_rng(18)
+        manifest, weights = conv_net(rng)
+        model = _convert(manifest, weights, 16, 0.01)
+        x = rng.normal(size=(2,) + manifest.input_shape).astype(np.float32)
+        calls = []
+        quantize = simulate.quantize_activations
+
+        def counted(a):
+            calls.append(a.shape)
+            return quantize(a)
+
+        monkeypatch.setattr(simulate, "quantize_activations", counted)
+        forward_quantized(manifest, weights, model, x, act_quant=True)
+        assert len(manifest.layers) == 8
+        assert len(calls) == 5
 
     def test_misaligned_model_rejected(self):
         rng = np.random.default_rng(9)
@@ -728,6 +782,59 @@ class TestHelperThread:
                 assert results == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestChecksOnTheHelper:
+    """The decomposition checks run on the helper thread, after its clean pass."""
+
+    @pytest.mark.parametrize("act_quant", [False, True], ids=["plain", "act-quant"])
+    def test_earlier_check_error_wins_over_a_later_quantized_error(self, monkeypatch,
+                                                                   act_quant):
+        # fc1 fails its check, which runs on the helper; the quantized fc2
+        # does not fit its weight, which the calling thread finds later. The
+        # clean pass is valid. A serial pass stopped at fc1's check.
+        manifest, weights, model, x = TestHelperThread._mlp(34)
+        other = Tensor("fc2", np.ones((8, 31), dtype=np.float32))
+        model = QuantizedModel({}, (model.layer("fc1"),
+                                    ternary_residual(other, 16, epsilon_sq=0.05)))
+        monkeypatch.setattr(simulate, "DECOMPOSITION_RTOL", 1.0)
+        with pytest.raises(ValueError, match="layer 'fc2': quantized shape"):
+            forward_quantized(manifest, weights, model, x, act_quant=act_quant)
+        monkeypatch.setattr(simulate, "DECOMPOSITION_RTOL", -1.0)
+        with pytest.raises(RuntimeError, match="layer 'fc1'.*deviates"):
+            forward_quantized(manifest, weights, model, x, act_quant=act_quant)
+
+    def test_one_layer_of_level_products_waits_for_its_check(self, monkeypatch):
+        # A slow clean pass keeps the helper behind. Each stacked product
+        # must still start with every check done but the previous layer's,
+        # so no more than one layer's level products pile up.
+        manifest, weights = conv_net(np.random.default_rng(35))
+        model = _convert(manifest, weights, 16, 0.01)
+        x = np.random.default_rng(36).normal(size=(3,) + manifest.input_shape).astype(
+            np.float32)
+        done, seen = [], []
+        check, apply_quantized, clean_pass = (
+            simulate._check_decomposition, simulate._apply_quantized, simulate._clean_pass)
+
+        def counted_check(*args):
+            check(*args)
+            done.append(args[1].name)
+
+        def counted_apply(layer, *args):
+            seen.append(len(done))
+            return apply_quantized(layer, *args)
+
+        def slow_clean(*args):
+            time.sleep(0.3)
+            return clean_pass(*args)
+
+        monkeypatch.setattr(simulate, "_check_decomposition", counted_check)
+        monkeypatch.setattr(simulate, "_apply_quantized", counted_apply)
+        monkeypatch.setattr(simulate, "_clean_pass", slow_clean)
+        forward_quantized(manifest, weights, model, x, act_quant=True)
+        assert [l.name for l in manifest.parametric_layers()] == ["conv1", "bn1", "conv2", "fc1"]
+        assert len(seen) == 4 and all(n >= i - 1 for i, n in enumerate(seen))
+        assert done == ["conv1", "bn1", "conv2", "fc1"]
 
 
 class TestMarginCheck:
