@@ -13,19 +13,22 @@ channel by its own weight, sees its input repeated once per slot.
 
 Everything computes in float32 (the toolkit's native precision) while norms
 and ratios accumulate in float64. Work arrays stay near ``CHUNK_BYTES``: a
-convolution builds its patch matrices a batch chunk at a time and writes
-each chunk's product into one output, and the decomposition check sums its
-squares a chunk at a time over the one stacked output. A paired run puts
-its clean side, the FP32 pass and then every activation norm and every
-decomposition check, on one helper thread while the calling thread runs the
-quantized side: activation quantization, the stacked products and the
-weight norms. The helper takes its norms through one float64 scratch buffer
-and the calling thread the weight norms through another, all with the same
-bits as ``np.linalg.norm`` of a float64 copy. With activation quantization,
-a layer whose input is a relu or maxpool over a quantized input skips the
-re-quantization, which would change no bit. Errors come in the order of a
-serial pass: the clean pass's error, then the earliest failed check, then
-the quantized side's own error.
+convolution builds its patch matrices and its products a batch chunk at a
+time. A paired run puts its clean side, the FP32 pass and then every
+activation norm, on one helper thread while the calling thread runs the
+quantized side: activation quantization, the stacked products, the
+decomposition checks and the weight norms. A conv layer's stacked product
+is a set of batch chunks that the helper also claims once it reaches that
+layer; the thread that computes a chunk writes its dense slot plus bias
+into the layer output and adds its two sums of squares to the layer's
+check, so the full stacked output is never built. fc and bn_scale run in
+one piece on the calling thread. The helper takes its norms through one
+float64 scratch buffer and the calling thread the weight norms through
+another, all with the same bits as ``np.linalg.norm`` of a float64 copy.
+With activation quantization, a layer whose input is a relu or maxpool over
+a quantized input skips the re-quantization, which would change no bit.
+Errors come in the order of a serial pass: the clean pass's error, then the
+quantized side's first error, a failed check included.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -98,9 +103,11 @@ def _batch_step(sample_bytes: int) -> int:
 
 
 def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
-            stride: int, pad: int) -> np.ndarray:
+            stride: int, pad: int, paired: _SharedChunks | None = None) -> np.ndarray:
     """im2col convolution: the flat kernel times each image's patch matrix,
-    built a batch chunk at a time and written into one output."""
+    built a batch chunk at a time. Each chunk's product goes into one output,
+    or, for the stacked product of a paired pass, to ``paired``, which both
+    of the pass's threads work through."""
     if x.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ValueError(f"conv2d expects (B,{w.shape[1]},H,W), got {x.shape}")
     c_out, c_in, kh, kw = w.shape
@@ -118,11 +125,21 @@ def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
     patches = windows.transpose(0, 1, 4, 5, 2, 3)
     rows, cols = c_in * kh * kw, oh * ow
     flat_w = w.reshape(c_out, rows)
-    y = np.empty((x.shape[0], c_out, cols), dtype=np.result_type(w, x))
-    step = _batch_step(rows * cols * x.itemsize)
-    for s in range(0, x.shape[0], step):
-        np.matmul(flat_w, patches[s:s + step].reshape(-1, rows, cols), out=y[s:s + step])
-    y = y.reshape(x.shape[0], c_out, oh, ow)
+    # A chunk's patch matrices or its products, whichever are larger, hold
+    # about CHUNK_BYTES: a stacked product has (1+R)*c_out output rows.
+    step = _batch_step(max(rows, c_out) * cols * x.itemsize)
+    starts = range(0, x.shape[0], step)
+
+    def product(s: int, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(flat_w, patches[s:s + step].reshape(-1, rows, cols), out=out)
+
+    if paired is None:
+        y = np.empty((x.shape[0], c_out, cols), dtype=np.result_type(w, x))
+        for s in starts:
+            product(s, y[s:s + step])
+    else:
+        y = paired.run(starts, product, cols)
+    y = y.reshape(x.shape[0], y.shape[1], oh, ow)
     if b is not None:
         y += b.reshape(1, c_out, 1, 1)
     return y.astype(np.float32, copy=False)
@@ -172,16 +189,18 @@ def _bn_scale(a: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
 
 
 def apply_layer(layer: LayerDecl, weight: np.ndarray | None,
-                bias: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+                bias: np.ndarray | None, x: np.ndarray,
+                paired: _SharedChunks | None = None) -> np.ndarray:
     """One layer over a batch; these are the only layer shape rules, and a
-    shape error names the layer."""
+    shape error names the layer. ``paired`` takes the chunks of a paired
+    pass's stacked conv product (see ``_apply_quantized``)."""
     if layer.kind in ("maxpool", "avgpool"):
         window = layer.hp("window")  # its error names the layer already
     try:
         if layer.kind == "fc":
             return _fc(weight, bias, x)
         if layer.kind == "conv2d":
-            return _conv2d(weight, bias, x, layer.hp("stride", 1), layer.hp("pad", 0))
+            return _conv2d(weight, bias, x, layer.hp("stride", 1), layer.hp("pad", 0), paired)
         if layer.kind == "relu":
             return _relu(x)
         if layer.kind == "maxpool":
@@ -269,19 +288,99 @@ def _sq_norm64(buf: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> f
     return float(np.dot(flat, flat))
 
 
+def _finish_stacked(y: np.ndarray, s: int, out: np.ndarray,
+                    bias: np.ndarray | None) -> tuple[float, float]:
+    """Finish a batch chunk ``out`` of a stacked product, which holds images
+    ``s`` on: write its dense slot plus ``bias`` into ``y``, and return the
+    decomposition check's two float64 sums of squares for it, of the dense
+    result minus the summed level slots plus bias, and of the dense result."""
+    n, c_out = out.shape[0], y.shape[1]
+    dense = y[s:s + n]
+    depths = out.shape[1] // c_out - 1
+    y_dec = out[:, c_out:].reshape((n, depths) + dense.shape[1:]).sum(axis=1)
+    if bias is None:
+        np.copyto(dense, out[:, :c_out])
+    else:
+        bias = bias.reshape((c_out,) + (1,) * (dense.ndim - 2))
+        np.add(out[:, :c_out], bias, out=dense)
+        y_dec += bias
+    buf = np.empty(dense.size, dtype=np.float64)
+    return _sq_norm64(buf, dense, y_dec), _sq_norm64(buf, dense)
+
+
+class _SharedChunks:
+    """The batch chunks of one layer's stacked conv product, shared by the
+    two threads of a paired pass.
+
+    The calling thread queues one task on the helper, then claims chunks in
+    order. When the helper reaches that task, it claims the chunks still
+    open. The thread that claims a chunk computes it and finishes it
+    (``_finish_stacked``), so the full stacked output is never built. Once
+    no chunk is left, the calling thread waits for the helper only if the
+    helper claimed one, and raises the helper's error if it had one.
+    """
+
+    def __init__(self, pool: ThreadPoolExecutor, c_out: int, bias: np.ndarray | None):
+        self._pool, self._c_out, self._bias = pool, c_out, bias
+        self._lock = threading.Lock()
+        self._chunk = None  # chunk(i) computes and finishes chunk i
+        self._next = self._count = 0
+        self._helper_claimed = False
+        self.sums: list[tuple[float, float]] = []  # per chunk, in batch order
+
+    def _drain(self, helper: bool = False) -> None:
+        while True:
+            with self._lock:
+                if self._next == self._count:
+                    return
+                i, chunk = self._next, self._chunk
+                self._next += 1
+                self._helper_claimed |= helper
+            chunk(i)
+
+    def run(self, starts: range, product: Callable[[int], np.ndarray],
+            cols: int) -> np.ndarray:
+        """Compute and finish ``product(s)`` for every start ``s``; returns
+        the dense outputs plus bias, ``(B, c_out, cols)``."""
+        y = np.empty((starts.stop, self._c_out, cols), dtype=np.float32)
+        sums = [(0.0, 0.0)] * len(starts)
+
+        def chunk(i: int) -> None:
+            sums[i] = _finish_stacked(y, starts[i], product(starts[i]), self._bias)
+
+        self._chunk, self._count = chunk, len(starts)
+        task = self._pool.submit(self._drain, True)
+        try:
+            self._drain()
+        finally:
+            with self._lock:
+                # Nothing is left to claim; a helper task that has not
+                # started yet must not keep this layer's work alive.
+                self._next, self._chunk = self._count, None
+                helper_claimed = self._helper_claimed
+        if helper_claimed:
+            task.result()
+        self.sums = sums
+        return y
+
+
 def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarray,
-                     bias: np.ndarray | None, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense pass with the reconstructed weights ``dense_w`` and every
-    level's product, from one stacked product.
+                     bias: np.ndarray | None, x: np.ndarray,
+                     pool: ThreadPoolExecutor) -> np.ndarray:
+    """Dense pass with the reconstructed weights ``dense_w``, checked against
+    every level's product; both come from one stacked product.
 
     The dense weights and R depth slots are stacked along the output axis
     and run as one ``(1+R)*c_out``-output product: slot 0 holds the dense
     weights, slot 1+t every block's level t (zero where a block has fewer
     levels). Returns the dense result, the first ``c_out`` outputs plus the
-    bias, and the remaining outputs as ``(B, R, c_out, ...)`` per-level
-    products for ``_check_decomposition``. Each output is its own product,
-    so the two sides stay independent. bn_scale scales each channel by its
-    own weight, so its input is repeated once per slot.
+    bias. Each output is its own product, so the two sides stay
+    independent. bn_scale scales each channel by its own weight, so its
+    input is repeated once per slot. A conv product runs a batch chunk at a
+    time on both threads (``_SharedChunks``); fc and bn_scale run in one
+    piece on the calling thread. Raises ``DecompositionError`` when the
+    summed level products, plus the bias, deviate from the dense result by
+    more than ``DECOMPOSITION_RTOL`` relative.
     """
     depths = int(qlayer.counts.max(initial=0))
     owner, depth = level_index(qlayer.counts)
@@ -290,45 +389,25 @@ def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarr
     blocked[1 + depth, owner] = qlayer.alphas[:, None] * qlayer.signs
     stacked = blocked.reshape(1 + depths, -1)[:, :dense_w.size]
     stacked[0] = dense_w.reshape(-1)
+    stacked = stacked.reshape((-1,) + dense_w.shape[1:])
     c_out = dense_w.shape[0]
-    if layer.kind == "bn_scale":
-        x = np.concatenate([x] * (1 + depths), axis=1)
-    out = apply_layer(layer, stacked.reshape((-1,) + dense_w.shape[1:]), None, x)
-    y_dense = out[:, :c_out]
-    levels = out[:, c_out:].reshape((out.shape[0], depths) + y_dense.shape[1:])
-    if bias is not None:
-        y_dense = y_dense + bias.reshape((c_out,) + (1,) * (y_dense.ndim - 2))
-    return np.ascontiguousarray(y_dense), levels
-
-
-def _check_decomposition(clean_f: Future, layer: LayerDecl, y_dense: np.ndarray,
-                         levels: np.ndarray, bias: np.ndarray | None) -> None:
-    """Raise ``DecompositionError`` when the summed level products, plus the
-    bias, deviate from the dense result by more than ``DECOMPOSITION_RTOL``
-    relative.
-
-    A helper task: it sums a batch chunk at a time and takes both float64
-    norms through the helper's scratch buffer, which holds any activation
-    of the pass.
-    """
-    buf = clean_f.result()[1]
-    sample = math.prod(y_dense.shape[1:])
-    step = _batch_step(sample * 8)
-    if bias is not None:
-        bias = bias.reshape((-1,) + (1,) * (y_dense.ndim - 2))
-    err_sq = ref_sq = 0.0
-    for s in range(0, y_dense.shape[0], step):
-        y_dec = levels[s:s + step].sum(axis=1)
-        if bias is not None:
-            y_dec += bias
-        err_sq += _sq_norm64(buf, y_dense[s:s + step], y_dec)
-        ref_sq += _sq_norm64(buf, y_dense[s:s + step])
-    rel = _ratio(math.sqrt(err_sq), math.sqrt(ref_sq))
+    if layer.kind == "conv2d":
+        paired = _SharedChunks(pool, c_out, bias)
+        y = apply_layer(layer, stacked, None, x, paired)
+        sums = paired.sums
+    else:
+        if layer.kind == "bn_scale":
+            x = np.concatenate([x] * (1 + depths), axis=1)
+        out = apply_layer(layer, stacked, None, x)
+        y = np.empty((out.shape[0], c_out) + out.shape[2:], dtype=np.float32)
+        sums = [_finish_stacked(y, 0, out, bias)]
+    rel = _ratio(math.sqrt(sum(e for e, _ in sums)), math.sqrt(sum(r for _, r in sums)))
     if rel > DECOMPOSITION_RTOL:
         raise DecompositionError(
             f"layer {layer.name!r}: level-decomposed accumulation deviates from "
             f"the dense reconstruction by {rel:.3g} relative"
         )
+    return y
 
 
 @dataclass(frozen=True)
@@ -416,25 +495,25 @@ def forward_quantized(
     The clean side runs on one helper thread while the calling thread runs
     the quantized side; numpy releases the GIL in the products, copies and
     dot products both sides spend their time in. The helper runs
-    ``forward`` and then, in layer order, every activation norm and every
-    layer's decomposition check, through its own float64 scratch buffer;
-    the calling thread keeps activation quantization, the stacked products
-    and the two weight norms of epsilon. It lets one layer's level products
-    at most wait for their check, and waits for every check after its last
-    layer. The helper is shut down before this returns. Errors
-    come in the order of a serial pass: the clean pass's error wins, then
-    the failed check of the earliest layer, then the quantized side's own
-    error.
+    ``forward`` and then, in layer order, every activation norm, through its
+    own float64 scratch buffer; the calling thread keeps activation
+    quantization, the stacked products, the decomposition checks and the
+    two weight norms of epsilon. When the helper reaches a conv layer whose
+    stacked product still has batch chunks open, it computes and checks
+    those too; the calling thread waits only for chunks the helper has
+    started, and raises the error of a chunk that failed there. The helper
+    is shut down before this returns. Errors come in the order of a serial
+    pass: the clean pass's error wins, then the quantized side's first
+    error, a failed check included.
     """
     cur = _as_batch(x)
     qlayers = {l.layer: l for l in qmodel.layers}
     weight_sizes = [weights[l.layer][0].data.size for l in qmodel.layers if l.layer in weights]
     wbuf = np.empty(max(weight_sizes, default=0), dtype=np.float64)
     pool = ThreadPoolExecutor(max_workers=1)
-    # The one worker runs its tasks in order, so every norm and check task
-    # finds the clean pass done and has the scratch buffer to itself.
+    # The one worker runs its tasks in order, so every norm task finds the
+    # clean pass done and has the scratch buffer to itself.
     clean_f = pool.submit(_clean_pass, manifest, weights, cur)
-    checks = []
     try:
         input_norm = pool.submit(_helper_norm, clean_f, cur) if act_quant else None
         gaps, layer_norms, epsilons, acts = [], [], [], []
@@ -456,15 +535,7 @@ def forward_quantized(
                         f"match weight shape {w.shape}"
                     )
                 dense_w = reconstruct(qlayer).data
-                cur, levels = _apply_quantized(layer, qlayer, dense_w, b, x_in)
-                if checks:
-                    # Only one layer's level products may wait for their
-                    # check: a helper that is behind holds this thread here
-                    # rather than let them pile up.
-                    checks[-1].result()
-                checks.append(pool.submit(_check_decomposition, clean_f, layer, cur,
-                                          levels, b))
-                del levels  # the check task alone keeps them, until it has run
+                cur = _apply_quantized(layer, qlayer, dense_w, b, x_in, pool)
                 epsilon = _ratio(math.sqrt(_sq_norm64(wbuf, w, dense_w)),
                                  math.sqrt(_sq_norm64(wbuf, w)))
             else:
@@ -475,8 +546,6 @@ def forward_quantized(
             acts.append(cur)
             epsilons.append(epsilon)
             layer_norms.append(pool.submit(_helper_layer_norms, clean_f, li, cur))
-        for check in checks:
-            check.result()
 
         clean = clean_f.result()[0]
         # ref_norm is the norm of the clean activation handed to the next
@@ -492,13 +561,11 @@ def forward_quantized(
             entries.append(TraceEntry(li + 1, layer.name, layer.kind, _ratio(gap, ref_norm),
                                       0.0, epsilons[li]))
     except BaseException:
-        # Raise what a serial pass would have: the clean pass ran first, and
-        # each layer's check ran before the next layer. A weight the
-        # reference pass rejects explains the rest.
-        for task in [clean_f] + checks:
-            error = task.exception()
-            if error is not None:
-                raise error
+        # Raise what a serial pass would have: the clean pass ran first. A
+        # weight the reference pass rejects explains the rest.
+        error = clean_f.exception()
+        if error is not None:
+            raise error
         raise
     finally:
         pool.shutdown(cancel_futures=True)

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -590,6 +591,30 @@ def _strided_net(rng, pad):
     return manifest, weights
 
 
+def _widening_conv_net(rng):
+    """conv 3->4, relu, conv 4->32, relu, maxpool 4 and fc on a 16x16 input:
+    the last conv's output dwarfs its input and every work array."""
+    conv = {"stride": 1, "pad": 1}
+    manifest = ModelManifest((
+        LayerDecl("conv1", "conv2d", weight_ref="conv1.w.npy", bias_ref="conv1.b.npy",
+                  hyperparams=conv),
+        LayerDecl("relu1", "relu"),
+        LayerDecl("conv2", "conv2d", weight_ref="conv2.w.npy", bias_ref="conv2.b.npy",
+                  hyperparams=conv),
+        LayerDecl("relu2", "relu"),
+        LayerDecl("pool", "maxpool", hyperparams={"window": 4}),
+        LayerDecl("fc", "fc", weight_ref="fc.w.npy"),
+    ), input_shape=(3, 16, 16))
+    weights = {
+        "conv1": (Tensor("conv1", rng.normal(size=(4, 3, 3, 3)).astype(np.float32)),
+                  Tensor("conv1.b", rng.normal(size=(4,)).astype(np.float32))),
+        "conv2": (Tensor("conv2", rng.normal(size=(32, 4, 3, 3)).astype(np.float32)),
+                  Tensor("conv2.b", rng.normal(size=(32,)).astype(np.float32))),
+        "fc": (Tensor("fc", rng.normal(size=(5, 32 * 4 * 4)).astype(np.float32)), None),
+    }
+    return manifest, weights
+
+
 PAIRED_NETS = {
     "mlp": lambda seed: mlp_net(np.random.default_rng(seed)),
     "conv": lambda seed: conv_net(np.random.default_rng(seed)),
@@ -785,7 +810,7 @@ class TestHelperThread:
 
 
 class TestChecksOnTheHelper:
-    """The decomposition checks run on the helper thread, after its clean pass."""
+    """The decomposition checks, whose chunks the helper thread may run."""
 
     @pytest.mark.parametrize("act_quant", [False, True], ids=["plain", "act-quant"])
     def test_earlier_check_error_wins_over_a_later_quantized_error(self, monkeypatch,
@@ -804,37 +829,91 @@ class TestChecksOnTheHelper:
         with pytest.raises(RuntimeError, match="layer 'fc1'.*deviates"):
             forward_quantized(manifest, weights, model, x, act_quant=act_quant)
 
-    def test_one_layer_of_level_products_waits_for_its_check(self, monkeypatch):
-        # A slow clean pass keeps the helper behind. Each stacked product
-        # must still start with every check done but the previous layer's,
-        # so no more than one layer's level products pile up.
-        manifest, weights = conv_net(np.random.default_rng(35))
+    def test_a_slow_clean_pass_leaves_the_memory_peak_unchanged(self, monkeypatch):
+        # A clean pass held back 0.3 s leaves the helper behind the whole
+        # quantized side. No stacked product may wait for it, so the peak is
+        # that of a pass on time, and at most the quantized activations plus
+        # the clean pass's own peak. One image per chunk keeps the transients
+        # small beside the activations, as at full size; the slack covers
+        # numpy's cast buffers and Python objects.
+        manifest, weights = _widening_conv_net(np.random.default_rng(35))
         model = _convert(manifest, weights, 16, 0.01)
-        x = np.random.default_rng(36).normal(size=(3,) + manifest.input_shape).astype(
+        x = np.random.default_rng(36).normal(size=(64,) + manifest.input_shape).astype(
             np.float32)
-        done, seen = [], []
-        check, apply_quantized, clean_pass = (
-            simulate._check_decomposition, simulate._apply_quantized, simulate._clean_pass)
-
-        def counted_check(*args):
-            check(*args)
-            done.append(args[1].name)
-
-        def counted_apply(layer, *args):
-            seen.append(len(done))
-            return apply_quantized(layer, *args)
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", 1)
+        slack = forward(manifest, weights, x)[-3].nbytes // 4
+        clean_pass = simulate._clean_pass
 
         def slow_clean(*args):
             time.sleep(0.3)
             return clean_pass(*args)
 
-        monkeypatch.setattr(simulate, "_check_decomposition", counted_check)
-        monkeypatch.setattr(simulate, "_apply_quantized", counted_apply)
+        def peak(run):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                out = run()
+                return tracemalloc.get_traced_memory()[1] - start, out
+            finally:
+                tracemalloc.stop()
+
+        on_time, _ = peak(lambda: forward_quantized(manifest, weights, model, x))
+        clean_peak, _ = peak(lambda: clean_pass(manifest, weights, x))
         monkeypatch.setattr(simulate, "_clean_pass", slow_clean)
-        forward_quantized(manifest, weights, model, x, act_quant=True)
-        assert [l.name for l in manifest.parametric_layers()] == ["conv1", "bn1", "conv2", "fc1"]
-        assert len(seen) == 4 and all(n >= i - 1 for i, n in enumerate(seen))
-        assert done == ["conv1", "bn1", "conv2", "fc1"]
+        held_back, (acts, _, _) = peak(lambda: forward_quantized(manifest, weights, model, x))
+        assert abs(held_back - on_time) <= slack
+        assert held_back <= sum(a.nbytes for a in acts) + clean_peak + slack
+
+
+class TestSharedChunks:
+    """Either thread of a paired pass computes and finishes a conv chunk."""
+
+    @staticmethod
+    def _spy(monkeypatch, fail_on_helper=False):
+        # The calling thread's first chunk waits 0.3 s, so the helper, done
+        # with the clean pass, claims the chunks still open.
+        ran = []
+        finish = simulate._finish_stacked
+
+        def spied(y, s, *args):
+            on_main = threading.current_thread() is threading.main_thread()
+            ran.append((s, on_main))
+            if on_main and len(ran) == 1:
+                time.sleep(0.3)
+            if fail_on_helper and not on_main:
+                raise RuntimeError("chunk failed on the helper")
+            return finish(y, s, *args)
+
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", 1)  # one image per chunk
+        monkeypatch.setattr(simulate, "_finish_stacked", spied)
+        return ran
+
+    @pytest.mark.parametrize("act_quant", [False, True], ids=["plain", "act-quant"])
+    def test_chunks_the_helper_computes_match_the_reference_bit_for_bit(self, monkeypatch,
+                                                                       act_quant):
+        manifest, weights = conv_net(np.random.default_rng(37))
+        model = _convert(manifest, weights, 16, 0.01)
+        x = np.random.default_rng(38).normal(size=(6,) + manifest.input_shape).astype(
+            np.float32)
+        ran = self._spy(monkeypatch)
+        _, logits, trace = forward_quantized(manifest, weights, model, x, act_quant=act_quant)
+        assert any(not on_main for _, on_main in ran)
+        rows, clean_logits, q_logits = reference_paired(manifest, weights, model, x, act_quant)
+        assert trace.to_rows() == rows
+        assert trace.logits.tobytes() == clean_logits.tobytes()
+        assert logits.tobytes() == q_logits.tobytes()
+
+    def test_a_chunk_that_fails_on_the_helper_fails_the_pass(self, monkeypatch):
+        manifest, weights = conv_net(np.random.default_rng(39))
+        model = _convert(manifest, weights, 16, 0.01)
+        x = np.random.default_rng(40).normal(size=(6,) + manifest.input_shape).astype(
+            np.float32)
+        ran = self._spy(monkeypatch, fail_on_helper=True)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed on the helper"):
+            forward_quantized(manifest, weights, model, x)
+        assert any(not on_main for _, on_main in ran)
+        assert threading.active_count() == before
 
 
 class TestMarginCheck:

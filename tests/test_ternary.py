@@ -146,6 +146,33 @@ class TestTernarizeRows:
             rounding = 2.0 ** -24 * np.abs(row).max() + 2.0 ** -150
             assert abs(got - want) <= row.size * rounding ** 2 + 1e-12 * float(row @ row)
 
+    def test_tie_runs_stay_together_and_match_the_oracle(self):
+        # Rows of up to 12 entries made of a few long runs of equal
+        # magnitudes, zeros included. Ternarization keeps a run whole or
+        # drops it whole, and its error is the exhaustive optimum's. Half
+        # the rows open with magnitudes twice the run's, where a cut inside
+        # the run scores closest to the cuts at its ends.
+        rng = np.random.default_rng(41)
+        rows = []
+        for i in range(100):
+            n = int(rng.integers(4, 13))
+            cuts = np.sort(rng.choice(np.arange(1, n), 2, replace=False))
+            a = np.float32(rng.uniform(0.1, 10.0))
+            top = 2 * a if i % 2 else np.float32(rng.uniform(0.0, 10.0))
+            rest = 0.0 if i % 3 == 0 else np.float32(rng.uniform(0.0, 10.0))
+            mags = np.repeat([top, a, rest], np.diff(np.r_[0, cuts, n]))
+            rows.append(rng.permutation(mags * rng.choice([-1.0, 1.0], size=n)))
+        for row in rows:
+            alpha, signs, _ = ternarize_rows(row[None, :])
+            kept = signs[0] != 0
+            for m in np.unique(np.abs(row)):
+                assert len(set(kept[np.abs(row) == m])) == 1
+            oracle_alpha, oracle_signs = oracle_best_support(row)
+            got = float(np.sum((row - alpha[0] * signs[0]) ** 2))
+            want = float(np.sum((row - oracle_alpha * oracle_signs) ** 2))
+            rounding = 2.0 ** -24 * np.abs(row).max()
+            assert abs(got - want) <= row.size * rounding ** 2 + 1e-12 * float(row @ row)
+
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError):
             ternarize_rows(np.zeros(4))
