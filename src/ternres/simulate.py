@@ -17,12 +17,12 @@ convolution builds its patch matrices and its products a batch chunk at a
 time. A paired run puts its clean side, the FP32 pass and then every
 activation norm, on one helper thread while the calling thread runs the
 quantized side: activation quantization, the stacked products, the
-decomposition checks and the weight norms. A conv layer's stacked product
-is a set of batch chunks that the helper also claims once it reaches that
-layer; the thread that computes a chunk writes its dense slot plus bias
-into the layer output and adds its two sums of squares to the layer's
-check, so the full stacked output is never built. fc and bn_scale run in
-one piece on the calling thread. The helper takes its norms through one
+decomposition checks and the weight norms. Every stacked product is a set
+of batch chunks that the helper also claims once it reaches that layer (an
+fc product is one chunk: splitting its rows can change its bits); the
+thread that computes a chunk writes its dense slot plus bias into the layer
+output and adds its two sums of squares to the layer's check, so the full
+stacked output is never built. The helper takes its norms through one
 float64 scratch buffer and the calling thread the weight norms through
 another, all with the same bits as ``np.linalg.norm`` of a float64 copy.
 With activation quantization, a layer whose input is a relu or maxpool over
@@ -37,9 +37,11 @@ import csv
 import json
 import math
 import threading
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,22 +99,25 @@ def _fc(w: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     return y.astype(np.float32, copy=False)
 
 
-def _batch_step(sample_bytes: int) -> int:
-    """Samples per batch chunk whose work arrays hold about ``CHUNK_BYTES``."""
+def _batch_step(w: np.ndarray, out: tuple[int, ...]) -> int:
+    """Samples per batch chunk of a product with weight ``w`` and one-sample
+    output shape ``out``: its patch matrices (fan-in x output positions) or
+    its products, whichever are larger, hold about ``CHUNK_BYTES``."""
+    sample_bytes = max(math.prod(w.shape[1:]), w.shape[0]) * math.prod(out[1:]) * w.itemsize
     return max(1, CHUNK_BYTES // max(1, sample_bytes))
 
 
 def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
-            stride: int, pad: int, paired: _SharedChunks | None = None) -> np.ndarray:
+            stride: int, pad: int) -> np.ndarray:
     """im2col convolution: the flat kernel times each image's patch matrix,
-    built a batch chunk at a time. Each chunk's product goes into one output,
-    or, for the stacked product of a paired pass, to ``paired``, which both
-    of the pass's threads work through."""
+    built a batch chunk at a time."""
     if x.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ValueError(f"conv2d expects (B,{w.shape[1]},H,W), got {x.shape}")
     c_out, c_in, kh, kw = w.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    if pad:  # np.pad's own overhead costs a small chunk more than the copy
+        padded = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad, x.shape[3] + 2 * pad), x.dtype)
+        padded[:, :, pad:-pad, pad:-pad] = x
+        x = padded
     oh = (x.shape[2] - kh) // stride + 1
     ow = (x.shape[3] - kw) // stride + 1
     if oh < 1 or ow < 1:
@@ -125,21 +130,11 @@ def _conv2d(w: np.ndarray, b: np.ndarray | None, x: np.ndarray,
     patches = windows.transpose(0, 1, 4, 5, 2, 3)
     rows, cols = c_in * kh * kw, oh * ow
     flat_w = w.reshape(c_out, rows)
-    # A chunk's patch matrices or its products, whichever are larger, hold
-    # about CHUNK_BYTES: a stacked product has (1+R)*c_out output rows.
-    step = _batch_step(max(rows, c_out) * cols * x.itemsize)
-    starts = range(0, x.shape[0], step)
-
-    def product(s: int, out: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(flat_w, patches[s:s + step].reshape(-1, rows, cols), out=out)
-
-    if paired is None:
-        y = np.empty((x.shape[0], c_out, cols), dtype=np.result_type(w, x))
-        for s in starts:
-            product(s, y[s:s + step])
-    else:
-        y = paired.run(starts, product, cols)
-    y = y.reshape(x.shape[0], y.shape[1], oh, ow)
+    step = _batch_step(w, (c_out, oh, ow))
+    y = np.empty((x.shape[0], c_out, cols), dtype=np.result_type(w, x))
+    for s in range(0, x.shape[0], step):
+        np.matmul(flat_w, patches[s:s + step].reshape(-1, rows, cols), out=y[s:s + step])
+    y = y.reshape(x.shape[0], c_out, oh, ow)
     if b is not None:
         y += b.reshape(1, c_out, 1, 1)
     return y.astype(np.float32, copy=False)
@@ -189,18 +184,16 @@ def _bn_scale(a: np.ndarray, b: np.ndarray | None, x: np.ndarray) -> np.ndarray:
 
 
 def apply_layer(layer: LayerDecl, weight: np.ndarray | None,
-                bias: np.ndarray | None, x: np.ndarray,
-                paired: _SharedChunks | None = None) -> np.ndarray:
+                bias: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """One layer over a batch; these are the only layer shape rules, and a
-    shape error names the layer. ``paired`` takes the chunks of a paired
-    pass's stacked conv product (see ``_apply_quantized``)."""
+    shape error names the layer."""
     if layer.kind in ("maxpool", "avgpool"):
         window = layer.hp("window")  # its error names the layer already
     try:
         if layer.kind == "fc":
             return _fc(weight, bias, x)
         if layer.kind == "conv2d":
-            return _conv2d(weight, bias, x, layer.hp("stride", 1), layer.hp("pad", 0), paired)
+            return _conv2d(weight, bias, x, layer.hp("stride", 1), layer.hp("pad", 0))
         if layer.kind == "relu":
             return _relu(x)
         if layer.kind == "maxpool":
@@ -290,7 +283,7 @@ def _sq_norm64(buf: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> f
 
 def _finish_stacked(y: np.ndarray, s: int, out: np.ndarray,
                     bias: np.ndarray | None) -> tuple[float, float]:
-    """Finish a batch chunk ``out`` of a stacked product, which holds images
+    """Finish a batch chunk ``out`` of a stacked product, which holds samples
     ``s`` on: write its dense slot plus ``bias`` into ``y``, and return the
     decomposition check's two float64 sums of squares for it, of the dense
     result minus the summed level slots plus bias, and of the dense result."""
@@ -308,60 +301,40 @@ def _finish_stacked(y: np.ndarray, s: int, out: np.ndarray,
     return _sq_norm64(buf, dense, y_dec), _sq_norm64(buf, dense)
 
 
-class _SharedChunks:
-    """The batch chunks of one layer's stacked conv product, shared by the
-    two threads of a paired pass.
+def _shared(pool: ThreadPoolExecutor, tasks: list[Callable[[], object]]) -> list:
+    """Run ``tasks`` on the calling thread and the pool's one helper; returns
+    their results in order.
 
-    The calling thread queues one task on the helper, then claims chunks in
-    order. When the helper reaches that task, it claims the chunks still
-    open. The thread that claims a chunk computes it and finishes it
-    (``_finish_stacked``), so the full stacked output is never built. Once
-    no chunk is left, the calling thread waits for the helper only if the
-    helper claimed one, and raises the helper's error if it had one.
+    The calling thread queues one drain on the helper, then both threads
+    claim tasks in order. Once none is left, the calling thread waits for the
+    helper only if the helper claimed one, and raises the helper's error if
+    it had one. The queued drain then holds no task, so a helper that has not
+    reached it yet keeps none of their work alive.
     """
+    todo = deque(enumerate(tasks))
+    results = [None] * len(tasks)
+    lock = threading.Lock()
+    helper_claimed = False
 
-    def __init__(self, pool: ThreadPoolExecutor, c_out: int, bias: np.ndarray | None):
-        self._pool, self._c_out, self._bias = pool, c_out, bias
-        self._lock = threading.Lock()
-        self._chunk = None  # chunk(i) computes and finishes chunk i
-        self._next = self._count = 0
-        self._helper_claimed = False
-        self.sums: list[tuple[float, float]] = []  # per chunk, in batch order
-
-    def _drain(self, helper: bool = False) -> None:
+    def drain(helper: bool) -> None:
+        nonlocal helper_claimed
         while True:
-            with self._lock:
-                if self._next == self._count:
+            with lock:
+                if not todo:
                     return
-                i, chunk = self._next, self._chunk
-                self._next += 1
-                self._helper_claimed |= helper
-            chunk(i)
+                i, task = todo.popleft()
+                helper_claimed |= helper
+            results[i] = task()
 
-    def run(self, starts: range, product: Callable[[int], np.ndarray],
-            cols: int) -> np.ndarray:
-        """Compute and finish ``product(s)`` for every start ``s``; returns
-        the dense outputs plus bias, ``(B, c_out, cols)``."""
-        y = np.empty((starts.stop, self._c_out, cols), dtype=np.float32)
-        sums = [(0.0, 0.0)] * len(starts)
-
-        def chunk(i: int) -> None:
-            sums[i] = _finish_stacked(y, starts[i], product(starts[i]), self._bias)
-
-        self._chunk, self._count = chunk, len(starts)
-        task = self._pool.submit(self._drain, True)
-        try:
-            self._drain()
-        finally:
-            with self._lock:
-                # Nothing is left to claim; a helper task that has not
-                # started yet must not keep this layer's work alive.
-                self._next, self._chunk = self._count, None
-                helper_claimed = self._helper_claimed
-        if helper_claimed:
-            task.result()
-        self.sums = sums
-        return y
+    queued = pool.submit(drain, True)
+    try:
+        drain(False)
+    finally:
+        with lock:
+            todo.clear()
+    if helper_claimed:
+        queued.result()
+    return results
 
 
 def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarray,
@@ -373,14 +346,16 @@ def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarr
     The dense weights and R depth slots are stacked along the output axis
     and run as one ``(1+R)*c_out``-output product: slot 0 holds the dense
     weights, slot 1+t every block's level t (zero where a block has fewer
-    levels). Returns the dense result, the first ``c_out`` outputs plus the
-    bias. Each output is its own product, so the two sides stay
-    independent. bn_scale scales each channel by its own weight, so its
-    input is repeated once per slot. A conv product runs a batch chunk at a
-    time on both threads (``_SharedChunks``); fc and bn_scale run in one
-    piece on the calling thread. Raises ``DecompositionError`` when the
-    summed level products, plus the bias, deviate from the dense result by
-    more than ``DECOMPOSITION_RTOL`` relative.
+    levels). Each output is its own product, so the two sides stay
+    independent; bn_scale, which scales each channel by its own weight,
+    sees its input repeated once per slot. Both threads claim the product's
+    batch chunks (``_shared``) and finish each chunk they compute
+    (``_finish_stacked``), so the full stacked output is never built; an fc
+    product is one chunk, as splitting its rows can change its bits.
+    Returns the dense result, the first ``c_out`` outputs plus the bias.
+    Raises ``DecompositionError`` when the summed level products, plus the
+    bias, deviate from the dense result by more than ``DECOMPOSITION_RTOL``
+    relative.
     """
     depths = int(qlayer.counts.max(initial=0))
     owner, depth = level_index(qlayer.counts)
@@ -390,17 +365,16 @@ def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarr
     stacked = blocked.reshape(1 + depths, -1)[:, :dense_w.size]
     stacked[0] = dense_w.reshape(-1)
     stacked = stacked.reshape((-1,) + dense_w.shape[1:])
-    c_out = dense_w.shape[0]
-    if layer.kind == "conv2d":
-        paired = _SharedChunks(pool, c_out, bias)
-        y = apply_layer(layer, stacked, None, x, paired)
-        sums = paired.sums
-    else:
-        if layer.kind == "bn_scale":
-            x = np.concatenate([x] * (1 + depths), axis=1)
-        out = apply_layer(layer, stacked, None, x)
-        y = np.empty((out.shape[0], c_out) + out.shape[2:], dtype=np.float32)
-        sums = [_finish_stacked(y, 0, out, bias)]
+    if layer.kind == "bn_scale":
+        x = np.concatenate([x] * (1 + depths), axis=1)
+    shape = apply_layer(layer, stacked, None, x[:0]).shape
+    y = np.empty((len(x), dense_w.shape[0]) + shape[2:], dtype=np.float32)
+    step = max(1, len(x)) if layer.kind == "fc" else _batch_step(stacked, shape[1:])
+
+    def chunk(s: int) -> tuple[float, float]:
+        return _finish_stacked(y, s, apply_layer(layer, stacked, None, x[s:s + step]), bias)
+
+    sums = _shared(pool, [partial(chunk, s) for s in range(0, len(x), step)])
     rel = _ratio(math.sqrt(sum(e for e, _ in sums)), math.sqrt(sum(r for _, r in sums)))
     if rel > DECOMPOSITION_RTOL:
         raise DecompositionError(
@@ -498,16 +472,23 @@ def forward_quantized(
     ``forward`` and then, in layer order, every activation norm, through its
     own float64 scratch buffer; the calling thread keeps activation
     quantization, the stacked products, the decomposition checks and the
-    two weight norms of epsilon. When the helper reaches a conv layer whose
-    stacked product still has batch chunks open, it computes and checks
-    those too; the calling thread waits only for chunks the helper has
-    started, and raises the error of a chunk that failed there. The helper
-    is shut down before this returns. Errors come in the order of a serial
-    pass: the clean pass's error wins, then the quantized side's first
-    error, a failed check included.
+    two weight norms of epsilon. When the helper reaches a quantized layer
+    whose stacked product still has batch chunks open, it computes and
+    checks those too; the calling thread waits only for chunks the helper
+    has started, and raises the error of a chunk that failed there. The
+    helper is shut down before this returns. A quantized layer that names
+    no parametric layer of ``manifest`` raises ``ValueError`` first; a model
+    may leave layers out. Errors then come in the order of a serial pass:
+    the clean pass's error wins, then the quantized side's first error, a
+    failed check included.
     """
     cur = _as_batch(x)
     qlayers = {l.layer: l for l in qmodel.layers}
+    parametric = {l.name for l in manifest.layers if l.weight_ref is not None}
+    stray = [name for name in qlayers if name not in parametric]
+    if stray:
+        raise ValueError("quantized layers name no parametric manifest layer: "
+                         + ", ".join(map(repr, stray)))
     weight_sizes = [weights[l.layer][0].data.size for l in qmodel.layers if l.layer in weights]
     wbuf = np.empty(max(weight_sizes, default=0), dtype=np.float64)
     pool = ThreadPoolExecutor(max_workers=1)

@@ -577,6 +577,28 @@ def test_mlp_roundtrip_with_batch_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["infer", "trace", "lemma-check"])
+def test_quantized_layers_missing_from_the_manifest_exit_2(net_dir, capsys, command):
+    # The renamed manifest loads the same weights, but no container layer
+    # matches a name in it; quantizing nothing would report the activation
+    # noise alone.
+    tmp, manifest_path, input_path = net_dir
+    main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+          "-o", str(tmp / "net.tq")])
+    doc = json.loads((tmp / "net" / "net.json").read_text(encoding="utf-8"))
+    for layer in doc["layers"]:
+        layer["name"] = "renamed_" + layer["name"]
+    renamed = tmp / "net" / "renamed.json"
+    renamed.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, str(tmp / "net.tq"), "-m", str(renamed), "-i", input_path,
+                 "--act-quant"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: quantized layers name no parametric manifest layer: "
+                   "'conv1', 'bn1', 'conv2', 'fc1'\n")
+
+
+@pytest.mark.parametrize("command", ["infer", "trace", "lemma-check"])
 def test_cancelling_levels_fail_the_decomposition_check_exit_1(tmp_path, capsys, command):
     # A well-formed container whose fc1 levels cancel: each block holds s
     # at 1e7 and -s at the next float32 up, so the dense weights are -s

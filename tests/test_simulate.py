@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -416,24 +417,34 @@ class TestForwardQuantized:
 
     @pytest.mark.parametrize("make_net", [mlp_net, conv_net])
     def test_one_stacked_pass_per_quantized_layer(self, monkeypatch, make_net):
+        # Every parametric kind: each sample goes once through the source
+        # weights (the clean pass) and once through the stacked
+        # (1+R)*c_out-output weights, in however many chunks; not 1+R
+        # passes, and no other weight array is applied to the layer.
         rng = np.random.default_rng(17)
         manifest, weights = make_net(rng)
         model = _convert(manifest, weights, 16, 0.001)
         assert all(int(l.counts.max()) > 1 for l in model.layers)
-        calls = {}
+        samples = {}
         apply_layer = simulate.apply_layer
 
-        def counted(layer, *args):
-            calls[layer.name] = calls.get(layer.name, 0) + 1
-            return apply_layer(layer, *args)
+        def counted(layer, weight, bias, x):
+            if weight is not None:
+                source = weight is weights[layer.name][0].data
+                key = (layer.name, "source" if source else weight.shape)
+                samples[key] = samples.get(key, 0) + len(x)
+            return apply_layer(layer, weight, bias, x)
 
         monkeypatch.setattr(simulate, "apply_layer", counted)
-        x = rng.normal(size=(2,) + manifest.input_shape).astype(np.float32)
+        monkeypatch.setattr(simulate, "CHUNK_BYTES", 1)  # one image per conv chunk
+        x = rng.normal(size=(3,) + manifest.input_shape).astype(np.float32)
         forward_quantized(manifest, weights, model, x, act_quant=True)
-        # Every parametric kind: one clean pass and one stacked
-        # dense-plus-levels pass, not 1+R.
-        expected = {l.layer: 2 for l in model.layers}
-        assert {name: calls[name] for name in expected} == expected
+        expected = {}
+        for l in model.layers:
+            w = weights[l.layer][0].data
+            stacked = ((1 + int(l.counts.max())) * w.shape[0],) + w.shape[1:]
+            expected[(l.layer, "source")] = expected[(l.layer, stacked)] = len(x)
+        assert samples == expected
 
     def test_grid_outputs_are_not_quantized_again(self, monkeypatch):
         # conv1 bn1 relu1 pool1(max) conv2 relu2 pool2(avg) fc1: the inputs
@@ -465,6 +476,23 @@ class TestForwardQuantized:
         x = rng.normal(size=(1, 48)).astype(np.float32)
         with pytest.raises(ValueError, match="does not match"):
             forward_quantized(manifest, weights, bad, x)
+
+    def test_quantized_layers_without_a_manifest_layer_rejected(self):
+        # A quantized layer that names no parametric layer would never be
+        # applied, and the trace would show the activation noise alone.
+        rng = np.random.default_rng(11)
+        manifest, weights = mlp_net(rng)
+        model = _convert(manifest, weights, 16, 0.05)
+        fc1, fc2 = model.layers
+        x = rng.normal(size=(2, 48)).astype(np.float32)
+        stray = QuantizedModel({}, (replace(fc1, layer="hidden"), fc2,
+                                    replace(fc1, layer="relu1")), {})
+        with pytest.raises(ValueError, match="no parametric manifest layer: 'hidden', "
+                                             "'relu1'$"):
+            forward_quantized(manifest, weights, stray, x, act_quant=True)
+        # A model that covers only some of the layers is valid.
+        _, _, trace = forward_quantized(manifest, weights, QuantizedModel({}, (fc2,), {}), x)
+        assert [e.epsilon > 0 for e in trace.entries] == [False, False, False, True]
 
     def test_trace_export(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -866,53 +894,71 @@ class TestChecksOnTheHelper:
 
 
 class TestSharedChunks:
-    """Either thread of a paired pass computes and finishes a conv chunk."""
+    """Either thread of a paired pass computes and finishes a chunk of a
+    stacked product, for every quantized layer kind."""
 
     @staticmethod
-    def _spy(monkeypatch, fail_on_helper=False):
-        # The calling thread's first chunk waits 0.3 s, so the helper, done
-        # with the clean pass, claims the chunks still open.
+    def _spy(monkeypatch, hold, fail_on_helper=False):
+        # The calling thread's first chunk of the layer whose bias is
+        # ``hold`` waits 0.3 s, so the helper, done with the clean pass,
+        # claims that layer's chunks still open. Records (bias, start,
+        # samples, on the calling thread) per finished chunk.
         ran = []
         finish = simulate._finish_stacked
 
-        def spied(y, s, *args):
+        def spied(y, s, out, bias):
             on_main = threading.current_thread() is threading.main_thread()
-            ran.append((s, on_main))
-            if on_main and len(ran) == 1:
+            first = not any(b is bias and main for b, _, _, main in ran)
+            ran.append((bias, s, len(out), on_main))
+            if on_main and bias is hold and first:
                 time.sleep(0.3)
             if fail_on_helper and not on_main:
                 raise RuntimeError("chunk failed on the helper")
-            return finish(y, s, *args)
+            return finish(y, s, out, bias)
 
         monkeypatch.setattr(simulate, "CHUNK_BYTES", 1)  # one image per chunk
         monkeypatch.setattr(simulate, "_finish_stacked", spied)
         return ran
 
+    @staticmethod
+    def _net(seed):
+        manifest, weights = conv_net(np.random.default_rng(seed))
+        model = _convert(manifest, weights, 16, 0.01)
+        x = np.random.default_rng(seed + 1).normal(size=(6,) + manifest.input_shape).astype(
+            np.float32)
+        return manifest, weights, model, x
+
     @pytest.mark.parametrize("act_quant", [False, True], ids=["plain", "act-quant"])
     def test_chunks_the_helper_computes_match_the_reference_bit_for_bit(self, monkeypatch,
                                                                        act_quant):
-        manifest, weights = conv_net(np.random.default_rng(37))
-        model = _convert(manifest, weights, 16, 0.01)
-        x = np.random.default_rng(38).normal(size=(6,) + manifest.input_shape).astype(
-            np.float32)
-        ran = self._spy(monkeypatch)
+        manifest, weights, model, x = self._net(37)
+        ran = self._spy(monkeypatch, weights["conv1"][1].data)
         _, logits, trace = forward_quantized(manifest, weights, model, x, act_quant=act_quant)
-        assert any(not on_main for _, on_main in ran)
+        assert any(not on_main for *_, on_main in ran)
         rows, clean_logits, q_logits = reference_paired(manifest, weights, model, x, act_quant)
         assert trace.to_rows() == rows
         assert trace.logits.tobytes() == clean_logits.tobytes()
         assert logits.tobytes() == q_logits.tobytes()
 
+    def test_bn_scale_chunks_are_shared_and_fc_stays_whole(self, monkeypatch):
+        # bn_scale is finished once per image, partly on the helper; fc is
+        # finished once over the whole batch, whose bits a row split can change.
+        manifest, weights, model, x = self._net(41)
+        bn, fc = weights["bn1"][1].data, weights["fc1"][1].data
+        ran = self._spy(monkeypatch, bn)
+        forward_quantized(manifest, weights, model, x, act_quant=True)
+        bn_chunks = [(s, n, on_main) for b, s, n, on_main in ran if b is bn]
+        assert sorted((s, n) for s, n, _ in bn_chunks) == [(s, 1) for s in range(len(x))]
+        assert any(not on_main for *_, on_main in bn_chunks)
+        assert [(s, n) for b, s, n, _ in ran if b is fc] == [(0, len(x))]
+
     def test_a_chunk_that_fails_on_the_helper_fails_the_pass(self, monkeypatch):
-        manifest, weights = conv_net(np.random.default_rng(39))
-        model = _convert(manifest, weights, 16, 0.01)
-        x = np.random.default_rng(40).normal(size=(6,) + manifest.input_shape).astype(
-            np.float32)
-        ran = self._spy(monkeypatch, fail_on_helper=True)
+        manifest, weights, model, x = self._net(39)
+        ran = self._spy(monkeypatch, weights["conv1"][1].data, fail_on_helper=True)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk failed on the helper"):
             forward_quantized(manifest, weights, model, x)
-        assert any(not on_main for _, on_main in ran)
+        assert any(not on_main for *_, on_main in ran)
         assert threading.active_count() == before
 
 
