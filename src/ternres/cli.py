@@ -5,8 +5,11 @@ straight path: usage checks that need no file come first, then the library
 calls, then one print per output. ``main`` maps errors to exit codes: 0
 success, 1 I/O or format failure or a container whose levels fail the
 paired pass's decomposition check, 2 a usage error, non-convergence or an
-infeasible budget. All emitted artifacts are deterministic functions of the
-inputs and flags.
+infeasible budget. Logits, containers and reports are deterministic
+functions of the inputs and flags. Trace rows (``trace`` stdout, ``--csv``,
+``--json-out``) and ``infer``'s final relative perturbation take their norms
+from BLAS ddot, so their last bits depend on the BLAS and on
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -235,9 +238,10 @@ def _cmd_infer(args) -> int:
 
 def _cmd_trace(args) -> int:
     manifest, weights, qmodel, arr = _load_inference_inputs(args)
-    block_size = qmodel.provenance.get("N")
-    if args.depth_sensitivity is not None and not is_count(block_size):
-        raise FormatError(f"{args.container}: provenance holds no block size N")
+    probes = None  # converted before the paired pass, so a bad EPS_SQ writes nothing
+    if args.depth_sensitivity is not None:
+        probes = _depth_sensitivity_models(manifest, weights, qmodel, args.container,
+                                           args.depth_sensitivity)
     _, _, trace = forward_quantized(
         manifest, weights, qmodel, arr, act_quant=args.act_quant)
     header = f"{'layer':>5}  {'name':<16} {'kind':<8} {'delta':>12} {'gamma':>12} {'epsilon':>12}"
@@ -251,28 +255,35 @@ def _cmd_trace(args) -> int:
         with open(args.json_out, "w", encoding="utf-8") as fp:
             fp.write(trace.to_json())
             fp.write("\n")
-    if args.depth_sensitivity is not None:
-        _depth_sensitivity_report(manifest, weights, arr, args.depth_sensitivity,
-                                  block_size)
+    if probes is not None:
+        if not probes:
+            print("depth sensitivity needs at least two parametric layers")
+        for label, name, partial in probes:
+            _, _, probe = forward_quantized(manifest, weights, partial, arr)
+            print(f"quantizing only the {label} parametric layer ({name}) at "
+                  f"eps^2={args.depth_sensitivity:g}: final delta {probe.final_delta:.6g}")
     return 0
 
 
-def _depth_sensitivity_report(manifest, weights, arr, eps_sq: float,
-                              block_size: int) -> None:
+def _depth_sensitivity_models(manifest, weights, qmodel, container: str,
+                              eps_sq: float) -> list[tuple[str, str, QuantizedModel]]:
     """Same-size noise injected early vs late: early usually hurts more.
 
-    Both layers are converted at the container's block size N.
+    Returns (label, layer name, model) for a model that quantizes only the
+    first parametric layer and one that quantizes only the last, both at
+    the container's block size N; none below two parametric layers.
     """
+    block_size = qmodel.provenance.get("N")
+    if not is_count(block_size):
+        raise FormatError(f"{container}: provenance holds no block size N")
     names = [l.name for l in manifest.parametric_layers()]
     if len(names) < 2:
-        print("depth sensitivity needs at least two parametric layers")
-        return
+        return []
+    probes = []
     for label, name in (("first", names[0]), ("last", names[-1])):
         qlayer = ternary_residual(weights[name][0], block_size, epsilon_sq=eps_sq)
-        partial = QuantizedModel({}, (qlayer,), {})
-        _, _, trace = forward_quantized(manifest, weights, partial, arr)
-        print(f"quantizing only the {label} parametric layer ({name}) at "
-              f"eps^2={eps_sq:g}: final delta {trace.final_delta:.6g}")
+        probes.append((label, name, QuantizedModel({}, (qlayer,), {})))
+    return probes
 
 
 def _random_lemma_trials(trials: int, seed: int) -> int:

@@ -22,13 +22,13 @@ of batch chunks that the helper also claims once it reaches that layer (an
 fc product is one chunk: splitting its rows can change its bits); the
 thread that computes a chunk writes its dense slot plus bias into the layer
 output and adds its two sums of squares to the layer's check, so the full
-stacked output is never built. The helper takes its norms through one
-float64 scratch buffer and the calling thread the weight norms through
-another, all with the same bits as ``np.linalg.norm`` of a float64 copy.
-With activation quantization, a layer whose input is a relu or maxpool over
-a quantized input skips the re-quantization, which would change no bit.
-Errors come in the order of a serial pass: the clean pass's error, then the
-quantized side's first error, a failed check included.
+stacked output is never built. Every norm writes a float64 copy of its
+operand and sums the squares with one BLAS ddot, the bits of
+``np.linalg.norm`` of that copy. With activation quantization, a layer
+whose input is a relu or maxpool over a quantized input skips the
+re-quantization, which would change no bit. Errors come in the order of a
+serial pass: the clean pass's error, then the quantized side's first
+error, a failed check included.
 """
 
 from __future__ import annotations
@@ -268,11 +268,11 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _sq_norm64(buf: np.ndarray, a: np.ndarray, b: np.ndarray | None = None) -> float:
+def _sq_norm(a: np.ndarray, b: np.ndarray | None = None) -> float:
     """``||a - b||^2`` (or ``||a||^2``) as ``np.linalg.norm`` forms it for
     ``(a - b).astype(np.float64)``: the difference is rounded in float32 and
-    written to the float64 scratch ``buf``, then one ddot sums the squares."""
-    out = buf[:a.size].reshape(a.shape)
+    written to a float64 array in ``a``'s shape, whose squares one ddot sums."""
+    out = np.empty(a.shape, dtype=np.float64)
     if b is None:
         np.copyto(out, a)
     else:
@@ -297,8 +297,7 @@ def _finish_stacked(y: np.ndarray, s: int, out: np.ndarray,
         bias = bias.reshape((c_out,) + (1,) * (dense.ndim - 2))
         np.add(out[:, :c_out], bias, out=dense)
         y_dec += bias
-    buf = np.empty(dense.size, dtype=np.float64)
-    return _sq_norm64(buf, dense, y_dec), _sq_norm64(buf, dense)
+    return _sq_norm(dense, y_dec), _sq_norm(dense)
 
 
 def _shared(pool: ThreadPoolExecutor, tasks: list[Callable[[], object]]) -> list:
@@ -432,22 +431,10 @@ class PerturbationTrace:
         return json.dumps({"trace": self.to_rows()}, indent=2, sort_keys=True)
 
 
-def _clean_pass(manifest: ModelManifest, weights, x: np.ndarray):
-    """The paired run's helper task: the clean pass, and one float64 scratch
-    buffer for every activation norm the helper takes after it."""
-    clean = forward(manifest, weights, x)
-    return clean, np.empty(max([x.size] + [a.size for a in clean]), dtype=np.float64)
-
-
-def _helper_norm(clean_f: Future, a: np.ndarray, b: np.ndarray | None = None) -> float:
-    return math.sqrt(_sq_norm64(clean_f.result()[1], a, b))
-
-
 def _helper_layer_norms(clean_f: Future, li: int, out: np.ndarray) -> tuple[float, float]:
     """``||clean_li||`` and ``||clean_li - out||`` for layer ``li``."""
-    clean, buf = clean_f.result()
-    return (math.sqrt(_sq_norm64(buf, clean[li])),
-            math.sqrt(_sq_norm64(buf, clean[li], out)))
+    clean = clean_f.result()[li]
+    return math.sqrt(_sq_norm(clean)), math.sqrt(_sq_norm(clean, out))
 
 
 def forward_quantized(
@@ -469,8 +456,8 @@ def forward_quantized(
     The clean side runs on one helper thread while the calling thread runs
     the quantized side; numpy releases the GIL in the products, copies and
     dot products both sides spend their time in. The helper runs
-    ``forward`` and then, in layer order, every activation norm, through its
-    own float64 scratch buffer; the calling thread keeps activation
+    ``forward`` and then every activation norm, a layer's input gap ahead
+    of the previous layer's norms; the calling thread keeps activation
     quantization, the stacked products, the decomposition checks and the
     two weight norms of epsilon. When the helper reaches a quantized layer
     whose stacked product still has batch chunks open, it computes and
@@ -489,23 +476,22 @@ def forward_quantized(
     if stray:
         raise ValueError("quantized layers name no parametric manifest layer: "
                          + ", ".join(map(repr, stray)))
-    weight_sizes = [weights[l.layer][0].data.size for l in qmodel.layers if l.layer in weights]
-    wbuf = np.empty(max(weight_sizes, default=0), dtype=np.float64)
     pool = ThreadPoolExecutor(max_workers=1)
-    # The one worker runs its tasks in order, so every norm task finds the
-    # clean pass done and has the scratch buffer to itself.
-    clean_f = pool.submit(_clean_pass, manifest, weights, cur)
+    # The one worker runs its tasks in order, so a layer's norms find the clean pass done.
+    clean_f = pool.submit(forward, manifest, weights, cur)
     try:
-        input_norm = pool.submit(_helper_norm, clean_f, cur) if act_quant else None
+        input_sq = pool.submit(_sq_norm, cur) if act_quant else None
         gaps, layer_norms, epsilons, acts = [], [], [], []
         on_grid = False  # cur is the output of a relu or maxpool over a quantized input
         for li, layer in enumerate(manifest.layers):
             x_in = cur
             if act_quant and not on_grid:
                 x_in, _ = quantize_activations(cur)
-                gaps.append(pool.submit(_helper_norm, clean_f, cur, x_in))
+                gaps.append(pool.submit(_sq_norm, cur, x_in))
             else:
                 gaps.append(None)
+            if li:  # layer li-1's norms go after the gap task, which frees x_in sooner
+                layer_norms.append(pool.submit(_helper_layer_norms, clean_f, li - 1, cur))
             w, b = _weight_arrays(weights, layer)
             epsilon = 0.0
             if layer.weight_ref is not None and layer.name in qlayers:
@@ -517,8 +503,7 @@ def forward_quantized(
                     )
                 dense_w = reconstruct(qlayer).data
                 cur = _apply_quantized(layer, qlayer, dense_w, b, x_in, pool)
-                epsilon = _ratio(math.sqrt(_sq_norm64(wbuf, w, dense_w)),
-                                 math.sqrt(_sq_norm64(wbuf, w)))
+                epsilon = _ratio(math.sqrt(_sq_norm(w, dense_w)), math.sqrt(_sq_norm(w)))
             else:
                 cur = apply_layer(layer, w, b, x_in)
             # relu and maxpool only pick or zero their input's elements, so
@@ -526,17 +511,16 @@ def forward_quantized(
             on_grid = act_quant and layer.kind in ("relu", "maxpool")
             acts.append(cur)
             epsilons.append(epsilon)
-            layer_norms.append(pool.submit(_helper_layer_norms, clean_f, li, cur))
+        layer_norms.append(pool.submit(_helper_layer_norms, clean_f, len(acts) - 1, cur))
 
-        clean = clean_f.result()[0]
         # ref_norm is the norm of the clean activation handed to the next
         # layer, the input's before layer 0; gamma of entry li is the
         # quantization error of the activation handed to layer li over it.
-        ref_norm = input_norm.result() if act_quant else 0.0
+        ref_norm = math.sqrt(input_sq.result()) if act_quant else 0.0
         entries = [TraceEntry(0, "input", "input", 0.0, 0.0, 0.0)]
         for li, layer in enumerate(manifest.layers):
             if act_quant:
-                gap = 0.0 if gaps[li] is None else gaps[li].result()
+                gap = 0.0 if gaps[li] is None else math.sqrt(gaps[li].result())
                 entries[li] = replace(entries[li], gamma=_ratio(gap, ref_norm))
             ref_norm, gap = layer_norms[li].result()
             entries.append(TraceEntry(li + 1, layer.name, layer.kind, _ratio(gap, ref_norm),
@@ -550,7 +534,7 @@ def forward_quantized(
         raise
     finally:
         pool.shutdown(cancel_futures=True)
-    trace = PerturbationTrace(tuple(entries), clean[-1].copy(), acts[-1].copy())
+    trace = PerturbationTrace(tuple(entries), clean_f.result()[-1].copy(), acts[-1].copy())
     return acts, acts[-1], trace
 
 

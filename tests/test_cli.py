@@ -523,6 +523,24 @@ def test_depth_sensitivity_with_boolean_block_size_exits_1_before_output(net_dir
     assert err.splitlines() == [f"error: {tmp / 'bool.tq'}: provenance holds no block size N"]
 
 
+@pytest.mark.parametrize("eps_sq", ["0", "-1", "2", "nan"])
+def test_depth_sensitivity_with_bad_tolerance_exits_2_before_output(net_dir, capsys, eps_sq):
+    # Both probe models are converted before the paired pass, so the
+    # library's range check stops the command before any row or file.
+    tmp, manifest_path, input_path = net_dir
+    main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
+          "-o", str(tmp / "net.tq")])
+    capsys.readouterr()
+    csv_path, json_path = tmp / "t.csv", tmp / "t.json"
+    assert main(["trace", str(tmp / "net.tq"), "-m", manifest_path, "-i", input_path,
+                 "--csv", str(csv_path), "--json-out", str(json_path),
+                 "--depth-sensitivity", eps_sq]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: tolerance^2 must be in (0, 1]")
+    assert not csv_path.exists() and not json_path.exists()
+
+
 def test_lemma_check_random_trials(capsys):
     assert main(["lemma-check", "--trials", "50", "--seed", "3"]) == 0
     assert "0 violations" in capsys.readouterr().out

@@ -652,17 +652,50 @@ PAIRED_NETS = {
 }
 
 
-def _chunk_bytes_for(manifest, weights, samples):
+def _chunk_bytes_for(manifest, weights, model, samples):
     """A ``CHUNK_BYTES`` that puts ``samples`` samples in each chunk of the
-    first layer: its im2col patches for a conv, its float64 check rows for
-    an fc."""
+    first layer's stacked product, by ``simulate._batch_step``'s own rule.
+    Its bytes per sample are 2^62 over the step it returns for a
+    ``CHUNK_BYTES`` of 2^62, exactly while their square stays below 2^62.
+    An fc product ignores this and runs whole."""
     first = manifest.layers[0]
     w = weights[first.name][0].data
-    if first.kind == "conv2d":
-        shape = simulate.resolve_shapes(
-            manifest, {n: t.shape for n, (t, _) in weights.items()})[0]
-        return samples * (w.size // w.shape[0]) * shape[1] * shape[2] * 4
-    return samples * w.shape[0] * 8
+    depths = int(model.layer(first.name).counts.max())
+    stacked = np.empty(((1 + depths) * w.shape[0],) + w.shape[1:], dtype=np.float32)
+    shape = simulate.resolve_shapes(
+        manifest, {n: t.shape for n, (t, _) in weights.items()})[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "CHUNK_BYTES", 1 << 62)
+        return samples * ((1 << 62) // simulate._batch_step(stacked, shape))
+
+
+def _spy_chunks(monkeypatch, hold=None, fail_on_helper=False):
+    """Records (bias, start, samples, on the calling thread) per finished
+    chunk of a stacked product. The calling thread's first chunk of the
+    layer whose bias is ``hold`` waits 0.3 s, so the helper, done with the
+    clean pass, claims that layer's chunks still open."""
+    ran = []
+    finish = simulate._finish_stacked
+
+    def spied(y, s, out, bias):
+        on_main = threading.current_thread() is threading.main_thread()
+        first = not any(b is bias and main for b, _, _, main in ran)
+        ran.append((bias, s, len(out), on_main))
+        if on_main and hold is not None and bias is hold and first:
+            time.sleep(0.3)
+        if fail_on_helper and not on_main:
+            raise RuntimeError("chunk failed on the helper")
+        return finish(y, s, out, bias)
+
+    monkeypatch.setattr(simulate, "_finish_stacked", spied)
+    return ran
+
+
+def _first_layer_chunks(ran, manifest, weights):
+    """(start, samples) of each finished chunk of the first layer, in order
+    of start; the first layer of every net here has a bias."""
+    bias = weights[manifest.layers[0].name][1].data
+    return sorted((s, n) for b, s, n, _ in ran if b is bias)
 
 
 class TestChunkedPasses:
@@ -672,16 +705,23 @@ class TestChunkedPasses:
     @pytest.mark.parametrize("net", sorted(PAIRED_NETS))
     def test_trace_and_logits_match_the_reference_bit_for_bit(self, monkeypatch, net,
                                                              act_quant):
+        # A conv first layer runs CHUNK samples per chunk; an fc product,
+        # the first layer of mlp and of some random nets, runs whole.
+        ran = _spy_chunks(monkeypatch)
         for seed in range(3):
             manifest, weights = PAIRED_NETS[net](seed)
             model = _convert(manifest, weights, 16, 0.01)
             monkeypatch.setattr(simulate, "CHUNK_BYTES",
-                                _chunk_bytes_for(manifest, weights, self.CHUNK))
+                                _chunk_bytes_for(manifest, weights, model, self.CHUNK))
             rng = np.random.default_rng(100 + seed)
             for batch in (1, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1):
                 x = rng.normal(size=(batch,) + manifest.input_shape).astype(np.float32)
+                ran.clear()
                 _, logits, trace = forward_quantized(manifest, weights, model, x,
                                                      act_quant=act_quant)
+                step = self.CHUNK if manifest.layers[0].kind == "conv2d" else batch
+                assert _first_layer_chunks(ran, manifest, weights) == [
+                    (s, min(step, batch - s)) for s in range(0, batch, step)]
                 rows, clean_logits, q_logits = reference_paired(
                     manifest, weights, model, x, act_quant)
                 assert trace.to_rows() == rows
@@ -689,13 +729,17 @@ class TestChunkedPasses:
                 assert logits.tobytes() == trace.logits_quantized.tobytes()
                 assert logits.tobytes() == q_logits.tobytes()
 
-    def test_full_size_chunk_boundary_matches_the_reference(self):
+    def test_full_size_chunk_boundary_matches_the_reference(self, monkeypatch):
+        # At the default CHUNK_BYTES, conv1's stacked product runs one full
+        # chunk and one of a single sample.
         manifest, weights = conv_net(np.random.default_rng(19))
         model = _convert(manifest, weights, 16, 0.01)
-        chunk = simulate.CHUNK_BYTES // _chunk_bytes_for(manifest, weights, 1)
+        chunk = simulate.CHUNK_BYTES // _chunk_bytes_for(manifest, weights, model, 1)
         x = np.random.default_rng(20).normal(
             size=(chunk + 1,) + manifest.input_shape).astype(np.float32)
+        ran = _spy_chunks(monkeypatch)
         _, logits, trace = forward_quantized(manifest, weights, model, x, act_quant=True)
+        assert _first_layer_chunks(ran, manifest, weights) == [(0, chunk), (chunk, 1)]
         rows, clean_logits, q_logits = reference_paired(manifest, weights, model, x, True)
         assert trace.to_rows() == rows
         assert trace.logits.tobytes() == clean_logits.tobytes()
@@ -730,17 +774,20 @@ class TestChunkedPasses:
     def test_decomposition_check_sees_the_last_chunk(self, monkeypatch, net):
         # Only the first layer is quantized and only the last sample is
         # nonzero, so a perturbed dense weight shows in the last chunk alone.
+        # The conv runs two samples per chunk, three chunks; mlp's fc
+        # product runs whole, so its one check must see the last sample.
         manifest, weights = PAIRED_NETS[net](22)
         model = _convert(manifest, weights, 16, 0.01)
         first = model.layers[0].layer
         model = QuantizedModel({}, model.layers[:1])
-        # Two samples of the check's float64 rows per chunk: three chunks.
-        shape = simulate.resolve_shapes(
-            manifest, {n: t.shape for n, (t, _) in weights.items()})[0]
-        monkeypatch.setattr(simulate, "CHUNK_BYTES", 2 * int(np.prod(shape)) * 8)
+        monkeypatch.setattr(simulate, "CHUNK_BYTES",
+                            _chunk_bytes_for(manifest, weights, model, 2))
         x = np.zeros((5,) + manifest.input_shape, dtype=np.float32)
         x[-1] = np.random.default_rng(23).normal(size=manifest.input_shape)
+        ran = _spy_chunks(monkeypatch)
         forward_quantized(manifest, weights, model, x)
+        expected = [(0, 5)] if net == "mlp" else [(0, 2), (2, 2), (4, 1)]
+        assert _first_layer_chunks(ran, manifest, weights) == expected
 
         def perturbed(qlayer):
             w = reconstruct(qlayer)
@@ -795,6 +842,23 @@ class TestHelperThread:
                 with pytest.raises(expected):
                     forward_quantized(manifest, weights, model, x, act_quant=act_quant)
             assert threading.active_count() == before
+
+    @pytest.mark.parametrize("act_quant", [False, True], ids=["plain", "act-quant"])
+    @pytest.mark.parametrize("net", ["mlp", "conv"])
+    def test_an_empty_batch_gives_empty_logits_and_zero_perturbations(self, net, act_quant):
+        # No chunk task, a 0/0 decomposition check and norms of zero-size
+        # arrays: every delta and gamma is 0, and the helper is gone.
+        manifest, weights = PAIRED_NETS[net](40)
+        model = _convert(manifest, weights, 16, 0.01)
+        x = np.zeros((0,) + manifest.input_shape, dtype=np.float32)
+        before = threading.active_count()
+        _, logits, trace = forward_quantized(manifest, weights, model, x, act_quant=act_quant)
+        assert threading.active_count() == before
+        classes = weights[manifest.layers[-1].name][0].shape[0]
+        assert logits.shape == trace.logits.shape == (0, classes)
+        rows = trace.to_rows()
+        assert len(rows) == len(manifest.layers) + 1
+        assert all(row["delta"] == 0.0 and row["gamma"] == 0.0 for row in rows)
 
     def test_concurrent_calls_match_serial_calls(self):
         # Two calls at once on different inputs: each gets the trace rows
@@ -861,20 +925,21 @@ class TestChecksOnTheHelper:
         # A clean pass held back 0.3 s leaves the helper behind the whole
         # quantized side. No stacked product may wait for it, so the peak is
         # that of a pass on time, and at most the quantized activations plus
-        # the clean pass's own peak. One image per chunk keeps the transients
-        # small beside the activations, as at full size; the slack covers
-        # numpy's cast buffers and Python objects.
+        # the clean side's own peak: the larger of the clean pass's and of
+        # its activations plus one float64 norm copy of the largest. One
+        # image per chunk keeps the transients small beside the activations,
+        # as at full size; the slack covers numpy's cast buffers and Python
+        # objects.
         manifest, weights = _widening_conv_net(np.random.default_rng(35))
         model = _convert(manifest, weights, 16, 0.01)
         x = np.random.default_rng(36).normal(size=(64,) + manifest.input_shape).astype(
             np.float32)
         monkeypatch.setattr(simulate, "CHUNK_BYTES", 1)
         slack = forward(manifest, weights, x)[-3].nbytes // 4
-        clean_pass = simulate._clean_pass
 
         def slow_clean(*args):
             time.sleep(0.3)
-            return clean_pass(*args)
+            return forward(*args)
 
         def peak(run):
             tracemalloc.start()
@@ -886,8 +951,10 @@ class TestChecksOnTheHelper:
                 tracemalloc.stop()
 
         on_time, _ = peak(lambda: forward_quantized(manifest, weights, model, x))
-        clean_peak, _ = peak(lambda: clean_pass(manifest, weights, x))
-        monkeypatch.setattr(simulate, "_clean_pass", slow_clean)
+        forward_peak, clean = peak(lambda: forward(manifest, weights, x))
+        largest = max(a.size for a in [x] + clean)
+        clean_peak = max(forward_peak, sum(a.nbytes for a in clean) + 8 * largest)
+        monkeypatch.setattr(simulate, "forward", slow_clean)
         held_back, (acts, _, _) = peak(lambda: forward_quantized(manifest, weights, model, x))
         assert abs(held_back - on_time) <= slack
         assert held_back <= sum(a.nbytes for a in acts) + clean_peak + slack
@@ -899,26 +966,8 @@ class TestSharedChunks:
 
     @staticmethod
     def _spy(monkeypatch, hold, fail_on_helper=False):
-        # The calling thread's first chunk of the layer whose bias is
-        # ``hold`` waits 0.3 s, so the helper, done with the clean pass,
-        # claims that layer's chunks still open. Records (bias, start,
-        # samples, on the calling thread) per finished chunk.
-        ran = []
-        finish = simulate._finish_stacked
-
-        def spied(y, s, out, bias):
-            on_main = threading.current_thread() is threading.main_thread()
-            first = not any(b is bias and main for b, _, _, main in ran)
-            ran.append((bias, s, len(out), on_main))
-            if on_main and bias is hold and first:
-                time.sleep(0.3)
-            if fail_on_helper and not on_main:
-                raise RuntimeError("chunk failed on the helper")
-            return finish(y, s, out, bias)
-
         monkeypatch.setattr(simulate, "CHUNK_BYTES", 1)  # one image per chunk
-        monkeypatch.setattr(simulate, "_finish_stacked", spied)
-        return ran
+        return _spy_chunks(monkeypatch, hold, fail_on_helper)
 
     @staticmethod
     def _net(seed):
