@@ -1,19 +1,27 @@
 """Serialization of quantized models.
 
-One file holds a little magic header, a JSON index and a binary blob. Per
-layer the blob holds the layer's ``alphas`` as consecutive little-endian
-float32 values, then its sign rows at 2 bits per weight: weight i of a row
-owns bits ``2*(i%4)`` (set for plus one) and ``2*(i%4)+1`` (set for minus
-one) of the row's byte ``i//4``; both set is the reserved code ``0b11``,
-rejected on read. Each row is padded to whole bytes, and padding bits are
-ignored on read. The reader decodes a packed byte at a time through
-``_DECODE``, whose 256 words hold the four int8 signs of every byte value,
-and checks the payload on the packed bytes. Both sections are block-major,
-each block's base level first, and each layer starts where the previous one
-ends. The index stores each block's level count and the blob offsets of its
-scales and sign rows, which must be the ones ``_layout`` derives from the
-counts; no byte may follow the last layer. Writing is fully deterministic:
-identical models produce identical bytes.
+One file holds a little header, a JSON index and a binary blob. Per layer
+the blob holds the layer's ``alphas`` as consecutive little-endian float32
+values, then its sign rows at 2 bits per weight: weight i of a row owns bits
+``2*(i%4)`` (set for plus one) and ``2*(i%4)+1`` (set for minus one) of the
+row's byte ``i//4``; both set is the reserved code ``0b11``, rejected on
+read. Each row is padded to whole bytes, and padding bits are ignored on
+read. The reader decodes a packed byte at a time through ``_DECODE``, whose
+256 words hold the four int8 signs of every byte value, and checks the
+payload on the packed bytes. Both sections are block-major, each block's
+base level first, and each layer starts where the previous one ends; no
+byte may follow the last layer.
+
+The writer makes format 2 only: the magic ``TRQ2``, the u32 length and the
+u32 CRC32 (``zlib``) of the index, then the index and the blob. The index
+stores each block's level count and the CRC32 of each layer's payload; the
+payload's place in the blob is the one ``_layout`` derives from the counts.
+The reader checks the index CRC before it parses the index, and a layer's
+CRC before it decodes that layer. Format 1 files (magic ``TRQ0``, the u32
+index length only) still load: their index stores the blob offsets of every
+block's scales and sign rows, which must be the ones ``_layout`` derives,
+and no CRC. Writing is fully deterministic: identical models produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -28,8 +37,11 @@ from .errors import FormatError
 from .manifest import are_ints, is_count, is_number, manifest_from_dict
 from .residual import QuantizedLayer, QuantizedModel
 
-MAGIC = b"TRQ0"
-FORMAT_VERSION = 1
+MAGIC = b"TRQ2"
+FORMAT_VERSION = 2
+# The format each magic marks, and the header fields after the magic: the
+# index length, then in format 2 the index CRC32.
+_HEADERS = {b"TRQ0": (1, struct.Struct("<I")), MAGIC: (FORMAT_VERSION, struct.Struct("<II"))}
 CHUNK_BYTES = 256 << 10  # pack_signs' uint32 work words stay near this size
 
 
@@ -122,7 +134,7 @@ def unpack_signs(payload, length: int) -> np.ndarray:
 
 
 def _layout(counts, block_size: int, size: int, start: int):
-    """The v1 layout of one layer whose payload starts at blob offset ``start``.
+    """The layout of one layer whose payload starts at blob offset ``start``.
 
     Returns each block's scale offset and sign-row offset, the number of sign
     rows of full blocks and the offset where the layer's payload ends.
@@ -138,12 +150,14 @@ def _layout(counts, block_size: int, size: int, start: int):
     return start + 4 * level_starts, signs_at + row_bytes * level_starts, full_rows, end
 
 
-def _layer_index_and_blob(layer: QuantizedLayer, blob: bytearray) -> dict:
-    scale_offsets, sign_offsets, full_rows, _ = _layout(
-        layer.counts, layer.block_size, layer.num_weights, len(blob))
-    blob.extend(layer.alphas.astype("<f4").tobytes())
-    blob.extend(pack_signs(layer.signs[:full_rows, :layer.block_size]))
-    blob.extend(pack_signs(layer.signs[full_rows:, :layer.num_weights % layer.block_size]))
+def _layer_index_and_payload(layer: QuantizedLayer) -> tuple[dict, list[bytes]]:
+    full_rows = _layout(layer.counts, layer.block_size, layer.num_weights, 0)[2]
+    payload = [layer.alphas.astype("<f4").tobytes(),
+               pack_signs(layer.signs[:full_rows, :layer.block_size]),
+               pack_signs(layer.signs[full_rows:, :layer.num_weights % layer.block_size])]
+    crc = 0
+    for part in payload:
+        crc = zlib.crc32(part, crc)
     return {
         "name": layer.layer,
         "shape": list(layer.shape),
@@ -153,14 +167,16 @@ def _layer_index_and_blob(layer: QuantizedLayer, blob: bytearray) -> dict:
         "source_norm_sq": layer.source_norm_sq,
         "exhausted": layer.exhausted,
         "levels_per_block": layer.levels_per_block(),
-        "scale_offsets": scale_offsets.tolist(),
-        "sign_offsets": sign_offsets.tolist(),
-    }
+        "crc32": crc,
+    }, payload
 
 
 def save_quantized(model: QuantizedModel, path) -> None:
-    blob = bytearray()
-    layers = [_layer_index_and_blob(l, blob) for l in model.layers]
+    layers, blob = [], []
+    for layer in model.layers:
+        entry, payload = _layer_index_and_payload(layer)
+        layers.append(entry)
+        blob += payload
     index = {
         "format_version": FORMAT_VERSION,
         "manifest": model.manifest_doc,
@@ -169,14 +185,15 @@ def save_quantized(model: QuantizedModel, path) -> None:
     }
     encoded = json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(str(path), "wb") as fp:
-        fp.write(MAGIC)
-        fp.write(struct.pack("<I", len(encoded)))
+        fp.write(MAGIC + struct.pack("<II", len(encoded), zlib.crc32(encoded)))
         fp.write(encoded)
-        fp.write(bytes(blob))
+        fp.writelines(blob)
 
 
-def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLayer, int]:
-    """One layer whose payload starts at ``start``, and where its payload ends."""
+def _read_layer(entry: dict, blob: np.ndarray, start: int,
+                version: int) -> tuple[QuantizedLayer, int]:
+    """One layer of a format ``version`` file whose payload starts at
+    ``start``, and where its payload ends."""
     name, exhausted = entry["name"], entry.get("exhausted", False)
     if not (isinstance(name, str) and isinstance(exhausted, bool)):
         raise FormatError(f"layer {name!r} (exhausted {exhausted!r}): the name must "
@@ -195,13 +212,21 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLay
         raise FormatError(f"layer {name!r}: levels_per_block must hold {num_blocks} "
                           f"integer counts from 1 to the blob size")
     scale_offsets, sign_offsets, full_rows, end = _layout(counts, block_size, size, start)
-    offsets = entry["scale_offsets"], entry["sign_offsets"]
-    if not (all(map(are_ints, offsets))
-            and offsets == (scale_offsets.tolist(), sign_offsets.tolist())):
-        raise FormatError(
-            f"layer {name!r}: scale_offsets and sign_offsets differ from the v1 layout")
+    if version == 1:
+        offsets = entry["scale_offsets"], entry["sign_offsets"]
+        if not (all(map(are_ints, offsets))
+                and offsets == (scale_offsets.tolist(), sign_offsets.tolist())):
+            raise FormatError(
+                f"layer {name!r}: scale_offsets and sign_offsets differ from the v1 layout")
     if end > len(blob):
         raise FormatError(f"layer {name!r}: truncated payload")
+    if version == 2:
+        crc = entry["crc32"]
+        if not (is_count(crc, 0) and crc < 1 << 32):
+            raise FormatError(f"layer {name!r}: crc32 must be an integer from 0 to "
+                              f"2**32 - 1, got {crc!r}")
+        if zlib.crc32(blob[start:end]) != crc:
+            raise FormatError(f"layer {name!r}: the payload fails its CRC32")
 
     num_levels = int(counts.sum())
     signs_at = start + 4 * num_levels
@@ -235,22 +260,27 @@ def load_quantized(path) -> QuantizedModel:
     path = str(path)
     with open(path, "rb") as fp:
         raw = fp.read()
-    if raw[:4] != MAGIC:
+    if raw[:4] not in _HEADERS:
         raise FormatError(f"{path}: not a quantized container")
-    if len(raw) < 8:
+    version, fields = _HEADERS[raw[:4]]
+    index_at = 4 + fields.size
+    if len(raw) < index_at:
         raise FormatError(f"{path}: truncated header")
-    (json_len,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + json_len:
+    json_len, *index_crc = fields.unpack_from(raw, 4)  # no CRC in format 1
+    if len(raw) < index_at + json_len:
         raise FormatError(f"{path}: truncated index")
+    encoded = raw[index_at:index_at + json_len]
+    if index_crc and index_crc[0] != zlib.crc32(encoded):
+        raise FormatError(f"{path}: the index fails its CRC32")
     try:
-        index = json.loads(raw[8 : 8 + json_len].decode("utf-8"))
+        index = json.loads(encoded.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad index ({exc})") from exc
     if not isinstance(index, dict):
         raise FormatError(f"{path}: bad index (not a JSON object)")
-    version = index.get("format_version")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: format_version {version!r}, expected {FORMAT_VERSION}")
+    stored = index.get("format_version")
+    if type(stored) is not int or stored != version:
+        raise FormatError(f"{path}: format_version {stored!r}, expected {version}")
     manifest_doc, provenance = index.get("manifest", {}), index.get("provenance", {})
     if not (isinstance(manifest_doc, dict) and isinstance(provenance, dict)):
         raise FormatError(f"{path}: manifest and provenance must be JSON objects")
@@ -259,11 +289,11 @@ def load_quantized(path) -> QuantizedModel:
             manifest_from_dict(manifest_doc)
         except FormatError as exc:
             raise FormatError(f"{path}: bad stored manifest ({exc})") from exc
-    blob = np.frombuffer(raw, dtype=np.uint8, offset=8 + json_len)
+    blob = np.frombuffer(raw, dtype=np.uint8, offset=index_at + json_len)
     layers, end = [], 0
     try:
         for entry in index["layers"]:
-            layer, end = _read_layer(entry, blob, end)
+            layer, end = _read_layer(entry, blob, end, version)
             layers.append(layer)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed layer index ({exc})") from exc

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
 from ternres import LayerDecl, ModelManifest, Tensor, save_tensor
+from ternres.container import MAGIC, _layout
+
+V1_MAGIC = b"TRQ0"
 
 Weights = dict[str, tuple[Tensor, Tensor | None]]
 
@@ -129,10 +134,72 @@ def write_net(manifest: ModelManifest, weights: Weights, directory) -> str:
     return path
 
 
+def split_container(raw: bytes) -> tuple[bytes, bytes, bytes]:
+    """The magic, the index bytes and the blob of a format 1 or 2 container."""
+    at = 12 if raw[:4] == MAGIC else 8
+    (json_len,) = struct.unpack_from("<I", raw, 4)
+    return raw[:4], raw[at:at + json_len], raw[at + json_len:]
+
+
+def join_container(encoded: bytes, blob: bytes, magic: bytes = MAGIC) -> bytes:
+    """A container of the index bytes ``encoded`` and ``blob``; a format 2
+    header carries the CRC32 of ``encoded``, a format 1 header none."""
+    if magic == MAGIC:
+        header = struct.pack("<II", len(encoded), zlib.crc32(encoded))
+    else:
+        header = struct.pack("<I", len(encoded))
+    return magic + header + encoded + blob
+
+
 def rewrite_index(path, edit) -> None:
-    """Replace a saved container's JSON index by ``edit(index)``; keep its blob."""
-    raw = path.read_bytes()
-    (json_len,) = struct.unpack("<I", raw[4:8])
-    encoded = json.dumps(edit(json.loads(raw[8:8 + json_len]))).encode("utf-8")
-    path.write_bytes(raw[:4] + struct.pack("<I", len(encoded)) + encoded
-                     + raw[8 + json_len:])
+    """Replace a saved container's JSON index by ``edit(index)``; keep its
+    blob. The header keeps the file's format and, in format 2, gets the CRC32
+    of the new index, so the reader gets past it to the edit."""
+    magic, encoded, blob = split_container(path.read_bytes())
+    edited = json.dumps(edit(json.loads(encoded))).encode("utf-8")
+    path.write_bytes(join_container(edited, blob, magic))
+
+
+def with_offsets(layers: list[dict]) -> list[dict]:
+    """Each layer entry with the v1 ``scale_offsets`` and ``sign_offsets``
+    that ``_layout`` derives from its counts, and its payload's blob span as
+    ``span``; the entries are edited in place."""
+    start = 0
+    for entry in layers:
+        scales, signs, _, end = _layout(np.asarray(entry["levels_per_block"]), entry["N"],
+                                        math.prod(entry["shape"]), start)
+        entry.update(scale_offsets=scales.tolist(), sign_offsets=signs.tolist(),
+                     span=(start, end))
+        start = end
+    return layers
+
+
+def rewrite_blob(path, edit) -> None:
+    """Edit a saved format 2 container's blob in place by ``edit(blob,
+    layers)``, where ``blob`` is a bytearray and ``layers`` the index entries
+    with their derived offsets (``with_offsets``). Every layer CRC32 and the
+    index CRC32 are recomputed, so the reader decodes the edited payload."""
+    magic, encoded, blob = split_container(path.read_bytes())
+    assert magic == MAGIC
+    index = json.loads(encoded)
+    layers = with_offsets([dict(entry) for entry in index["layers"]])
+    damaged = bytearray(blob)
+    edit(damaged, layers)
+    for entry, derived in zip(index["layers"], layers):
+        entry["crc32"] = zlib.crc32(damaged[slice(*derived["span"])])
+    path.write_bytes(join_container(json.dumps(index).encode("utf-8"), bytes(damaged)))
+
+
+def to_v1(path) -> None:
+    """Rewrite a saved format 2 container as the format 1 file of the same
+    model: the same blob, each layer entry with the offsets ``_layout``
+    derives in place of its CRC32, and the format 1 header."""
+    magic, encoded, blob = split_container(path.read_bytes())
+    assert magic == MAGIC
+    index = json.loads(encoded)
+    index["format_version"] = 1
+    for entry in with_offsets(index["layers"]):
+        del entry["crc32"], entry["span"]
+    path.write_bytes(join_container(
+        json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8"),
+        blob, V1_MAGIC))

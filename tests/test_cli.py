@@ -617,6 +617,16 @@ def test_quantized_layers_missing_from_the_manifest_exit_2(net_dir, capsys, comm
 
 
 @pytest.mark.parametrize("command", ["infer", "trace", "lemma-check"])
+def test_a_manifest_with_no_layers_exits_2(tmp_path, capsys, command):
+    (tmp_path / "m.json").write_text(json.dumps({"layers": [], "input_shape": [3]}))
+    save_tensor(Tensor("x", np.ones(3, dtype=np.float32)), tmp_path / "x.npy")
+    save_quantized(QuantizedModel({}, (), {}), tmp_path / "e.tq")
+    assert main([command, str(tmp_path / "e.tq"), "-m", str(tmp_path / "m.json"),
+                 "-i", str(tmp_path / "x.npy")]) == 2
+    assert capsys.readouterr() == ("", "error: the manifest has no layers\n")
+
+
+@pytest.mark.parametrize("command", ["infer", "trace", "lemma-check"])
 def test_cancelling_levels_fail_the_decomposition_check_exit_1(tmp_path, capsys, command):
     # A well-formed container whose fc1 levels cancel: each block holds s
     # at 1e7 and -s at the next float32 up, so the dense weights are -s

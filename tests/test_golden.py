@@ -1,8 +1,10 @@
 """Golden digests: pinned `.tq` bytes and delta sequences of small conversions.
 
 Any change to conversion, downgrade, scale snapping or the container layout
-that moves a single stored bit changes a digest here. The models are small
-(a few thousand weights) so that no BLAS threading can reorder a sum.
+that moves a single stored bit changes a digest here. The `.tq` digests are
+of the format 2 files the writer makes; `test_golden_files.py` pins the
+format 1 files it made before. The models are small (a few thousand
+weights) so that no BLAS threading can reorder a sum.
 """
 
 import hashlib
@@ -94,33 +96,33 @@ def _short():
 GOLDEN = {
     "uniform": (
         _uniform,
-        "f3fe99e538c02ab3880ed1d8fc6e70c6b52f9207d44ce3daa8060cc41a284282",
+        "1d9aad957c2c32b0d0110e5d407d87347ca25e48e00926d4b2750e3af6c663bc",
         "a493647b97186663dcf0ca8b660b874837f0821539e6ff3d5a06dd4bb0f4e494"),
     "depth_graded": (
         _depth_graded,
-        "bed5f5db669a5925ed49c36cad8e549d0c6d94ca5920b33cdab5ecc4cc649959",
+        "8871dd47a85e447502d7a1564ba5d4ad2fa9f7e2638cc0664d7d3987cf50d90a",
         "4ddf7874c85f85df3b8bd7733340d9105f560eb9579b77539d1cf8371fa2a31b"),
     "compute_aware": (
         _compute_aware,
-        "94ac327ffa3fc253851097b34ba72cee4512b6e59686243832b65f47817cc889",
+        "a5fca7d18b89e2e70b2832edf9f7519e3cd178f54e22f8b4aaa879c0369a3051",
         "8c2486084301ff6a9ae572500b487e3b3923d0a57168431c4c0e3285be80ca94"),
     # Scale snapping and downgrade clear the delta sequence; the stored
     # deltas are in the container bytes.
     "quantize_scales_8bit": (
         _scales_8bit,
-        "f2ba9afb6d0101e30dfcc64fe18ef52f146dde8bc5bece3cc729e84306d48a61",
+        "05889cf3df360b3e682ac6d7ff8a9d2eab94c104813aedcf862f660b98fa2ab8",
         "c90ba8fc46a7abdf2de5387bf7886e2a77b5d883daf11792882be8f3bf5062ca"),
     "downgrade": (
         _downgrade,
-        "8b23e647e7444de439ef8f54fe1d9ffe7ebf2aad695c9230bbdf0c4b4e6872b3",
+        "350731683a95279ba6354ed3afda829150d735eba4a8f76238a17201451f01fc",
         "c90ba8fc46a7abdf2de5387bf7886e2a77b5d883daf11792882be8f3bf5062ca"),
     "ragged_tail": (
         _ragged,
-        "05715586a657f829032d5029f26bf517299c5640a6a9803e3b2d635b696665a5",
+        "f374bf58d9e4c8b7b78d95ffca7035e91912e0bb2c3a1bb42f9ffb1b8551d871",
         "37816222bdbae97ffe10f97836d27672acf68b3cc209dc7046179ebaf958e18a"),
     "shorter_than_n": (
         _short,
-        "f4fd30a03551062c24ce23f70ed3e4c32411dcf7535a101d1a7db592daf70e0d",
+        "7d1e5680184f69724fa387f0fee81275e91eefdda27ba50d1def10a90d1a7d99",
         "a7260130105dad7ab914a83a6e13640c670e41d96705007e7337aefa3d53959b"),
 }
 

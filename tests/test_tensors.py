@@ -1,5 +1,6 @@
 """Tensor I/O, blocking, and quantized-container serialization."""
 
+import functools
 import json
 import struct
 
@@ -25,7 +26,8 @@ from ternres.container import MAGIC, pack_signs, unpack_signs
 from ternres.tensors import load_tensor, partition_blocks
 from ternres.cli import main
 
-from nets import rewrite_index
+from nets import (V1_MAGIC, join_container, rewrite_blob, rewrite_index, split_container,
+                  to_v1, with_offsets)
 
 
 class TestTensor:
@@ -290,10 +292,29 @@ class TestContainer:
         model = QuantizedModel({}, (), {})
         path = tmp_path / "m.tq"
         save_quantized(model, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw.replace(b'"format_version":1', b'"format_version":9'))
+        rewrite_index(path, lambda index: {**index, "format_version": 9})
         with pytest.raises(FormatError, match="format_version"):
             load_quantized(path)
+
+    @pytest.mark.parametrize("magic, version", [
+        (MAGIC, 1), (MAGIC, 2.0), (MAGIC, True), (V1_MAGIC, 2), (V1_MAGIC, True)])
+    def test_format_version_must_be_the_one_the_magic_marks(self, tmp_path, magic, version):
+        path = tmp_path / "m.tq"
+        save_quantized(QuantizedModel({}, (), {}), path)
+        if magic == V1_MAGIC:
+            to_v1(path)
+        rewrite_index(path, lambda index: {**index, "format_version": version})
+        with pytest.raises(FormatError, match="format_version"):
+            load_quantized(path)
+
+    def test_writes_format_2(self, tmp_path):
+        path = tmp_path / "m.tq"
+        save_quantized(_random_model(np.random.default_rng(4), [80])[0], path)
+        magic, encoded, _ = split_container(path.read_bytes())
+        index = json.loads(encoded)
+        assert (magic, index["format_version"]) == (MAGIC, 2)
+        assert "scale_offsets" not in index["layers"][0]
+        assert "sign_offsets" not in index["layers"][0]
 
     def test_truncated_blob_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -330,12 +351,16 @@ def _rewrite_first_layer(path, key, value):
     ("source_norm_sq", "-inf"),
     ("name", ["l0"]),
     ("exhausted", "no"),
+    ("crc32", -1),
+    ("crc32", 2 ** 32),
 ])
 def test_malformed_layer_entry_is_a_format_error(tmp_path, key, value):
     rng = np.random.default_rng(6)
     model, _ = _random_model(rng, [100, 40])
     path = tmp_path / "m.tq"
     save_quantized(model, path)
+    if key.endswith("_offsets"):  # a format 1 rule
+        to_v1(path)
     _rewrite_first_layer(path, key, value)
     with pytest.raises(FormatError, match="'l0'"):
         load_quantized(path)
@@ -348,13 +373,14 @@ def test_non_finite_stored_scale_is_a_format_error(tmp_path, value):
     model, _ = _random_model(rng, [100, 40])
     path = tmp_path / "m.tq"
     save_quantized(model, path)
-    raw = bytearray(path.read_bytes())
-    (json_len,) = struct.unpack("<I", raw[4:8])
-    entry = json.loads(raw[8:8 + json_len])["layers"][0]
-    # The deepest level of the first block: a residual level when it has one.
-    at = 8 + json_len + entry["scale_offsets"][0] + 4 * (entry["levels_per_block"][0] - 1)
-    raw[at:at + 4] = np.float32(value).tobytes()
-    path.write_bytes(bytes(raw))
+
+    def edit(blob, layers):
+        entry = layers[0]
+        # The deepest level of the first block: a residual level when it has one.
+        at = entry["scale_offsets"][0] + 4 * (entry["levels_per_block"][0] - 1)
+        blob[at:at + 4] = np.float32(value).tobytes()
+
+    rewrite_blob(path, edit)
     with pytest.raises(FormatError, match="'l0'.*finite"):
         load_quantized(path)
     assert main(["stats", str(path)]) == 1
@@ -372,14 +398,8 @@ def _two_layer_container(path) -> QuantizedModel:
 
 def _split_container(path) -> tuple[dict, bytes, bytes]:
     """A saved container's index, the index's bytes and the blob."""
-    raw = path.read_bytes()
-    (json_len,) = struct.unpack("<I", raw[4:8])
-    encoded = raw[8:8 + json_len]
-    return json.loads(encoded), encoded, raw[8 + json_len:]
-
-
-def _container(encoded: bytes, blob: bytes) -> bytes:
-    return MAGIC + struct.pack("<I", len(encoded)) + encoded + blob
+    _, encoded, blob = split_container(path.read_bytes())
+    return json.loads(encoded), encoded, blob
 
 
 def _as_json(doc) -> bytes:
@@ -387,15 +407,15 @@ def _as_json(doc) -> bytes:
 
 
 @pytest.mark.parametrize("damage, match", [
-    (lambda doc, enc, blob: _container(_as_json([doc]), blob), "not a JSON object"),
-    (lambda doc, enc, blob: _container(_as_json({**doc, "manifest": [{"name": "l0"}]}), blob),
+    (lambda doc, enc, blob: join_container(_as_json([doc]), blob), "not a JSON object"),
+    (lambda doc, enc, blob: join_container(_as_json({**doc, "manifest": [{"name": "l0"}]}), blob),
      "manifest and provenance must be JSON objects"),
-    (lambda doc, enc, blob: _container(_as_json({**doc, "provenance": [1]}), blob),
+    (lambda doc, enc, blob: join_container(_as_json({**doc, "provenance": [1]}), blob),
      "manifest and provenance must be JSON objects"),
-    (lambda doc, enc, blob: _container(enc, blob)[:6], "truncated header"),
-    (lambda doc, enc, blob: _container(enc, blob)[:8 + len(enc) // 2], "truncated index"),
-    (lambda doc, enc, blob: _container(b"\xff" * len(enc), blob), "bad index"),
-    (lambda doc, enc, blob: _container(b"{" * len(enc), blob), "bad index"),
+    (lambda doc, enc, blob: join_container(enc, blob)[:6], "truncated header"),
+    (lambda doc, enc, blob: join_container(enc, blob)[:12 + len(enc) // 2], "truncated index"),
+    (lambda doc, enc, blob: join_container(b"\xff" * len(enc), blob), "bad index"),
+    (lambda doc, enc, blob: join_container(b"{" * len(enc), blob), "bad index"),
 ], ids=["index is a list", "manifest is a list", "provenance is a list", "truncated header",
         "truncated index", "non-UTF-8 index", "non-JSON index"])
 def test_malformed_header_or_index_is_a_format_error(tmp_path, damage, match):
@@ -447,6 +467,7 @@ def _swap_two_scales(l0, l1):
 def test_a_file_off_the_v1_layout_is_a_format_error(tmp_path, damage, match):
     path = tmp_path / "m.tq"
     _two_layer_container(path)
+    to_v1(path)
     damage(path)
     with pytest.raises(FormatError, match=match):
         load_quantized(path)
@@ -469,6 +490,7 @@ def _offset_as(key, i, kind):
 def test_an_offset_that_is_not_an_integer_is_a_format_error(tmp_path, damage):
     path = tmp_path / "m.tq"
     _two_layer_container(path)
+    to_v1(path)
     damage(path)
     with pytest.raises(FormatError, match="'l0'.*v1 layout"):
         load_quantized(path)
@@ -478,12 +500,12 @@ def test_an_offset_that_is_not_an_integer_is_a_format_error(tmp_path, damage):
 def test_a_reserved_code_in_a_tail_row_is_a_format_error(tmp_path):
     path = tmp_path / "m.tq"
     _two_layer_container(path)
-    doc, encoded, blob = _split_container(path)
-    # Layer l1's last block holds 40 - 2*16 = 8 weights: each of its rows is 2 bytes.
-    at = doc["layers"][1]["sign_offsets"][-1] + 1
-    damaged = bytearray(blob)
-    damaged[at] |= 0b11 << 4
-    path.write_bytes(_container(encoded, bytes(damaged)))
+
+    def edit(blob, layers):
+        # Layer l1's last block holds 40 - 2*16 = 8 weights: each of its rows is 2 bytes.
+        blob[layers[1]["sign_offsets"][-1] + 1] |= 0b11 << 4
+
+    rewrite_blob(path, edit)
     with pytest.raises(FormatError, match="reserved"):
         load_quantized(path)
     assert main(["stats", str(path)]) == 1
@@ -509,13 +531,15 @@ def _sign_rows(entry):
 def test_set_padding_bits_in_a_container_are_ignored(tmp_path):
     path = tmp_path / "m.tq"
     model = _n7_container(path)
-    doc, encoded, blob = _split_container(path)
-    damaged = bytearray(blob)
-    for entry in doc["layers"]:
-        for at, width, padding in _sign_rows(entry):
-            damaged[at + width - 1] |= padding
-    assert damaged != blob
-    path.write_bytes(_container(encoded, bytes(damaged)))
+    blob = _split_container(path)[2]
+
+    def edit(damaged, layers):
+        for entry in layers:
+            for at, width, padding in _sign_rows(entry):
+                damaged[at + width - 1] |= padding
+        assert damaged != blob
+
+    rewrite_blob(path, edit)
     assert _same_models(load_quantized(path), model)
 
 
@@ -523,26 +547,30 @@ def test_set_padding_bits_in_a_container_are_ignored(tmp_path):
 def test_a_scaled_row_with_only_padding_bits_set_is_a_format_error(tmp_path, block):
     path = tmp_path / "m.tq"
     model = _n7_container(path)
-    doc, encoded, blob = _split_container(path)
     # The base level of layer l0's first block, or of its 2-weight tail block.
     level = model.layers[0].level_starts()[block]
     assert model.layers[0].alphas[level] != 0
-    at, width, padding = list(_sign_rows(doc["layers"][0]))[level]
-    damaged = bytearray(blob)
-    damaged[at:at + width] = bytes(width - 1) + bytes([padding])
-    path.write_bytes(_container(encoded, bytes(damaged)))
+
+    def edit(blob, layers):
+        at, width, padding = list(_sign_rows(layers[0]))[level]
+        blob[at:at + width] = bytes(width - 1) + bytes([padding])
+
+    rewrite_blob(path, edit)
     with pytest.raises(FormatError, match="'l0'.*zero exactly when all signs are zero"):
         load_quantized(path)
     assert main(["stats", str(path)]) == 1
 
 
 @given(key=st.sampled_from(["levels_per_block", "scale_offsets", "sign_offsets"]),
-       layer=st.integers(0, 1), block=st.integers(0, 6), value=st.integers())
+       layer=st.integers(0, 1), block=st.integers(0, 6), value=st.integers(),
+       v1=st.booleans())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_any_one_index_entry_changed_is_a_format_error(tmp_path, key, layer, block, value):
+def test_any_one_index_entry_changed_is_a_format_error(tmp_path, key, layer, block, value, v1):
     path = tmp_path / "m.tq"
     _two_layer_container(path)
+    if v1 or key != "levels_per_block":  # only format 1 stores offsets
+        to_v1(path)
     entries = _split_container(path)[0]["layers"][layer][key]
     block %= len(entries)
     assume(entries[block] != value)
@@ -564,6 +592,80 @@ def test_bytes_after_the_last_layer_are_a_format_error(tmp_path, extra):
     path.write_bytes(path.read_bytes() + extra)
     with pytest.raises(FormatError, match="layers end at"):
         load_quantized(path)
+
+
+def test_an_index_edited_without_its_crc_is_a_format_error(tmp_path):
+    path = tmp_path / "m.tq"
+    _two_layer_container(path)
+    raw = path.read_bytes()
+    # Without the index CRC this file loads, with both tolerances changed.
+    assert raw.count(b'"epsilon_sq":0.05') == 2
+    path.write_bytes(raw.replace(b'"epsilon_sq":0.05', b'"epsilon_sq":0.06'))
+    with pytest.raises(FormatError, match="index fails its CRC32"):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_a_payload_edited_without_its_crc_is_a_format_error(tmp_path, layer):
+    path = tmp_path / "m.tq"
+    _two_layer_container(path)
+    _, encoded, blob = split_container(path.read_bytes())
+    start, _ = with_offsets(json.loads(encoded)["layers"])[layer]["span"]
+    damaged = bytearray(blob)
+    # The lowest mantissa bit of the layer's first scale: without the layer
+    # CRC this file loads, with that scale changed.
+    damaged[start] ^= 0x01
+    path.write_bytes(join_container(encoded, bytes(damaged)))
+    with pytest.raises(FormatError, match=f"'l{layer}': the payload fails its CRC32"):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+
+
+@functools.cache
+def _fuzz_model() -> QuantizedModel:
+    """Two N=16 layers of 3,000 and 1,000 weights: a format 2 file over 4 KB."""
+    return _random_model(np.random.default_rng(12), [3000, 1000])[0]
+
+
+def _mutate(raw: bytes, kind: str, at: int, byte: int) -> bytes:
+    if kind == "xor":
+        at %= len(raw)
+        return raw[:at] + bytes([raw[at] ^ byte]) + raw[at + 1:]
+    if kind == "truncate":
+        return raw[:at % len(raw)]
+    at %= len(raw) + 1
+    return raw[:at] + bytes([byte]) + raw[at:]
+
+
+@given(kind=st.sampled_from(["xor", "truncate", "insert"]), at=st.integers(0, 1 << 20),
+       byte=st.integers(1, 255))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_mutated_container_loads_identically_or_fails(tmp_path, kind, at, byte):
+    path = tmp_path / "m.tq"
+    save_quantized(_fuzz_model(), path)
+    raw = path.read_bytes()
+    assert len(raw) >= 4096
+    path.write_bytes(_mutate(raw, kind, at, byte))
+    try:
+        back = load_quantized(path)
+    except FormatError:
+        assert main(["stats", str(path)]) == 1
+        return
+    assert _same_models(back, _fuzz_model())
+
+
+def test_300_random_byte_flips_each_are_a_format_error(tmp_path):
+    path = tmp_path / "m.tq"
+    save_quantized(_fuzz_model(), path)
+    raw = path.read_bytes()
+    assert len(raw) >= 4096
+    rng = np.random.default_rng(13)
+    for at, byte in zip(rng.integers(0, len(raw), 300), rng.integers(1, 256, 300)):
+        path.write_bytes(_mutate(raw, "xor", int(at), int(byte)))
+        with pytest.raises(FormatError):
+            load_quantized(path)
 
 
 def _one_layer_container(path) -> QuantizedModel:
@@ -597,11 +699,13 @@ def _map_counts(convert):
     _map_counts(lambda c: True if c == 1 else c),
     _set_entry("delta", "0.01"), _set_entry("delta", True), _set_entry("delta", None),
     _set_entry("epsilon_sq", "0.05"), _set_entry("source_norm_sq", False),
+    _set_entry("crc32", "0"), _set_entry("crc32", 0.0), _set_entry("crc32", True),
+    _set_entry("crc32", None),
 ], ids=["shape-float", "shape-strings", "shape-true-last", "shape-true-first",
         "shape-string", "shape-object", "N-string", "N-fraction", "N-float", "N-true",
         "counts-strings", "counts-floats", "counts-fractions", "counts-true",
         "delta-string", "delta-true", "delta-null", "epsilon_sq-string",
-        "source_norm_sq-false"])
+        "source_norm_sq-false", "crc32-string", "crc32-float", "crc32-true", "crc32-null"])
 def test_an_index_value_of_the_wrong_json_type_is_a_format_error(tmp_path, edit):
     path = tmp_path / "m.tq"
     model = _one_layer_container(path)
@@ -623,11 +727,12 @@ def test_a_scale_with_a_sign_bit_is_a_format_error(tmp_path):
     layer = model.layers[0]
     row = int(layer.counts[:2].sum())  # block 2's only level
     assert layer.alphas[row] == 0 and not layer.signs[row].any()
-    doc, encoded, blob = _split_container(path)
-    at = doc["layers"][0]["scale_offsets"][2]
-    damaged = bytearray(blob)
-    damaged[at:at + 4] = np.float32(-0.0).tobytes()
-    path.write_bytes(_container(encoded, bytes(damaged)))
+
+    def edit(blob, layers):
+        at = layers[0]["scale_offsets"][2]
+        blob[at:at + 4] = np.float32(-0.0).tobytes()
+
+    rewrite_blob(path, edit)
     with pytest.raises(FormatError, match="'w'.*sign bit"):
         load_quantized(path)
     assert main(["stats", str(path)]) == 1
@@ -657,7 +762,7 @@ _JSON_VALUES = st.one_of(
 @given(layer=st.integers(0, 1),
        key=st.sampled_from(["name", "shape", "N", "delta", "epsilon_sq", "source_norm_sq",
                             "exhausted", "levels_per_block", "scale_offsets",
-                            "sign_offsets"]),
+                            "sign_offsets", "crc32"]),
        element=st.booleans(), at=st.integers(0, 10), value=_JSON_VALUES)
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -665,6 +770,8 @@ def test_an_index_value_swapped_for_another_json_type_loads_identically_or_fails
         tmp_path, layer, key, element, at, value):
     path = tmp_path / "m.tq"
     model = _two_layer_container(path)
+    if key.endswith("_offsets"):  # only format 1 stores offsets
+        to_v1(path)
     old = _split_container(path)[0]["layers"][layer][key]
     if element and isinstance(old, list):
         at %= len(old)
