@@ -5,11 +5,11 @@ straight path: usage checks that need no file come first, then the library
 calls, then one print per output. ``main`` maps errors to exit codes: 0
 success, 1 I/O or format failure or a container whose levels fail the
 paired pass's decomposition check, 2 a usage error, non-convergence or an
-infeasible budget. Logits, containers and reports are deterministic
-functions of the inputs and flags. Trace rows (``trace`` stdout, ``--csv``,
-``--json-out``) and ``infer``'s final relative perturbation take their norms
-from BLAS ddot, so their last bits depend on the BLAS and on
-``OPENBLAS_NUM_THREADS``.
+infeasible budget. Logits are deterministic functions of the inputs and
+flags. Containers, ``--trace`` CSVs, ``--report`` JSON, trace rows
+(``trace`` stdout, ``--csv``, ``--json-out``) and ``infer``'s final relative
+perturbation take sums from BLAS ddot, so their last bits depend on the
+BLAS and on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations

@@ -250,10 +250,15 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int,
     if not (all(map(is_number, numbers)) and np.all(np.isfinite(numbers))):
         raise FormatError(
             f"layer {name!r}: delta, epsilon_sq and source_norm_sq must be finite numbers")
+    delta, epsilon_sq, source_norm_sq = map(float, numbers)
+    if not (delta >= 0.0 and source_norm_sq >= 0.0 and 0.0 < epsilon_sq <= 1.0):
+        raise FormatError(
+            f"layer {name!r}: delta {delta!r} and source_norm_sq {source_norm_sq!r} must "
+            f"be non-negative and epsilon_sq {epsilon_sq!r} in (0, 1]")
 
     return QuantizedLayer(
         name, shape, block_size, counts.astype(np.int32), alphas.astype(np.float32),
-        signs, *map(float, numbers), exhausted=exhausted), end
+        signs, delta, epsilon_sq, source_norm_sq, exhausted=exhausted), end
 
 
 def load_quantized(path) -> QuantizedModel:

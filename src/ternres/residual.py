@@ -61,7 +61,6 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,37 +80,23 @@ L1_DROP_SAFETY = 1.0
 _PW_SPAN = 128  # numpy sums at most this many elements without halving
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    iteration: int
-    layer: str
-    block: int
-    e_k_before: float
-    delta_after: float
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """The greedy log of one conversion, as three arrays.
 
-
-class Trace(Sequence):
-    """The greedy iteration log of one conversion, held as arrays.
-
-    Row i is the ``TraceRow`` of iteration i+1: the block that received a
-    level, its residual norm before, and ``delta`` after.
+    Entry i of ``blocks`` (int64) and ``e_before`` (float64) is iteration i+1:
+    the block that received a residual level and its residual norm before.
+    ``deltas`` (float64) holds ``delta`` after the base levels, then after
+    each accepted level. ``len`` is the number of accepted levels; the
+    default is an empty record.
     """
 
-    def __init__(self, layer: str, blocks, e_before, delta_after):
-        self.layer = layer
-        self.blocks = np.asarray(blocks, dtype=np.int64)
-        self.e_before = np.asarray(e_before, dtype=np.float64)
-        self.delta_after = np.asarray(delta_after, dtype=np.float64)
+    blocks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    e_before: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    deltas: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        i = range(len(self))[i]
-        return TraceRow(i + 1, self.layer, int(self.blocks[i]),
-                        float(self.e_before[i]), float(self.delta_after[i]))
 
 
 def level_index(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +117,8 @@ class QuantizedLayer:
     ``counts`` (int32[K]) holds the levels per block, ``alphas`` (float32[L])
     one scale per level and ``signs`` (int8[L, min(N, size)]) one sign row
     per level; a ragged tail block's rows are zero past its length.
-    ``delta_sequence`` (float64) holds ``delta`` after the base levels and
-    after each accepted residual level; it is empty once levels were
-    dropped or scales snapped.
+    ``trace`` is the greedy log of the conversion; it is empty once levels
+    were dropped or scales snapped, and in a loaded container.
     """
 
     layer: str
@@ -147,8 +131,12 @@ class QuantizedLayer:
     epsilon_sq: float
     source_norm_sq: float
     exhausted: bool = False
-    trace: Sequence[TraceRow] = field(default=(), repr=False)
-    delta_sequence: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
+    trace: Trace = field(default_factory=Trace, repr=False)
+
+    @property
+    def delta_sequence(self) -> np.ndarray:
+        """``delta`` after the base levels and after each accepted level."""
+        return self.trace.deltas
 
     @property
     def num_weights(self) -> int:
@@ -494,8 +482,7 @@ def ternary_residual(
         w.name, w.shape, block_size, counts.astype(np.int32),
         alphas[owner, level].astype(np.float32), signs,
         delta, eps_sq, total_sq, exhausted=exhausted,
-        trace=Trace(w.name, blocks, e_before, deltas[1:]),  # shares the buffer
-        delta_sequence=deltas,
+        trace=Trace(blocks, e_before, deltas),
     )
 
 
@@ -555,7 +542,7 @@ def downgrade(
     """Drop the least important residual levels until a level budget is met.
 
     Importance of a level is its energy share ``||alpha*s||^2 / ||W||^2`` of
-    its layer. Only the deepest level of a block is removable at any moment
+    its layer, and 0 where ``||W||^2`` is 0. Only the deepest level of a block is removable at any moment
     (and never the base level); peeling deepest-first keeps the remaining
     stack identical to an earlier state of the conversion, so each removal
     raises the layer's delta by exactly the removed level's importance while
@@ -588,10 +575,8 @@ def downgrade(
     keys = np.zeros((model.num_blocks, depth_max - 1))
     live = np.zeros(keys.shape, dtype=bool)
     for l, start in zip(model.layers, starts):
-        if l.source_norm_sq <= 0.0:
-            continue
-        nnz = np.count_nonzero(l.signs, axis=1)
-        imp = l.alphas.astype(np.float64) ** 2 * nnz / l.source_norm_sq
+        energy = l.alphas.astype(np.float64) ** 2 * np.count_nonzero(l.signs, axis=1)
+        imp = energy / l.source_norm_sq if l.source_norm_sq > 0.0 else np.zeros(l.num_levels)
         owner, depth = level_index(l.counts)
         res = depth > 0
         cols = l.counts[owner[res]] - 1 - depth[res]
@@ -609,7 +594,7 @@ def downgrade(
         keep = depth < counts[owner]
         new_layers.append(replace(
             l, counts=counts.astype(np.int32), alphas=l.alphas[keep], signs=l.signs[keep],
-            delta=delta, trace=(), delta_sequence=np.zeros(0),
+            delta=delta, trace=Trace(),
         ))
     provenance = dict(model.provenance)
     provenance["downgraded_to_levels"] = keep_levels
@@ -661,7 +646,7 @@ def quantize_scales_8bit(
         e = fixed_point_exponent(amax)
         alphas = snap_8bit(l.alphas.astype(np.float64), e).astype(np.float32)
         signs = np.where((alphas == 0.0)[:, None], np.int8(0), l.signs)
-        probe = replace(l, alphas=alphas, signs=signs, trace=(), delta_sequence=np.zeros(0))
+        probe = replace(l, alphas=alphas, signs=signs, trace=Trace())
         new_layers.append(replace(probe, delta=layer_delta(weights[l.layer], probe)))
     provenance = dict(model.provenance)
     provenance["scales_8bit"] = True
@@ -674,8 +659,7 @@ def write_trace_csv(layers: list[QuantizedLayer], path) -> None:
         writer = csv.writer(fp)
         writer.writerow(["iteration", "layer", "block", "E_k_before", "delta_after"])
         for layer in layers:
-            for row in layer.trace:
-                writer.writerow([
-                    row.iteration, row.layer, row.block,
-                    f"{row.e_k_before:.17g}", f"{row.delta_after:.17g}",
-                ])
+            t = layer.trace
+            rows = zip(t.blocks.tolist(), t.e_before.tolist(), t.deltas[1:].tolist())
+            for i, (k, e, d) in enumerate(rows, 1):
+                writer.writerow([i, layer.layer, k, f"{e:.17g}", f"{d:.17g}"])

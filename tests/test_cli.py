@@ -395,6 +395,26 @@ def test_downgrade_report_prices_with_given_x_and_c(net_dir, capsys):
     assert capsys.readouterr().out == downgraded
 
 
+def test_downgrade_meets_the_budget_on_a_layer_with_no_source_energy(net_dir):
+    tmp, manifest_path, _ = net_dir
+    main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.05",
+          "-o", str(tmp / "net.tq")])
+
+    def silence_fc1(index):
+        for entry in index["layers"]:
+            if entry["name"] == "fc1":
+                entry["source_norm_sq"] = 0.0
+        return index
+
+    rewrite_index(tmp / "net.tq", silence_fc1)
+    model = load_quantized(tmp / "net.tq")
+    assert model.layer("fc1").num_levels > model.layer("fc1").num_blocks
+    assert main(["downgrade", str(tmp / "net.tq"), "--keep-levels", str(model.num_blocks),
+                 "-o", str(tmp / "base.tq")]) == 0
+    base = load_quantized(tmp / "base.tq")
+    assert base.num_levels == model.num_blocks == base.provenance["downgraded_to_levels"]
+
+
 def test_downgrade_below_base_exits_2(net_dir, capsys):
     tmp, manifest_path, _ = net_dir
     main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.1",
@@ -645,8 +665,7 @@ def test_cancelling_levels_fail_the_decomposition_check_exit_1(tmp_path, capsys,
     cancelling = replace(
         fc1, counts=np.full(fc1.num_blocks, 2, dtype=np.int32),
         alphas=np.tile([big, np.nextafter(big, np.float32(np.inf))], fc1.num_blocks),
-        signs=np.stack([signs, -signs], axis=1).reshape(-1, 16),
-        delta_sequence=np.zeros(0), trace=())
+        signs=np.stack([signs, -signs], axis=1).reshape(-1, 16))
     cancelling = replace(cancelling, delta=layer_delta(weights["fc1"][0], cancelling))
     layers = tuple(cancelling if l.layer == "fc1" else l for l in model.layers)
     save_quantized(replace(model, layers=layers), tmp_path / "cancel.tq")

@@ -1,4 +1,5 @@
-"""Golden digests: pinned `.tq` bytes and delta sequences of small conversions.
+"""Golden digests: pinned `.tq` bytes, delta sequences and `--trace` CSV
+bytes of small conversions.
 
 Any change to conversion, downgrade, scale snapping or the container layout
 that moves a single stored bit changes a digest here. The `.tq` digests are
@@ -23,6 +24,7 @@ from ternres import (
     save_quantized,
     ternary_residual,
 )
+from ternres.residual import write_trace_csv
 
 from nets import conv_net, mlp_net
 
@@ -131,3 +133,17 @@ GOLDEN = {
 def test_golden_digests(case, tmp_path):
     build, tq_sha, deltas_sha = GOLDEN[case]
     assert _digests(build(), tmp_path / "m.tq") == (tq_sha, deltas_sha)
+
+
+# SHA-256 of the greedy log that ``quantize --trace`` writes.
+TRACE_CSV = {
+    "uniform": "66983bdf8c15ae4e8a8b04d7c2c374685c12d060be030f84fd7474571efc89e6",
+    "depth_graded": "af1ee7ec6a6e041c4702c8dac934a8cbce02817ff919b7024e8abdede1f43be2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CSV))
+def test_trace_csv_digest(case, tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(list(GOLDEN[case][0]().layers), path)
+    assert _sha(path.read_bytes()) == TRACE_CSV[case]

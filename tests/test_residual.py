@@ -1,7 +1,9 @@
 """Residual stacking: strict decrease, greedy audit, downgrade, 8-bit scales."""
 
+import csv
 import heapq
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,7 @@ from ternres import (
 )
 from ternres.residual import (
     QuantizedLayer,
-    TraceRow,
+    Trace,
     _pairwise_tree,
     block_sensitivity,
     chain_order,
@@ -48,7 +50,8 @@ def sequential_greedy(w, block_size, eps_sq, r_max):
     Each iteration recounts the levels of every block, picks the eligible
     block of largest residual norm (ties to the lowest index) and fits its
     next level on the spot. Returns ``(levels, recons, delta, deltas, trace,
-    exhausted)``, or raises ConvergenceError.
+    exhausted)``, where ``trace`` lists the ``(block, error before)`` of each
+    accepted level, or raises ConvergenceError.
     """
     flat = w.unrolled().astype(np.float64)
     blocks = partition_blocks(w, block_size)
@@ -92,7 +95,7 @@ def sequential_greedy(w, block_size, eps_sq, r_max):
         errs[k] = new_err
         delta = new_delta
         deltas.append(delta)
-        trace.append(TraceRow(len(trace) + 1, w.name, k, e_before, delta))
+        trace.append((k, e_before))
     return levels, recons, delta, deltas, trace, exhausted
 
 
@@ -145,8 +148,10 @@ class TestBatchedMatchesSequential:
             assert info.value.delta == expected.delta
             return "converge-error"
         layer = ternary_residual(t, block_size, epsilon_sq=eps_sq, r_max=r_max)
-        assert list(layer.trace) == trace
-        assert list(layer.delta_sequence) == deltas
+        blocks, e_before = zip(*trace) if trace else ((), ())
+        assert layer.trace.blocks.tobytes() == np.array(blocks, dtype=np.int64).tobytes()
+        assert layer.trace.e_before.tobytes() == np.array(e_before, dtype=np.float64).tobytes()
+        assert layer.trace.deltas.tobytes() == np.array(deltas, dtype=np.float64).tobytes()
         assert layer.delta == delta
         assert layer.exhausted == exhausted
         assert layer.levels_per_block() == [len(lv) for lv in levels]
@@ -215,9 +220,9 @@ class TestBatchedMatchesSequential:
         monkeypatch.setattr(residual, "ternarize_rows", overshooting_rows)
         t = tiny_entry_layer(1078)
         assert self.assert_same(t, 8, 1e-5) == "exhausted"
-        trace = list(ternary_residual(t, 8, epsilon_sq=1e-5).trace)
-        assert any(a.block == b.block and b.e_k_before > a.e_k_before
-                   for a, b in zip(trace, trace[1:]))
+        trace = ternary_residual(t, 8, epsilon_sq=1e-5).trace
+        again = trace.blocks[1:] == trace.blocks[:-1]
+        assert np.any(again & (trace.e_before[1:] > trace.e_before[:-1]))
 
     def test_more_blocks_than_the_sum_buffer(self):
         # 8,750 block errors: each delta sums more entries than numpy's
@@ -467,16 +472,16 @@ class TestTernaryResidual:
 
         from ternres import ternarize
 
-        for row in layer.trace:
+        for k, e_before in zip(layer.trace.blocks.tolist(), layer.trace.e_before.tolist()):
             e = errs()
             eligible = np.array([c < 16 for c in counts]) & (e > 0)
             expected = int(np.argmax(np.where(eligible, e, -np.inf)))
-            assert row.block == expected
-            assert row.e_k_before == pytest.approx(e[row.block], rel=1e-12)
-            b = blocks[row.block]
-            lvl = ternarize(flat[b.start:b.stop] - recons[row.block].astype(np.float64))
-            recons[row.block] = recons[row.block] + lvl.dense()
-            counts[row.block] += 1
+            assert k == expected
+            assert e_before == pytest.approx(e[k], rel=1e-12)
+            b = blocks[k]
+            lvl = ternarize(flat[b.start:b.stop] - recons[k].astype(np.float64))
+            recons[k] = recons[k] + lvl.dense()
+            counts[k] += 1
         assert layer.levels_per_block() == counts
 
     def test_block_orthogonality_every_iteration(self):
@@ -508,8 +513,8 @@ class TestTernaryResidual:
         whole, per_block = current_state_delta()
         assert whole == pytest.approx(per_block, rel=1e-6)
         assert whole == pytest.approx(layer.delta_sequence[0], rel=1e-12)
-        for i, row in enumerate(layer.trace):
-            depth[row.block] += 1
+        for i, k in enumerate(layer.trace.blocks):
+            depth[k] += 1
             whole, per_block = current_state_delta()
             assert whole == pytest.approx(per_block, rel=1e-6)
             assert whole == pytest.approx(layer.delta_sequence[i + 1], rel=1e-9)
@@ -542,18 +547,23 @@ class TestTernaryResidual:
             seq = np.array(layer.delta_sequence)
             assert np.all(np.diff(seq) < 0)
 
-    def test_trace_reads_as_a_sequence_of_rows(self):
+    def test_trace_holds_one_entry_per_accepted_level(self):
         rng = np.random.default_rng(47)
-        layer = ternary_residual(random_tensor(rng, 300), 16, epsilon_sq=0.01)
-        rows = list(layer.trace)
-        assert len(rows) == len(layer.trace) > 1
-        assert [row.iteration for row in rows] == list(range(1, len(rows) + 1))
-        assert layer.trace[-1] == rows[-1] and layer.trace[0] == rows[0]
-        assert layer.trace[1:3] == tuple(rows[1:3])
-        assert layer.trace[::-2] == tuple(rows[::-2])
-        assert [row.delta_after for row in rows] == list(layer.delta_sequence[1:])
-        with pytest.raises(IndexError):
-            layer.trace[len(rows)]
+        t = random_tensor(rng, 300)
+        layer = ternary_residual(t, 16, epsilon_sq=0.01)
+        trace = layer.trace
+        assert len(trace) == len(trace.e_before) == len(trace.deltas) - 1 > 1
+        assert (trace.blocks.dtype, trace.e_before.dtype, trace.deltas.dtype) == (
+            np.int64, np.float64, np.float64)
+        assert np.bincount(trace.blocks, minlength=layer.num_blocks).tolist() == (
+            layer.counts - 1).tolist()
+        assert layer.delta_sequence is trace.deltas and trace.deltas[-1] == layer.delta
+        model = QuantizedModel({}, (layer,), {})
+        cleared = [Trace(), downgrade(model, keep_levels=layer.num_blocks).layers[0].trace,
+                   quantize_scales_8bit(model, {"w": t}).layers[0].trace]
+        for empty in cleared:
+            assert len(empty) == len(empty.deltas) == 0
+            assert empty.blocks.dtype == np.int64 and empty.deltas.dtype == np.float64
 
     def test_trace_csv(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -563,6 +573,12 @@ class TestTernaryResidual:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,layer,block,E_k_before,delta_after"
         assert len(lines) == 1 + len(layer.trace)
+        rows = list(csv.reader(lines[1:]))
+        assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+        assert {r[1] for r in rows} == {"w"}
+        assert [int(r[2]) for r in rows] == layer.trace.blocks.tolist()
+        assert [float(r[3]) for r in rows] == layer.trace.e_before.tolist()
+        assert [float(r[4]) for r in rows] == layer.trace.deltas[1:].tolist()
 
     def test_conversion_peak_memory_stays_bounded(self):
         # The source stays float32 and widens one chunk at a time, only the
@@ -588,8 +604,8 @@ def conversion_bytes(t, block_size, eps_sq, r_max):
     except ConvergenceError as exc:
         return ("ConvergenceError", str(exc), np.float64(exc.delta).tobytes())
     return (layer.counts.tobytes(), layer.alphas.tobytes(), layer.signs.tobytes(),
-            np.array(layer.delta_sequence).tobytes(), layer.trace.blocks.tobytes(),
-            layer.trace.e_before.tobytes(), layer.trace.delta_after.tobytes(),
+            layer.trace.deltas.tobytes(), layer.trace.blocks.tobytes(),
+            layer.trace.e_before.tobytes(),
             np.float64(layer.delta).tobytes(), layer.exhausted)
 
 
@@ -890,8 +906,9 @@ def sequential_downgrade(model, keep_levels):
 
     The heap holds each block's deepest residual level keyed ``(importance,
     layer, block)``; a pop removes that level, adds its importance to the
-    layer's delta and pushes the block's next level. Returns each layer's
-    ``(counts, delta)``.
+    layer's delta and pushes the block's next level. A layer with no source
+    energy ranks its levels at importance 0. Returns each layer's ``(counts,
+    delta)``.
     """
     counts = [l.counts.tolist() for l in model.layers]
     deltas = [l.delta for l in model.layers]
@@ -900,13 +917,11 @@ def sequential_downgrade(model, keep_levels):
     for li, l in enumerate(model.layers):
         nnz = np.count_nonzero(l.signs, axis=1)
         importance.append((l.alphas.astype(np.float64) ** 2 * nnz / l.source_norm_sq).tolist()
-                          if l.source_norm_sq > 0.0 else [])
+                          if l.source_norm_sq > 0.0 else [0.0] * l.num_levels)
         heap += [(importance[li][starts[li][k] + c - 1], li, k)
-                 for k, c in enumerate(counts[li]) if c > 1 and importance[li]]
+                 for k, c in enumerate(counts[li]) if c > 1]
     heapq.heapify(heap)
     for _ in range(model.num_levels - keep_levels):
-        if not heap:
-            break
         imp, li, k = heapq.heappop(heap)
         counts[li][k] -= 1
         deltas[li] += imp
@@ -1073,6 +1088,20 @@ class TestDowngrade:
                     assert new.alphas.tobytes() == l.alphas[kept].tobytes()
                     assert new.signs.tobytes() == l.signs[kept].tobytes()
         assert min(seen.values()) > 0, seen
+
+    def test_a_layer_with_no_source_energy_meets_the_budget(self):
+        rng = np.random.default_rng(48)
+        model, _ = _two_layer_model(rng)
+        silent = replace(synthetic_layer(rng, (40,), 16, [2, 1, 2]), source_norm_sq=0.0)
+        model = QuantizedModel({}, model.layers + (silent,), {})
+        for keep in range(model.num_blocks, model.num_levels + 1):
+            got = downgrade(model, keep_levels=keep)
+            assert got.num_levels == keep
+            assert [(l.counts.tolist(), l.delta) for l in got.layers] == (
+                sequential_downgrade(model, keep))
+        # Importance 0 goes first, and the layer's stored delta stays.
+        first = downgrade(model, keep_levels=model.num_levels - 2).layers[-1]
+        assert (first.counts.tolist(), first.delta) == ([1, 1, 1], silent.delta)
 
 
 class TestQuantizeScales8bit:

@@ -353,6 +353,11 @@ def _rewrite_first_layer(path, key, value):
     ("exhausted", "no"),
     ("crc32", -1),
     ("crc32", 2 ** 32),
+    ("delta", -0.5),
+    ("source_norm_sq", -3.0),
+    ("epsilon_sq", 7.0),
+    ("epsilon_sq", 0.0),
+    ("epsilon_sq", -0.01),
 ])
 def test_malformed_layer_entry_is_a_format_error(tmp_path, key, value):
     rng = np.random.default_rng(6)
