@@ -23,8 +23,9 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
   its error after each level is fixed in advance. The loop takes block k
   past depth d when its error after levels 0..d is the largest (ties to the
   lowest block), which is a heap over each block's chain of errors, so the
-  accept order is ``chain_order(-errs, live)``. A key exists while ``d + 1 <
-  r_max`` and the block's errors are positive.
+  accept order is ``chain_order(-errs, live)``: two default sorts of the
+  finite negated errors' running maxima give its stable order. A key exists
+  while ``d + 1 < r_max`` and the block's errors are positive.
 - Rounds. Key (k, d) can be sorted once level d of block k is fitted, and
   taken once level d + 1 is too. The sortable keys not yet taken, in order,
   hold up to the first key whose next level is not fitted; that prefix is
@@ -319,17 +320,25 @@ def pairwise_version_sums(x: np.ndarray, pos: np.ndarray, new: np.ndarray,
 def chain_order(keys: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(row, column)`` of every ``live`` entry in the order a min-heap pops them.
 
-    ``live`` is a prefix of each row. The heap holds one entry per row, keyed
-    ``(keys[r, c], r)``, starting at column 0; popping entry c of row r pushes
-    entry c+1. An entry cannot leave before the ones ahead of it in its row,
-    and once they have left, it leaves as soon as its row's largest key so far
-    is the smallest in the heap: a key that does not rise is popped at once,
-    since ``(key, r)`` is then at most the entry just popped. So the pop order
-    is one sort by (the row's running max of keys, row, column): a stable sort
-    by the running max, since ``np.nonzero`` lists entries by row, then column.
+    ``live`` is a prefix of each row and ``keys`` are finite. The heap holds
+    one entry per row, keyed ``(keys[r, c], r)``, starting at column 0;
+    popping entry c of row r pushes entry c+1. An entry cannot leave before
+    the ones ahead of it in its row, and once they have left, it leaves as
+    soon as its row's largest key so far is the smallest in the heap: a key
+    that does not rise is popped at once, since ``(key, r)`` is then at most
+    the entry just popped. So the pop order is a stable sort of the running
+    maxima, as ``np.nonzero`` lists entries by row, then column. Entry i of n
+    gets ``rank``, where its maximum's run of equals (``-0.0`` equals ``0.0``)
+    starts in a sort of the maxima; a sort of the unique keys ``rank * n + i``
+    then gives the stable order, faster than a stable sort.
     """
     rows, cols = np.nonzero(live)
-    order = np.argsort(np.maximum.accumulate(keys, axis=1)[rows, cols], kind="stable")
+    run = np.array(keys)  # the running max, one column at a time
+    for j in range(1, run.shape[1]):
+        np.maximum(run[:, j - 1], run[:, j], out=run[:, j])
+    value = run[rows, cols]
+    order = np.argsort(value)
+    order = order[np.argsort(_run_starts(value[order]) * len(order) + order)]
     return rows[order], cols[order]
 
 
@@ -533,6 +542,18 @@ def block_sensitivity(w: Tensor, perturbed: Tensor, blocks: list[BlockView]) -> 
     return out
 
 
+def _nonzero_counts(signs: np.ndarray) -> np.ndarray:
+    """``np.count_nonzero(signs, axis=1)``. Rows of whole uint64 words sum bit 0
+    of each byte (set in 1 and -1) a word column at a time, as numpy reduces short rows slowly."""
+    if signs.shape[-1] % 8 or not signs.flags.c_contiguous:
+        return np.count_nonzero(signs, axis=1)
+    words, low = signs.view("<u8"), np.uint64(0x0101010101010101)
+    out = np.zeros(len(words), dtype=np.uint64)
+    for j in range(words.shape[1]):  # the product's top byte sums the word's 8 bits
+        out += ((words[:, j] & low) * low) >> np.uint64(56)
+    return out
+
+
 def downgrade(
     model: QuantizedModel,
     *,
@@ -542,17 +563,18 @@ def downgrade(
     """Drop the least important residual levels until a level budget is met.
 
     Importance of a level is its energy share ``||alpha*s||^2 / ||W||^2`` of
-    its layer, and 0 where ``||W||^2`` is 0. Only the deepest level of a block is removable at any moment
-    (and never the base level); peeling deepest-first keeps the remaining
-    stack identical to an earlier state of the conversion, so each removal
-    raises the layer's delta by exactly the removed level's importance while
-    the levels keep their fitted scales. After ``quantize_scales_8bit`` a
-    level is no longer orthogonal to the residual it leaves, and the stored
-    delta only approximates ``layer_delta``.
+    its layer, and 0 where ``||W||^2`` is 0. Only the deepest level of a block
+    is removable at any moment (and never the base level); peeling
+    deepest-first keeps the remaining stack identical to an earlier state of
+    the conversion, so each removal raises the layer's delta by exactly the
+    removed level's importance while the levels keep their fitted scales.
+    After ``quantize_scales_8bit`` a level is no longer orthogonal to the
+    residual it leaves, and the stored delta only approximates ``layer_delta``.
     Removal order is globally smallest-importance-first over that frontier,
     ties to the earlier layer and block: each block's residual levels,
-    deepest first, form one row of ``chain_order``. Returns a new model; the
-    input model is untouched.
+    deepest first, form one row of ``chain_order``. ``target_factor`` budgets
+    ``floor(factor * blocks)`` levels, at most the model's level count.
+    Returns a new model; the input model is untouched.
     """
     if (keep_levels is None) == (target_factor is None):
         raise ValueError("give exactly one of keep_levels or target_factor")
@@ -562,7 +584,8 @@ def downgrade(
     if target_factor is not None:
         if not np.isfinite(target_factor):
             raise ValueError(f"target factor must be finite, got {target_factor}")
-        keep_levels = int(np.floor(target_factor * base_blocks + 1e-9))
+        budget = np.floor(target_factor * base_blocks + 1e-9)  # may pass the float range
+        keep_levels = int(np.clip(budget, 0, model.num_levels))
     if keep_levels < base_blocks:
         raise ValueError(
             f"budget of {keep_levels} levels is below the {base_blocks} base levels"
@@ -574,23 +597,22 @@ def downgrade(
     depth_max = max((int(l.counts.max(initial=1)) for l in model.layers), default=1)
     keys = np.zeros((model.num_blocks, depth_max - 1))
     live = np.zeros(keys.shape, dtype=bool)
-    for l, start in zip(model.layers, starts):
-        energy = l.alphas.astype(np.float64) ** 2 * np.count_nonzero(l.signs, axis=1)
+    index = [level_index(l.counts) for l in model.layers]
+    for l, start, (owner, depth) in zip(model.layers, starts, index):
+        energy = l.alphas.astype(np.float64) ** 2 * _nonzero_counts(l.signs)
         imp = energy / l.source_norm_sq if l.source_norm_sq > 0.0 else np.zeros(l.num_levels)
-        owner, depth = level_index(l.counts)
         res = depth > 0
-        cols = l.counts[owner[res]] - 1 - depth[res]
-        keys[start + owner[res], cols] = imp[res]
-        live[start + owner[res], cols] = True
+        at = (start + owner[res]) * keys.shape[1] + l.counts[owner[res]] - 1 - depth[res]
+        keys.reshape(-1)[at] = imp[res]
+        live.reshape(-1)[at] = True
     rows, cols = (a[:max(model.num_levels - keep_levels, 0)] for a in chain_order(keys, live))
 
     new_layers = []
-    for l, start in zip(model.layers, starts):
+    for l, start, (owner, depth) in zip(model.layers, starts, index):
         mine = (rows >= start) & (rows < start + l.num_blocks)
         counts = l.counts - np.bincount(rows[mine] - start, minlength=l.num_blocks)
         # Added one at a time in removal order, as ``np.sum`` would not.
         delta = float(np.cumsum(np.append(l.delta, keys[rows[mine], cols[mine]]))[-1])
-        owner, depth = level_index(l.counts)
         keep = depth < counts[owner]
         new_layers.append(replace(
             l, counts=counts.astype(np.int32), alphas=l.alphas[keep], signs=l.signs[keep],

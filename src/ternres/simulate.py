@@ -465,9 +465,9 @@ def forward_quantized(
     has started, and raises the error of a chunk that failed there. The
     helper is shut down before this returns. A manifest with no layers, or
     a quantized layer that names no parametric layer of ``manifest``, raises
-    ``ValueError`` first; a model may leave layers out. Errors then come in the order of a serial pass:
-    the clean pass's error wins, then the quantized side's first error, a
-    failed check included.
+    ``ValueError`` first; a model may leave layers out. Errors then come in
+    the order of a serial pass: the clean pass's error wins, then the
+    quantized side's first error, a failed check included.
     """
     if not manifest.layers:
         raise ValueError("the manifest has no layers")

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +365,22 @@ def test_downgrade_roundtrip(net_dir, capsys):
                      "-o", str(tmp / "mid.tq")]) == 0
         mid = load_quantized(tmp / "mid.tq")
         assert mid.num_levels / mid.num_blocks <= 1.2
+
+
+def test_downgrade_to_a_target_past_the_float_range_keeps_every_level(tmp_path, capsys):
+    source = Path(__file__).parent / "data" / "uniform.v2.tq"
+    model = load_quantized(source)
+    assert main(["downgrade", str(source), "--target-compute", "1e308",
+                 "-o", str(tmp_path / "d.tq")]) == 0
+    assert "TOTAL" in capsys.readouterr().out
+    kept = load_quantized(tmp_path / "d.tq")
+    assert kept.provenance["downgraded_to_levels"] == model.num_levels
+    for a, b in zip(model.layers, kept.layers):
+        assert (b.counts.tobytes(), b.signs.tobytes(), b.delta) == (
+            a.counts.tobytes(), a.signs.tobytes(), a.delta)
+    assert main(["downgrade", str(source), "--target-compute=-1e308",
+                 "-o", str(tmp_path / "bad.tq")]) == 2
+    assert "below" in capsys.readouterr().err
 
 
 def test_downgrade_report_keeps_flop_weighting(net_dir, capsys):

@@ -24,6 +24,7 @@ from ternres import (
 from ternres.residual import (
     QuantizedLayer,
     Trace,
+    _nonzero_counts,
     _pairwise_tree,
     block_sensitivity,
     chain_order,
@@ -988,6 +989,32 @@ class TestChainOrder:
         got = chain_order(np.array(keys, dtype=np.float64).reshape(rows, cols), live)
         assert list(zip(*(a.tolist() for a in got))) == heap_chain_order(keys, lengths)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_a_stable_sort_of_the_running_max_on_large_inputs(self, seed):
+        # Thousands of keys reach numpy's vectorized sorts, which the small
+        # Hypothesis draws above do not; few distinct values, -0.0 and 0.0
+        # among them, make long runs of ties.
+        rng = np.random.default_rng(seed)
+        for shape in [(2000, 6), (2001, 6), (5, 0), (0, 4), (0, 0)]:
+            keys = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=shape)
+            live = np.arange(shape[1]) < rng.integers(0, shape[1] + 1, size=shape[0])[:, None]
+            live[::7] = False  # empty rows
+            rows, cols = np.nonzero(live)
+            order = np.argsort(np.maximum.accumulate(keys, axis=1)[rows, cols], kind="stable")
+            got = chain_order(keys, live)
+            assert got[0].tolist() == rows[order].tolist()
+            assert got[1].tolist() == cols[order].tolist()
+
+
+class TestNonzeroCounts:
+    @pytest.mark.parametrize("width", [64, 7, 13, 16])
+    def test_matches_count_nonzero(self, width):
+        rng = np.random.default_rng(width)
+        signs = rng.integers(-1, 2, size=(300, width)).astype(np.int8)
+        signs[:3] = np.array([0, 1, -1])[:, None]  # all zero, all +1 and all -1 rows
+        for rows in (signs, signs[::2], signs[1:, :width - 1]):  # non-contiguous slices too
+            assert _nonzero_counts(rows).tolist() == np.count_nonzero(rows, axis=1).tolist()
+
 
 class TestDowngrade:
     def test_noop_when_budget_matches(self):
@@ -1046,6 +1073,17 @@ class TestDowngrade:
         smaller = downgrade(model, target_factor=1.5)
         assert smaller.num_levels / smaller.num_blocks <= 1.5
         assert smaller.num_levels == int(np.floor(1.5 * model.num_blocks + 1e-9))
+
+    def test_a_target_factor_past_every_level_keeps_every_level(self):
+        rng = np.random.default_rng(18)
+        model, _ = _two_layer_model(rng, eps_sq=0.005)
+        for factor in (model.num_levels / model.num_blocks, 100.0, 1e308):
+            got = downgrade(model, target_factor=factor)
+            assert got.provenance["downgraded_to_levels"] == model.num_levels
+            for a, b in zip(model.layers, got.layers):
+                assert (b.counts.tobytes(), b.delta) == (a.counts.tobytes(), a.delta)
+        with pytest.raises(ValueError, match="below"):
+            downgrade(model, target_factor=-1e308)
 
     def test_original_model_untouched(self):
         rng = np.random.default_rng(19)
