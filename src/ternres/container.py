@@ -255,6 +255,10 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int,
         raise FormatError(
             f"layer {name!r}: delta {delta!r} and source_norm_sq {source_norm_sq!r} must "
             f"be non-negative and epsilon_sq {epsilon_sq!r} in (0, 1]")
+    # A source with no energy converts to alpha-0 base levels and delta 0.
+    if source_norm_sq == 0.0 and (delta != 0.0 or np.any(alphas)):
+        raise FormatError(f"layer {name!r}: source_norm_sq 0 beside nonzero alphas "
+                          f"or delta {delta!r}")
 
     return QuantizedLayer(
         name, shape, block_size, counts.astype(np.int32), alphas.astype(np.float32),

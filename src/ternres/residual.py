@@ -573,7 +573,8 @@ def downgrade(
     Removal order is globally smallest-importance-first over that frontier,
     ties to the earlier layer and block: each block's residual levels,
     deepest first, form one row of ``chain_order``. ``target_factor`` budgets
-    ``floor(factor * blocks)`` levels, at most the model's level count.
+    ``floor(factor * blocks)`` levels. Either budget is capped at the model's
+    level count, which ``provenance["downgraded_to_levels"]`` then records.
     Returns a new model; the input model is untouched.
     """
     if (keep_levels is None) == (target_factor is None):
@@ -590,6 +591,7 @@ def downgrade(
         raise ValueError(
             f"budget of {keep_levels} levels is below the {base_blocks} base levels"
         )
+    keep_levels = min(keep_levels, model.num_levels)
 
     # Row b holds global block b's residual importances, deepest level first.
     sizes = [l.num_blocks for l in model.layers]
@@ -605,7 +607,7 @@ def downgrade(
         at = (start + owner[res]) * keys.shape[1] + l.counts[owner[res]] - 1 - depth[res]
         keys.reshape(-1)[at] = imp[res]
         live.reshape(-1)[at] = True
-    rows, cols = (a[:max(model.num_levels - keep_levels, 0)] for a in chain_order(keys, live))
+    rows, cols = (a[:model.num_levels - keep_levels] for a in chain_order(keys, live))
 
     new_layers = []
     for l, start, (owner, depth) in zip(model.layers, starts, index):

@@ -11,24 +11,24 @@ both sides come from one product whose outputs stack the dense weights and,
 per depth, every block's level at that depth; bn_scale, which scales each
 channel by its own weight, sees its input repeated once per slot.
 
-Everything computes in float32 (the toolkit's native precision) while norms
-and ratios accumulate in float64. Work arrays stay near ``CHUNK_BYTES``: a
-convolution builds its patch matrices and its products a batch chunk at a
-time. A paired run puts its clean side, the FP32 pass and then every
-activation norm, on one helper thread while the calling thread runs the
-quantized side: activation quantization, the stacked products, the
+Everything computes in float32 (the toolkit's native precision) while trace
+norms and ratios accumulate in float64. Work arrays stay near
+``CHUNK_BYTES``: a convolution builds its patch matrices and its products a
+batch chunk at a time. A paired run puts its clean side, the FP32 pass and
+then every activation norm, on one helper thread while the calling thread
+runs the quantized side: activation quantization, the stacked products, the
 decomposition checks and the weight norms. Every stacked product is a set
 of batch chunks that the helper also claims once it reaches that layer (an
 fc product is one chunk: splitting its rows can change its bits); the
 thread that computes a chunk writes its dense slot plus bias into the layer
-output and adds its two sums of squares to the layer's check, so the full
-stacked output is never built. Every norm writes a float64 copy of its
-operand and sums the squares with one BLAS ddot, the bits of
-``np.linalg.norm`` of that copy. With activation quantization, a layer
-whose input is a relu or maxpool over a quantized input skips the
-re-quantization, which would change no bit. Errors come in the order of a
-serial pass: the clean pass's error, then the quantized side's first
-error, a failed check included.
+output and adds its two sums of squares (float32 dot products) to the
+layer's check, so the full stacked output is never built. Every trace norm
+writes a float64 copy of its operand and sums the squares with one BLAS
+ddot, the bits of ``np.linalg.norm`` of that copy. With activation
+quantization, a layer whose input is a relu or maxpool over a quantized
+input skips the re-quantization, which would change no bit. Errors come in
+the order of a serial pass: the clean pass's error, then the quantized
+side's first error, a failed check included.
 """
 
 from __future__ import annotations
@@ -166,7 +166,13 @@ def _maxpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
 
 
 def _avgpool(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    return _pool_windows(x, window, stride).mean(axis=-1, dtype=np.float32)
+    """Float32 window means: the taps added to 0 in window order, then
+    divided once; under 8 taps, numpy's order and bits for ``mean``."""
+    taps = _pool_taps(x, window, stride)
+    out = np.add(taps[0], np.float32(0.0), dtype=np.float32)  # a new array; -0.0 -> +0.0
+    for tap in taps[1:]:
+        out += tap
+    return np.divide(out, np.float32(len(taps)), out=out)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -285,19 +291,26 @@ def _finish_stacked(y: np.ndarray, s: int, out: np.ndarray,
                     bias: np.ndarray | None) -> tuple[float, float]:
     """Finish a batch chunk ``out`` of a stacked product, which holds samples
     ``s`` on: write its dense slot plus ``bias`` into ``y``, and return the
-    decomposition check's two float64 sums of squares for it, of the dense
-    result minus the summed level slots plus bias, and of the dense result."""
+    check's two sums of squares for it, of the dense slot minus its level
+    slots summed in depth order (the bias cancels), and of the dense result:
+    float32 dot products, taken again in float64 where float32 squares
+    overflow or lose terms (a sum not finite, or the second below 2^-60)."""
     n, c_out = out.shape[0], y.shape[1]
     dense = y[s:s + n]
-    depths = out.shape[1] // c_out - 1
-    y_dec = out[:, c_out:].reshape((n, depths) + dense.shape[1:]).sum(axis=1)
+    slots = out.reshape((n, -1, c_out) + dense.shape[2:])
     if bias is None:
-        np.copyto(dense, out[:, :c_out])
+        np.copyto(dense, slots[:, 0])
     else:
-        bias = bias.reshape((c_out,) + (1,) * (dense.ndim - 2))
-        np.add(out[:, :c_out], bias, out=dense)
-        y_dec += bias
-    return _sq_norm(dense, y_dec), _sq_norm(dense)
+        np.add(slots[:, 0], bias.reshape((c_out,) + (1,) * (dense.ndim - 2)), out=dense)
+    gap = slots[:, 1].copy()
+    for t in range(2, slots.shape[1]):
+        gap += slots[:, t]
+    np.subtract(slots[:, 0], gap, out=gap)
+    with np.errstate(over="ignore"):  # an overflow takes the float64 path
+        err, ref = (float(np.dot(v, v)) for v in (gap.reshape(-1), dense.reshape(-1)))
+    if not (math.isfinite(err) and math.isfinite(ref)) or ref < 2.0 ** -60:
+        err, ref = _sq_norm(gap), _sq_norm(dense)
+    return err, ref
 
 
 def _shared(pool: ThreadPoolExecutor, tasks: list[Callable[[], object]]) -> list:
@@ -352,11 +365,11 @@ def _apply_quantized(layer: LayerDecl, qlayer: QuantizedLayer, dense_w: np.ndarr
     (``_finish_stacked``), so the full stacked output is never built; an fc
     product is one chunk, as splitting its rows can change its bits.
     Returns the dense result, the first ``c_out`` outputs plus the bias.
-    Raises ``DecompositionError`` when the summed level products, plus the
-    bias, deviate from the dense result by more than ``DECOMPOSITION_RTOL``
-    relative.
+    Raises ``DecompositionError`` when the summed level products deviate
+    from the dense slot by more than ``DECOMPOSITION_RTOL`` times the norm of
+    the dense result; the bias, on both sides, cancels from the gap.
     """
-    depths = int(qlayer.counts.max(initial=0))
+    depths = int(qlayer.counts.max(initial=1))  # slot 1 exists even with no levels
     owner, depth = level_index(qlayer.counts)
     blocked = np.zeros((1 + depths, qlayer.num_blocks, qlayer.signs.shape[1]),
                        dtype=np.float32)

@@ -383,6 +383,18 @@ def test_downgrade_to_a_target_past_the_float_range_keeps_every_level(tmp_path, 
     assert "below" in capsys.readouterr().err
 
 
+def test_both_budget_forms_record_the_level_count_past_it(tmp_path):
+    source = Path(__file__).parent / "data" / "uniform.v2.tq"
+    levels = load_quantized(source).num_levels
+    assert main(["downgrade", str(source), "--keep-levels", str(levels + 955),
+                 "-o", str(tmp_path / "k.tq")]) == 0
+    assert main(["downgrade", str(source), "--target-compute", "100",
+                 "-o", str(tmp_path / "t.tq")]) == 0
+    for name in ("k.tq", "t.tq"):
+        assert load_quantized(tmp_path / name).provenance["downgraded_to_levels"] == levels
+    assert (tmp_path / "k.tq").read_bytes() == (tmp_path / "t.tq").read_bytes()
+
+
 def test_downgrade_report_keeps_flop_weighting(net_dir, capsys):
     tmp, manifest_path, _ = net_dir
     main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.05",
@@ -412,10 +424,14 @@ def test_downgrade_report_prices_with_given_x_and_c(net_dir, capsys):
     assert capsys.readouterr().out == downgraded
 
 
-def test_downgrade_meets_the_budget_on_a_layer_with_no_source_energy(net_dir):
+def test_a_layer_claiming_no_source_energy_beside_its_levels_exits_1(net_dir, capsys):
+    # A zero source converts to alpha-0 base levels and delta 0, so a file
+    # that pairs source_norm_sq 0 with energetic levels was not converted.
     tmp, manifest_path, _ = net_dir
     main(["quantize", "-m", manifest_path, "-N", "16", "--eps", "0.05",
           "-o", str(tmp / "net.tq")])
+    model = load_quantized(tmp / "net.tq")
+    assert model.layer("fc1").num_levels > model.layer("fc1").num_blocks
 
     def silence_fc1(index):
         for entry in index["layers"]:
@@ -424,12 +440,12 @@ def test_downgrade_meets_the_budget_on_a_layer_with_no_source_energy(net_dir):
         return index
 
     rewrite_index(tmp / "net.tq", silence_fc1)
-    model = load_quantized(tmp / "net.tq")
-    assert model.layer("fc1").num_levels > model.layer("fc1").num_blocks
+    capsys.readouterr()
     assert main(["downgrade", str(tmp / "net.tq"), "--keep-levels", str(model.num_blocks),
-                 "-o", str(tmp / "base.tq")]) == 0
-    base = load_quantized(tmp / "base.tq")
-    assert base.num_levels == model.num_blocks == base.provenance["downgraded_to_levels"]
+                 "-o", str(tmp / "base.tq")]) == 1
+    assert "'fc1': source_norm_sq 0" in capsys.readouterr().err
+    assert not (tmp / "base.tq").exists()
+    assert main(["stats", str(tmp / "net.tq")]) == 1
 
 
 def test_downgrade_below_base_exits_2(net_dir, capsys):

@@ -1028,6 +1028,15 @@ class TestDowngrade:
             assert np.array_equal(a.alphas, b.alphas)
             assert np.array_equal(a.signs, b.signs)
 
+    def test_a_budget_past_the_level_count_records_the_level_count(self):
+        model, _ = _two_layer_model(np.random.default_rng(49))
+        past = model.num_blocks * 1000
+        for got in (downgrade(model, keep_levels=model.num_levels + 1),
+                    downgrade(model, keep_levels=past), downgrade(model, target_factor=1000.0)):
+            assert got.provenance["downgraded_to_levels"] == model.num_levels == got.num_levels
+            assert [l.counts.tolist() for l in got.layers] == [
+                l.counts.tolist() for l in model.layers]
+
     def test_each_removal_costs_its_importance(self):
         rng = np.random.default_rng(15)
         model, tensors = _two_layer_model(rng)

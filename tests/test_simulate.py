@@ -29,6 +29,7 @@ from ternres import (
     ternary_residual,
 )
 import ternres.simulate as simulate
+from ternres.errors import DecompositionError
 from ternres.residual import QuantizedLayer, fixed_point_exponent, level_index
 from ternres.simulate import (
     avgpool_bound,
@@ -111,6 +112,30 @@ class TestForward:
         expected = simulate._pool_windows(x, window, stride).max(axis=-1)
         assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
         assert not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_avgpool_is_a_float32_running_sum(self, window, stride):
+        # Taps add to 0 in window order and divide once; under 8 taps that is
+        # numpy's order for mean, so a window of -0.0 also averages to +0.0.
+        rng = np.random.default_rng(window * 10 + stride)
+        x = rng.normal(size=(2, 3, 9, 10)).astype(np.float32)
+        x[rng.random(x.shape) < 0.3] = -0.0
+        oh, ow = (9 - window) // stride + 1, (10 - window) // stride + 1
+        expected = np.empty((2, 3, oh, ow), dtype=np.float32)
+        for i in range(oh):
+            for j in range(ow):
+                acc = np.zeros((2, 3), dtype=np.float32)
+                for u in range(window):
+                    for v in range(window):
+                        acc = acc + x[:, :, i * stride + u, j * stride + v]
+                expected[:, :, i, j] = acc / np.float32(window * window)
+        out = simulate._avgpool(x, window, stride)
+        assert out.dtype == np.float32 and out.tobytes() == expected.tobytes()
+        assert not np.shares_memory(out, x)
+        if window * window < 8:
+            mean = simulate._pool_windows(x, window, stride).mean(axis=-1, dtype=np.float32)
+            assert out.tobytes() == mean.tobytes()
 
     def test_identity_fc(self):
         manifest = ModelManifest(
@@ -1009,6 +1034,71 @@ class TestSharedChunks:
             forward_quantized(manifest, weights, model, x)
         assert any(not on_main for *_, on_main in ran)
         assert threading.active_count() == before
+
+
+def _bn_scale_net(rng):
+    manifest = ModelManifest(
+        (LayerDecl("bn", "bn_scale", weight_ref="bn.a.npy", bias_ref="bn.b.npy"),),
+        input_shape=(6, 5, 5))
+    return manifest, {"bn": (
+        Tensor("bn", rng.uniform(0.5, 1.5, size=(6,)).astype(np.float32)),
+        Tensor("bn.b", rng.normal(scale=0.1, size=(6,)).astype(np.float32)))}
+
+
+CHECK_NETS = {"conv": conv_net, "mlp": mlp_net, "bn_scale": _bn_scale_net}
+
+
+class TestDecompositionCheck:
+    @staticmethod
+    def _scaled_dense(factor):
+        def scaled(qlayer):
+            w = reconstruct(qlayer)
+            w.data[...] *= np.float32(factor)
+            return w
+        return scaled
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("net", sorted(CHECK_NETS))
+    def test_a_planted_mismatch_fails_at_every_scale(self, monkeypatch, net, bias):
+        # Scaling the input and every bias by 2^k scales every activation by
+        # exactly 2^k, so the relative check reads the same. At 2^70 float32
+        # squares overflow and at 2^-70 they lose their bits, so every chunk
+        # takes its two sums again in float64.
+        rng = np.random.default_rng(61)
+        manifest, weights = CHECK_NETS[net](rng)
+        model = _convert(manifest, weights, 16, 0.01)
+        x = rng.normal(size=(3,) + manifest.input_shape).astype(np.float32)
+        first = manifest.layers[0].name
+        finish, sq_norm = simulate._finish_stacked, simulate._sq_norm
+        chunks, fallbacks = [], []
+
+        def spied_finish(*args):
+            chunks.append(1)
+            return finish(*args)
+
+        def spied_sq_norm(*args):
+            if sys._getframe(1).f_code is finish.__code__:
+                fallbacks.append(1)
+            return sq_norm(*args)
+
+        monkeypatch.setattr(simulate, "_finish_stacked", spied_finish)
+        monkeypatch.setattr(simulate, "_sq_norm", spied_sq_norm)
+        rels = []
+        for k in (0, 70, -70):
+            scale = np.float32(2.0 ** k)
+            scaled = {name: (w, Tensor(b.name, b.data * scale) if bias and b else None)
+                      for name, (w, b) in weights.items()}
+            monkeypatch.setattr(simulate, "reconstruct", self._scaled_dense(1 + 5e-6))
+            chunks.clear()
+            fallbacks.clear()
+            forward_quantized(manifest, scaled, model, x * scale)
+            assert chunks and len(fallbacks) == (2 * len(chunks) if k else 0)
+            monkeypatch.setattr(simulate, "reconstruct", self._scaled_dense(1 + 2e-5))
+            with pytest.raises(DecompositionError, match=f"layer '{first}'.*deviates") as err:
+                forward_quantized(manifest, scaled, model, x * scale)
+            rels.append(float(str(err.value).split(" by ")[1].split()[0]))
+        assert rels[0] > simulate.DECOMPOSITION_RTOL
+        assert rels[1:] == pytest.approx(rels[:1] * 2, rel=1e-2)
 
 
 class TestMarginCheck:

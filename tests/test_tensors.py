@@ -394,6 +394,38 @@ def test_non_finite_stored_scale_is_a_format_error(tmp_path, value):
     assert not (tmp_path / "out.tq").exists()
 
 
+@pytest.mark.parametrize("version", [2, 1])
+def test_zero_source_norm_beside_energy_is_a_format_error(tmp_path, version):
+    # A source with no energy converts to alpha-0 base levels and delta 0;
+    # such a layer loads, and one that pairs source_norm_sq 0 with a nonzero
+    # alpha or delta does not.
+    zero = ternary_residual(Tensor("z", np.zeros(40, dtype=np.float32)), 16, epsilon_sq=0.05)
+    assert (zero.source_norm_sq, zero.delta, zero.alphas.any()) == (0.0, 0.0, False)
+    model, _ = _random_model(np.random.default_rng(9), [100])
+    model = QuantizedModel({}, model.layers + (zero,), {"N": 16})
+    path = tmp_path / "m.tq"
+    save_quantized(model, path)
+    if version == 1:
+        to_v1(path)
+    assert load_quantized(path).layer("z").source_norm_sq == 0.0
+    assert main(["stats", str(path)]) == 0
+    original = path.read_bytes()
+    for name, key, value in (("l0", "source_norm_sq", 0.0), ("z", "delta", 0.25)):
+        path.write_bytes(original)
+
+        def edit(index):
+            next(e for e in index["layers"] if e["name"] == name)[key] = value
+            return index
+
+        rewrite_index(path, edit)
+        with pytest.raises(FormatError, match=f"'{name}': source_norm_sq 0"):
+            load_quantized(path)
+        assert main(["stats", str(path)]) == 1
+        assert main(["downgrade", str(path), "--keep-levels", str(model.num_blocks),
+                     "-o", str(tmp_path / "out.tq")]) == 1
+        assert not (tmp_path / "out.tq").exists()
+
+
 def _two_layer_container(path) -> QuantizedModel:
     """Two N=16 layers with ragged tails: 100 = 6*16 + 4 and 40 = 2*16 + 8."""
     model, _ = _random_model(np.random.default_rng(8), [100, 40])
