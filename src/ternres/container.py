@@ -17,11 +17,8 @@ u32 CRC32 (``zlib``) of the index, then the index and the blob. The index
 stores each block's level count and the CRC32 of each layer's payload; the
 payload's place in the blob is the one ``_layout`` derives from the counts.
 The reader checks the index CRC before it parses the index, and a layer's
-CRC before it decodes that layer. Format 1 files (magic ``TRQ0``, the u32
-index length only) still load: their index stores the blob offsets of every
-block's scales and sign rows, which must be the ones ``_layout`` derives,
-and no CRC. Writing is fully deterministic: identical models produce
-identical bytes.
+CRC before it decodes that layer. It reads format 2 only. Writing is fully
+deterministic: identical models produce identical bytes.
 """
 
 from __future__ import annotations
@@ -39,9 +36,6 @@ from .residual import QuantizedLayer, QuantizedModel
 
 MAGIC = b"TRQ2"
 FORMAT_VERSION = 2
-# The format each magic marks, and the header fields after the magic: the
-# index length, then in format 2 the index CRC32.
-_HEADERS = {b"TRQ0": (1, struct.Struct("<I")), MAGIC: (FORMAT_VERSION, struct.Struct("<II"))}
 CHUNK_BYTES = 256 << 10  # pack_signs' uint32 work words stay near this size
 
 
@@ -133,25 +127,22 @@ def unpack_signs(payload, length: int) -> np.ndarray:
     return signs
 
 
-def _layout(counts, block_size: int, size: int, start: int):
-    """The layout of one layer whose payload starts at blob offset ``start``.
+def _layout(counts, block_size: int, size: int, start: int) -> tuple[int, int]:
+    """The number of sign rows of full blocks in one layer whose payload
+    starts at blob offset ``start``, and the offset where its payload ends.
 
-    Returns each block's scale offset and sign-row offset, the number of sign
-    rows of full blocks and the offset where the layer's payload ends.
+    Only the last block can be short, so the full blocks' rows come first.
     """
-    level_starts = np.cumsum(counts) - counts
     num_levels = int(counts.sum())
-    full, tail = divmod(size, block_size)
-    full_rows = int(counts[:full].sum())
-    row_bytes = (block_size + 3) // 4
-    signs_at = start + 4 * num_levels
-    end = signs_at + row_bytes * full_rows + (tail + 3) // 4 * (num_levels - full_rows)
-    # Only the last block can be short, so all rows before a block are full rows.
-    return start + 4 * level_starts, signs_at + row_bytes * level_starts, full_rows, end
+    full_rows = int(counts[:size // block_size].sum())
+    tail_rows = num_levels - full_rows
+    end = (start + 4 * num_levels + (block_size + 3) // 4 * full_rows
+           + (size % block_size + 3) // 4 * tail_rows)
+    return full_rows, end
 
 
 def _layer_index_and_payload(layer: QuantizedLayer) -> tuple[dict, list[bytes]]:
-    full_rows = _layout(layer.counts, layer.block_size, layer.num_weights, 0)[2]
+    full_rows = _layout(layer.counts, layer.block_size, layer.num_weights, 0)[0]
     payload = [layer.alphas.astype("<f4").tobytes(),
                pack_signs(layer.signs[:full_rows, :layer.block_size]),
                pack_signs(layer.signs[full_rows:, :layer.num_weights % layer.block_size])]
@@ -172,6 +163,9 @@ def _layer_index_and_payload(layer: QuantizedLayer) -> tuple[dict, list[bytes]]:
 
 
 def save_quantized(model: QuantizedModel, path) -> None:
+    repeated = model.repeated_layer()
+    if repeated is not None:
+        raise ValueError(f"layer {repeated!r} appears twice in the model")
     layers, blob = [], []
     for layer in model.layers:
         entry, payload = _layer_index_and_payload(layer)
@@ -190,10 +184,8 @@ def save_quantized(model: QuantizedModel, path) -> None:
         fp.writelines(blob)
 
 
-def _read_layer(entry: dict, blob: np.ndarray, start: int,
-                version: int) -> tuple[QuantizedLayer, int]:
-    """One layer of a format ``version`` file whose payload starts at
-    ``start``, and where its payload ends."""
+def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLayer, int]:
+    """One layer whose payload starts at ``start``, and where its payload ends."""
     name, exhausted = entry["name"], entry.get("exhausted", False)
     if not (isinstance(name, str) and isinstance(exhausted, bool)):
         raise FormatError(f"layer {name!r} (exhausted {exhausted!r}): the name must "
@@ -211,22 +203,15 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int,
             (counts < 1) | (counts > len(blob))):
         raise FormatError(f"layer {name!r}: levels_per_block must hold {num_blocks} "
                           f"integer counts from 1 to the blob size")
-    scale_offsets, sign_offsets, full_rows, end = _layout(counts, block_size, size, start)
-    if version == 1:
-        offsets = entry["scale_offsets"], entry["sign_offsets"]
-        if not (all(map(are_ints, offsets))
-                and offsets == (scale_offsets.tolist(), sign_offsets.tolist())):
-            raise FormatError(
-                f"layer {name!r}: scale_offsets and sign_offsets differ from the v1 layout")
+    full_rows, end = _layout(counts, block_size, size, start)
     if end > len(blob):
         raise FormatError(f"layer {name!r}: truncated payload")
-    if version == 2:
-        crc = entry["crc32"]
-        if not (is_count(crc, 0) and crc < 1 << 32):
-            raise FormatError(f"layer {name!r}: crc32 must be an integer from 0 to "
-                              f"2**32 - 1, got {crc!r}")
-        if zlib.crc32(blob[start:end]) != crc:
-            raise FormatError(f"layer {name!r}: the payload fails its CRC32")
+    crc = entry["crc32"]
+    if not (is_count(crc, 0) and crc < 1 << 32):
+        raise FormatError(f"layer {name!r}: crc32 must be an integer from 0 to "
+                          f"2**32 - 1, got {crc!r}")
+    if zlib.crc32(blob[start:end]) != crc:
+        raise FormatError(f"layer {name!r}: the payload fails its CRC32")
 
     num_levels = int(counts.sum())
     signs_at = start + 4 * num_levels
@@ -269,17 +254,19 @@ def load_quantized(path) -> QuantizedModel:
     path = str(path)
     with open(path, "rb") as fp:
         raw = fp.read()
-    if raw[:4] not in _HEADERS:
+    if raw[:4] != MAGIC:
+        if raw[:4] == MAGIC[:3] + b"0":  # format 1's magic
+            raise FormatError(f"{path}: a format 1 container; format 1 is no longer "
+                              f"read (the README says how to convert it to format 2)")
         raise FormatError(f"{path}: not a quantized container")
-    version, fields = _HEADERS[raw[:4]]
-    index_at = 4 + fields.size
+    index_at = 12  # after the magic, the index length and the index CRC32
     if len(raw) < index_at:
         raise FormatError(f"{path}: truncated header")
-    json_len, *index_crc = fields.unpack_from(raw, 4)  # no CRC in format 1
+    json_len, index_crc = struct.unpack_from("<II", raw, 4)
     if len(raw) < index_at + json_len:
         raise FormatError(f"{path}: truncated index")
     encoded = raw[index_at:index_at + json_len]
-    if index_crc and index_crc[0] != zlib.crc32(encoded):
+    if index_crc != zlib.crc32(encoded):
         raise FormatError(f"{path}: the index fails its CRC32")
     try:
         index = json.loads(encoded.decode("utf-8"))
@@ -288,8 +275,8 @@ def load_quantized(path) -> QuantizedModel:
     if not isinstance(index, dict):
         raise FormatError(f"{path}: bad index (not a JSON object)")
     stored = index.get("format_version")
-    if type(stored) is not int or stored != version:
-        raise FormatError(f"{path}: format_version {stored!r}, expected {version}")
+    if type(stored) is not int or stored != FORMAT_VERSION:
+        raise FormatError(f"{path}: format_version {stored!r}, expected {FORMAT_VERSION}")
     manifest_doc, provenance = index.get("manifest", {}), index.get("provenance", {})
     if not (isinstance(manifest_doc, dict) and isinstance(provenance, dict)):
         raise FormatError(f"{path}: manifest and provenance must be JSON objects")
@@ -302,10 +289,14 @@ def load_quantized(path) -> QuantizedModel:
     layers, end = [], 0
     try:
         for entry in index["layers"]:
-            layer, end = _read_layer(entry, blob, end, version)
+            layer, end = _read_layer(entry, blob, end)
             layers.append(layer)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed layer index ({exc})") from exc
     if end != len(blob):
         raise FormatError(f"{path}: the blob is {len(blob)} bytes but its layers end at {end}")
-    return QuantizedModel(manifest_doc, tuple(layers), provenance)
+    model = QuantizedModel(manifest_doc, tuple(layers), provenance)
+    repeated = model.repeated_layer()
+    if repeated is not None:
+        raise FormatError(f"{path}: layer {repeated!r} is stored twice")
+    return model

@@ -30,6 +30,9 @@ class BudgetSchedule:
             if not (0.0 < eps_sq <= 1.0):
                 raise ValueError(
                     f"epsilon_sq must be in (0, 1], got {eps_sq} for layer {name!r}")
+        # Plain floats, as a model's provenance stores them in JSON.
+        object.__setattr__(self, "epsilon_sq",
+                           {name: float(e) for name, e in self.epsilon_sq.items()})
 
 
 def make_schedule(
@@ -132,8 +135,8 @@ def convert_model(
     )
 
     provenance = {
-        "N": block_size,
-        "r_max": r_max,
+        "N": int(block_size),
+        "r_max": int(r_max),
         "schedule_mode": schedule.mode,
         "epsilon_sq": epsilon_sq,
     }

@@ -171,6 +171,15 @@ class QuantizedModel:
                 return l
         raise KeyError(name)
 
+    def repeated_layer(self) -> str | None:
+        """The first layer name that an earlier layer already has, if any."""
+        seen = set()
+        for l in self.layers:
+            if l.layer in seen:
+                return l.layer
+            seen.add(l.layer)
+        return None
+
     @property
     def num_blocks(self) -> int:
         return sum(l.num_blocks for l in self.layers)
@@ -365,10 +374,11 @@ def ternary_residual(
     eps_sq = float(epsilon_sq) if epsilon_sq is not None else float(epsilon) ** 2
     if not (0.0 < eps_sq <= 1.0):
         raise ValueError(f"tolerance^2 must be in (0, 1], got {eps_sq}")
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
-    if block_size < 1:
-        raise ValueError(f"block size must be >= 1, got {block_size}")
+    if not is_count(r_max):
+        raise ValueError(f"r_max must be an integer >= 1, got {r_max!r}")
+    if not is_count(block_size):
+        raise ValueError(f"block size must be an integer >= 1, got {block_size!r}")
+    block_size = int(block_size)  # a numpy integer would reach the container's JSON
     if w.size == 0:
         raise ValueError("cannot convert an empty tensor")
 
@@ -591,7 +601,7 @@ def downgrade(
         raise ValueError(
             f"budget of {keep_levels} levels is below the {base_blocks} base levels"
         )
-    keep_levels = min(keep_levels, model.num_levels)
+    keep_levels = int(min(keep_levels, model.num_levels))
 
     # Row b holds global block b's residual importances, deepest level first.
     sizes = [l.num_blocks for l in model.layers]

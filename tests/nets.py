@@ -11,9 +11,8 @@ import zlib
 import numpy as np
 
 from ternres import LayerDecl, ModelManifest, Tensor, save_tensor
-from ternres.container import MAGIC, _layout
-
-V1_MAGIC = b"TRQ0"
+from ternres.container import MAGIC
+from ternres.manifest import are_ints
 
 Weights = dict[str, tuple[Tensor, Tensor | None]]
 
@@ -135,71 +134,79 @@ def write_net(manifest: ModelManifest, weights: Weights, directory) -> str:
 
 
 def split_container(raw: bytes) -> tuple[bytes, bytes, bytes]:
-    """The magic, the index bytes and the blob of a format 1 or 2 container."""
-    at = 12 if raw[:4] == MAGIC else 8
+    """The magic, the index bytes and the blob of a container."""
     (json_len,) = struct.unpack_from("<I", raw, 4)
-    return raw[:4], raw[at:at + json_len], raw[at + json_len:]
+    return raw[:4], raw[12:12 + json_len], raw[12 + json_len:]
 
 
-def join_container(encoded: bytes, blob: bytes, magic: bytes = MAGIC) -> bytes:
-    """A container of the index bytes ``encoded`` and ``blob``; a format 2
-    header carries the CRC32 of ``encoded``, a format 1 header none."""
-    if magic == MAGIC:
-        header = struct.pack("<II", len(encoded), zlib.crc32(encoded))
-    else:
-        header = struct.pack("<I", len(encoded))
-    return magic + header + encoded + blob
+def join_container(encoded: bytes, blob: bytes) -> bytes:
+    """A container of the index bytes ``encoded`` and ``blob``, its header
+    carrying the CRC32 of ``encoded``."""
+    return MAGIC + struct.pack("<II", len(encoded), zlib.crc32(encoded)) + encoded + blob
+
+
+def _payload_end(entry: dict, start: int) -> int:
+    """Where a layer's payload ends when it starts at blob offset ``start``:
+    4 bytes per scale, then per level one sign row of ``(n + 3) // 4`` bytes
+    for its block of n weights. It takes Python integers, so any integer
+    N >= 1, shape and counts give an end."""
+    block, counts = entry["N"], entry["levels_per_block"]
+    size = math.prod(entry["shape"])
+    full_rows = sum(counts[:size // block])
+    tail_rows = sum(counts) - full_rows
+    return (start + 4 * sum(counts) + (block + 3) // 4 * full_rows
+            + (size % block + 3) // 4 * tail_rows)
+
+
+def with_spans(layers: list[dict]) -> list[dict]:
+    """Each layer entry with its payload's blob span as ``span``; the entries
+    are edited in place."""
+    start = 0
+    for entry in layers:
+        entry["span"] = start, _payload_end(entry, start)
+        start = entry["span"][1]
+    return layers
+
+
+def _take_layer_crcs(layers: list[dict], blob, keep=frozenset()) -> None:
+    """Set each layer entry's ``crc32`` to the CRC32 of the span of ``blob``
+    that the entries give it, except the entries numbered in ``keep``. It
+    stops at the first entry whose N, shape or counts are not JSON integers,
+    N >= 1: the reader rejects that entry before it reads a CRC."""
+    start = 0
+    for i, entry in enumerate(layers):
+        shape, counts = entry["shape"], entry["levels_per_block"]
+        if not (type(shape) is list and type(counts) is list
+                and are_ints([entry["N"], *shape, *counts]) and entry["N"] >= 1):
+            return
+        end = _payload_end(entry, start)
+        if i not in keep:
+            entry["crc32"] = zlib.crc32(blob[start:end])
+        start = end
 
 
 def rewrite_index(path, edit) -> None:
     """Replace a saved container's JSON index by ``edit(index)``; keep its
-    blob. The header keeps the file's format and, in format 2, gets the CRC32
-    of the new index, so the reader gets past it to the edit."""
-    magic, encoded, blob = split_container(path.read_bytes())
-    edited = json.dumps(edit(json.loads(encoded))).encode("utf-8")
-    path.write_bytes(join_container(edited, blob, magic))
-
-
-def with_offsets(layers: list[dict]) -> list[dict]:
-    """Each layer entry with the v1 ``scale_offsets`` and ``sign_offsets``
-    that ``_layout`` derives from its counts, and its payload's blob span as
-    ``span``; the entries are edited in place."""
-    start = 0
-    for entry in layers:
-        scales, signs, _, end = _layout(np.asarray(entry["levels_per_block"]), entry["N"],
-                                        math.prod(entry["shape"]), start)
-        entry.update(scale_offsets=scales.tolist(), sign_offsets=signs.tolist(),
-                     span=(start, end))
-        start = end
-    return layers
+    blob. Each layer entry whose ``crc32`` the edit left alone gets the CRC32
+    of the span the edited index gives it, and the header the CRC32 of the
+    new index, so the reader gets past both to the edit."""
+    _, encoded, blob = split_container(path.read_bytes())
+    before = json.loads(encoded)["layers"]
+    index = edit(json.loads(encoded))
+    edited = {i for i, (entry, old) in enumerate(zip(index["layers"], before))
+              if json.dumps(entry.get("crc32")) != json.dumps(old["crc32"])}
+    _take_layer_crcs(index["layers"], blob, edited)
+    path.write_bytes(join_container(json.dumps(index).encode("utf-8"), blob))
 
 
 def rewrite_blob(path, edit) -> None:
-    """Edit a saved format 2 container's blob in place by ``edit(blob,
-    layers)``, where ``blob`` is a bytearray and ``layers`` the index entries
-    with their derived offsets (``with_offsets``). Every layer CRC32 and the
-    index CRC32 are recomputed, so the reader decodes the edited payload."""
-    magic, encoded, blob = split_container(path.read_bytes())
-    assert magic == MAGIC
+    """Edit a saved container's blob in place by ``edit(blob, layers)``,
+    where ``blob`` is a bytearray and ``layers`` the index entries with their
+    payload spans (``with_spans``). Every layer CRC32 and the index CRC32
+    are recomputed, so the reader decodes the edited payload."""
+    _, encoded, blob = split_container(path.read_bytes())
     index = json.loads(encoded)
-    layers = with_offsets([dict(entry) for entry in index["layers"]])
     damaged = bytearray(blob)
-    edit(damaged, layers)
-    for entry, derived in zip(index["layers"], layers):
-        entry["crc32"] = zlib.crc32(damaged[slice(*derived["span"])])
+    edit(damaged, with_spans([dict(entry) for entry in index["layers"]]))
+    _take_layer_crcs(index["layers"], damaged)
     path.write_bytes(join_container(json.dumps(index).encode("utf-8"), bytes(damaged)))
-
-
-def to_v1(path) -> None:
-    """Rewrite a saved format 2 container as the format 1 file of the same
-    model: the same blob, each layer entry with the offsets ``_layout``
-    derives in place of its CRC32, and the format 1 header."""
-    magic, encoded, blob = split_container(path.read_bytes())
-    assert magic == MAGIC
-    index = json.loads(encoded)
-    index["format_version"] = 1
-    for entry in with_offsets(index["layers"]):
-        del entry["crc32"], entry["span"]
-    path.write_bytes(join_container(
-        json.dumps(index, sort_keys=True, separators=(",", ":")).encode("utf-8"),
-        blob, V1_MAGIC))

@@ -3,9 +3,9 @@ bytes of small conversions.
 
 Any change to conversion, downgrade, scale snapping or the container layout
 that moves a single stored bit changes a digest here. The `.tq` digests are
-of the format 2 files the writer makes; `test_golden_files.py` pins the
-format 1 files it made before. The models are small (a few thousand
-weights) so that no BLAS threading can reorder a sum.
+of the format 2 files the writer makes, which `test_golden_files.py` keeps
+checked in. The models are small (a few thousand weights) so that no BLAS
+threading can reorder a sum.
 """
 
 import hashlib

@@ -14,7 +14,9 @@ from ternres import (
     QuantizedModel,
     Tensor,
     convert_model,
+    downgrade,
     flops_per_layer,
+    load_quantized,
     make_schedule,
     save_quantized,
 )
@@ -228,6 +230,30 @@ class TestConvertModel:
         schedule = make_schedule(mlp, "uniform", epsilon_sq=0.01)
         with pytest.raises(ValueError, match="conv1"):
             convert_model(manifest, weights, 16, schedule)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self, tmp_path):
+        # numpy scalars pass every count and range check, and JSON cannot
+        # encode them: the provenance, the layers and the report hold Python
+        # numbers instead.
+        manifest, weights = mlp_net(np.random.default_rng(15))
+        for schedule in (
+                make_schedule(manifest, "uniform", epsilon_sq=np.float32(0.01)),
+                make_schedule(manifest, "depth_graded", lo=np.float32(0.004),
+                              hi=np.float32(0.05))):
+            assert {type(e) for e in schedule.epsilon_sq.values()} == {float}
+            model, report = convert_model(manifest, weights, np.int64(16), schedule,
+                                          r_max=np.int64(8))
+            assert {type(r["N"]) for r in report.to_dict()["layers"]} == {int}
+            json.dumps(report.to_dict())
+            small = downgrade(model, keep_levels=np.int64(model.num_blocks + 3))
+            for m in (model, small):
+                assert {type(l.block_size) for l in m.layers} == {int}
+                types = {k: type(v) for k, v in m.provenance.items() if k != "epsilon_sq"}
+                assert types == {"N": int, "r_max": int, "schedule_mode": str,
+                                 **({"downgraded_to_levels": int} if m is small else {})}
+                assert {type(e) for e in m.provenance["epsilon_sq"].values()} == {float}
+                save_quantized(m, tmp_path / "m.tq")
+                assert load_quantized(tmp_path / "m.tq").provenance == m.provenance
 
     def test_report_weighted_factor_present_with_shapes(self):
         rng = np.random.default_rng(13)

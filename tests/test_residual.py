@@ -692,6 +692,29 @@ class TestOnDemandFit:
         assert same(stalling_tensor(np.random.default_rng(0)), 8, 1e-30) == "exhausted"
         assert same(Tensor("w", np.zeros(100, dtype=np.float32)), 16, 0.01) == "converged"
 
+    @pytest.mark.parametrize("safety", [1e-6, 1e12])
+    def test_the_reach_estimate_decides_no_result(self, monkeypatch, safety):
+        # At 1e-6 a round fits every block the order can reach; at 1e12 it
+        # fits only the block the merge waits for. Each layer has at most 200
+        # blocks.
+        rng = np.random.default_rng(49)
+        sparse = rng.normal(size=1600) * (rng.random(1600) < 0.1)
+        dyadic = np.tile(np.round(rng.normal(size=24) * 4) / 4, 30)
+        cases = [
+            (random_tensor(rng, 1000), 64, 0.005, 16),  # a 40-weight tail
+            (random_tensor(rng, 1003), 10, 0.001, 16),  # N % 4 != 0, tail of 3
+            (Tensor("w", sparse.astype(np.float32)), 16, 0.002, 16),
+            (Tensor("w", dyadic.astype(np.float32)), 16, 0.01, 16),  # tied errors
+            (random_tensor(rng, 900, scale=1e3), 30, 3e-3, 4),  # blocks capped at 4
+            (random_tensor(rng, 512), 64, 1e-12, 2),
+            (random_tensor(rng, 640), 32, 1e-9, 3),
+            (random_tensor(rng, 700), 7, 1e-10, 4),
+        ]
+        want = [conversion_bytes(*case) for case in cases]
+        assert [w[0] == "ConvergenceError" for w in want] == [False] * 5 + [True] * 3
+        monkeypatch.setattr(residual, "L1_DROP_SAFETY", safety)
+        assert [conversion_bytes(*case) for case in cases] == want
+
     def test_a_short_horizon_tops_up_a_rising_error(self, monkeypatch):
         monkeypatch.setattr(ternary, "ternarize_rows", overshooting_rows)
         monkeypatch.setattr(residual, "ternarize_rows", overshooting_rows)

@@ -26,8 +26,7 @@ from ternres.container import MAGIC, pack_signs, unpack_signs
 from ternres.tensors import load_tensor, partition_blocks
 from ternres.cli import main
 
-from nets import (V1_MAGIC, join_container, rewrite_blob, rewrite_index, split_container,
-                  to_v1, with_offsets)
+from nets import join_container, rewrite_blob, rewrite_index, split_container, with_spans
 
 
 class TestTensor:
@@ -199,8 +198,9 @@ class TestSignPacking:
 
 
 def _reference_pack(rows) -> bytes:
-    """The v1 sign code, one weight at a time: weight i of a row sets bits
-    ``2*(i%4)`` (+1) or ``2*(i%4)+1`` (-1) of the row's byte ``i//4``."""
+    """The container's sign code, one weight at a time: weight i of a row
+    sets bits ``2*(i%4)`` (+1) or ``2*(i%4)+1`` (-1) of the row's byte
+    ``i//4``."""
     out = bytearray()
     for row in rows:
         packed = bytearray(-(-len(row) // 4))
@@ -211,8 +211,8 @@ def _reference_pack(rows) -> bytes:
 
 
 def _reference_unpack(matrix, length):
-    """The v1 sign code read one weight at a time, or None when a weight
-    holds the reserved code ``0b11``; padding bits are never read."""
+    """The container's sign code read one weight at a time, or None when a
+    weight holds the reserved code ``0b11``; padding bits are never read."""
     rows = np.zeros((len(matrix), length), dtype=np.int8)
     for r, packed in enumerate(matrix):
         for i in range(length):
@@ -288,6 +288,14 @@ class TestContainer:
         with pytest.raises(FormatError, match="not a quantized container"):
             load_quantized(path)
 
+    @pytest.mark.parametrize("magic", [b"TRQ1", b"TRQ3", b"TRQ", b""])
+    def test_another_magic_is_not_a_quantized_container(self, tmp_path, magic):
+        path = tmp_path / "m.tq"
+        save_quantized(_random_model(np.random.default_rng(4), [80])[0], path)
+        path.write_bytes(magic + path.read_bytes()[4:])
+        with pytest.raises(FormatError, match="not a quantized container"):
+            load_quantized(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         model = QuantizedModel({}, (), {})
         path = tmp_path / "m.tq"
@@ -296,13 +304,10 @@ class TestContainer:
         with pytest.raises(FormatError, match="format_version"):
             load_quantized(path)
 
-    @pytest.mark.parametrize("magic, version", [
-        (MAGIC, 1), (MAGIC, 2.0), (MAGIC, True), (V1_MAGIC, 2), (V1_MAGIC, True)])
-    def test_format_version_must_be_the_one_the_magic_marks(self, tmp_path, magic, version):
+    @pytest.mark.parametrize("version", [1, 2.0, True])
+    def test_format_version_must_be_the_one_the_magic_marks(self, tmp_path, version):
         path = tmp_path / "m.tq"
         save_quantized(QuantizedModel({}, (), {}), path)
-        if magic == V1_MAGIC:
-            to_v1(path)
         rewrite_index(path, lambda index: {**index, "format_version": version})
         with pytest.raises(FormatError, match="format_version"):
             load_quantized(path)
@@ -343,8 +348,6 @@ def _rewrite_first_layer(path, key, value):
     ("N", 0),
     ("levels_per_block", 0),
     ("levels_per_block", -1),
-    ("scale_offsets", -4),
-    ("sign_offsets", -1),
     ("delta", "nan"),
     ("delta", float("inf")),
     ("epsilon_sq", float("nan")),
@@ -364,8 +367,6 @@ def test_malformed_layer_entry_is_a_format_error(tmp_path, key, value):
     model, _ = _random_model(rng, [100, 40])
     path = tmp_path / "m.tq"
     save_quantized(model, path)
-    if key.endswith("_offsets"):  # a format 1 rule
-        to_v1(path)
     _rewrite_first_layer(path, key, value)
     with pytest.raises(FormatError, match="'l0'"):
         load_quantized(path)
@@ -382,7 +383,7 @@ def test_non_finite_stored_scale_is_a_format_error(tmp_path, value):
     def edit(blob, layers):
         entry = layers[0]
         # The deepest level of the first block: a residual level when it has one.
-        at = entry["scale_offsets"][0] + 4 * (entry["levels_per_block"][0] - 1)
+        at = entry["span"][0] + 4 * (entry["levels_per_block"][0] - 1)
         blob[at:at + 4] = np.float32(value).tobytes()
 
     rewrite_blob(path, edit)
@@ -394,8 +395,7 @@ def test_non_finite_stored_scale_is_a_format_error(tmp_path, value):
     assert not (tmp_path / "out.tq").exists()
 
 
-@pytest.mark.parametrize("version", [2, 1])
-def test_zero_source_norm_beside_energy_is_a_format_error(tmp_path, version):
+def test_zero_source_norm_beside_energy_is_a_format_error(tmp_path):
     # A source with no energy converts to alpha-0 base levels and delta 0;
     # such a layer loads, and one that pairs source_norm_sq 0 with a nonzero
     # alpha or delta does not.
@@ -405,8 +405,6 @@ def test_zero_source_norm_beside_energy_is_a_format_error(tmp_path, version):
     model = QuantizedModel({}, model.layers + (zero,), {"N": 16})
     path = tmp_path / "m.tq"
     save_quantized(model, path)
-    if version == 1:
-        to_v1(path)
     assert load_quantized(path).layer("z").source_norm_sq == 0.0
     assert main(["stats", str(path)]) == 0
     original = path.read_bytes()
@@ -476,71 +474,14 @@ def _edit_layers(edit):
     return damage
 
 
-def _alias_to_block_0(key):
-    def edit(l0, l1):
-        l0[key] = [l0[key][0]] * len(l0[key])
-    return edit
-
-
-def _signs_into_layer_0(l0, l1):
-    shift = l0["sign_offsets"][0] - l1["sign_offsets"][0]
-    l1["sign_offsets"] = [o + shift for o in l1["sign_offsets"]]
-
-
-def _swap_two_scales(l0, l1):
-    l0["scale_offsets"][:2] = l0["scale_offsets"][1::-1]
-
-
-# Each of these files loaded, with changed weights, before the reader
-# required the offsets of the v1 layout and an exact blob length.
-@pytest.mark.parametrize("damage, match", [
-    (_edit_layers(_alias_to_block_0("sign_offsets")), "'l0'.*v1 layout"),
-    (_edit_layers(_alias_to_block_0("scale_offsets")), "'l0'.*v1 layout"),
-    (_edit_layers(_signs_into_layer_0), "'l1'.*v1 layout"),
-    (_edit_layers(_swap_two_scales), "'l0'.*v1 layout"),
-    (lambda path: path.write_bytes(path.read_bytes() + b"\0"), "layers end at"),
-], ids=["sign offsets aliased", "scale offsets aliased", "sign offsets into layer 0",
-        "scale offsets swapped", "trailing byte"])
-def test_a_file_off_the_v1_layout_is_a_format_error(tmp_path, damage, match):
-    path = tmp_path / "m.tq"
-    _two_layer_container(path)
-    to_v1(path)
-    damage(path)
-    with pytest.raises(FormatError, match=match):
-        load_quantized(path)
-    assert main(["stats", str(path)]) == 1
-
-
-def _offset_as(key, i, kind):
-    def edit(l0, l1):
-        assert kind(l0[key][i]) == l0[key][i]
-        l0[key][i] = kind(l0[key][i])
-    return edit
-
-
-# Each of these equals the v1 offset under Python's ``==``, so it loaded.
-@pytest.mark.parametrize("damage", [
-    _edit_layers(_offset_as("scale_offsets", 0, bool)),
-    _edit_layers(_offset_as("scale_offsets", 1, float)),
-    _edit_layers(_offset_as("sign_offsets", 0, float)),
-], ids=["false for scale offset 0", "float scale offset", "float sign offset"])
-def test_an_offset_that_is_not_an_integer_is_a_format_error(tmp_path, damage):
-    path = tmp_path / "m.tq"
-    _two_layer_container(path)
-    to_v1(path)
-    damage(path)
-    with pytest.raises(FormatError, match="'l0'.*v1 layout"):
-        load_quantized(path)
-    assert main(["stats", str(path)]) == 1
-
-
 def test_a_reserved_code_in_a_tail_row_is_a_format_error(tmp_path):
     path = tmp_path / "m.tq"
     _two_layer_container(path)
 
     def edit(blob, layers):
-        # Layer l1's last block holds 40 - 2*16 = 8 weights: each of its rows is 2 bytes.
-        blob[layers[1]["sign_offsets"][-1] + 1] |= 0b11 << 4
+        # Layer l1's last block holds 40 - 2*16 = 8 weights: each of its rows is
+        # 2 bytes, and the layer's last byte holds weights 4-7 of its last row.
+        blob[layers[1]["span"][1] - 1] |= 0b11 << 4
 
     rewrite_blob(path, edit)
     with pytest.raises(FormatError, match="reserved"):
@@ -557,12 +498,14 @@ def _n7_container(path) -> QuantizedModel:
 
 def _sign_rows(entry):
     """(blob offset, bytes, padding bits of the last byte) of each sign row
-    of a layer entry, block by block."""
-    size, block = int(np.prod(entry["shape"])), entry["N"]
-    for b, (at, count) in enumerate(zip(entry["sign_offsets"], entry["levels_per_block"])):
+    of a layer entry with its span, block by block."""
+    size, block, counts = int(np.prod(entry["shape"])), entry["N"], entry["levels_per_block"]
+    at = entry["span"][0] + 4 * sum(counts)  # the scales come first
+    for b, count in enumerate(counts):
         n = min(block, size - b * block)
-        for j in range(count):
-            yield at + j * ((n + 3) // 4), (n + 3) // 4, (0xFF << 2 * (n % 4)) & 0xFF
+        for _ in range(count):
+            yield at, (n + 3) // 4, (0xFF << 2 * (n % 4)) & 0xFF
+            at += (n + 3) // 4
 
 
 def test_set_padding_bits_in_a_container_are_ignored(tmp_path):
@@ -598,26 +541,25 @@ def test_a_scaled_row_with_only_padding_bits_set_is_a_format_error(tmp_path, blo
     assert main(["stats", str(path)]) == 1
 
 
-@given(key=st.sampled_from(["levels_per_block", "scale_offsets", "sign_offsets"]),
-       layer=st.integers(0, 1), block=st.integers(0, 6), value=st.integers(),
-       v1=st.booleans())
+@given(layer=st.integers(0, 1), block=st.integers(0, 6), value=st.integers())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_any_one_index_entry_changed_is_a_format_error(tmp_path, key, layer, block, value, v1):
+def test_any_one_index_entry_changed_is_a_format_error(tmp_path, layer, block, value):
+    # The layer CRCs are taken again over the spans the changed count gives,
+    # so the reader meets the count itself.
     path = tmp_path / "m.tq"
     _two_layer_container(path)
-    if v1 or key != "levels_per_block":  # only format 1 stores offsets
-        to_v1(path)
-    entries = _split_container(path)[0]["layers"][layer][key]
-    block %= len(entries)
-    assume(entries[block] != value)
+    counts = _split_container(path)[0]["layers"][layer]["levels_per_block"]
+    block %= len(counts)
+    assume(counts[block] != value)
 
     def edit(*layers):
-        layers[layer][key][block] = value
+        layers[layer]["levels_per_block"][block] = value
 
     _edit_layers(edit)(path)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as info:
         load_quantized(path)
+    assert "CRC32" not in str(info.value)
 
 
 @given(extra=st.binary(min_size=1, max_size=8))
@@ -648,7 +590,7 @@ def test_a_payload_edited_without_its_crc_is_a_format_error(tmp_path, layer):
     path = tmp_path / "m.tq"
     _two_layer_container(path)
     _, encoded, blob = split_container(path.read_bytes())
-    start, _ = with_offsets(json.loads(encoded)["layers"])[layer]["span"]
+    start, _ = with_spans(json.loads(encoded)["layers"])[layer]["span"]
     damaged = bytearray(blob)
     # The lowest mantissa bit of the layer's first scale: without the layer
     # CRC this file loads, with that scale changed.
@@ -703,6 +645,24 @@ def test_300_random_byte_flips_each_are_a_format_error(tmp_path):
         path.write_bytes(_mutate(raw, "xor", int(at), int(byte)))
         with pytest.raises(FormatError):
             load_quantized(path)
+
+
+def test_a_layer_name_stored_twice_is_rejected(tmp_path, capsys):
+    layer = _random_model(np.random.default_rng(14), [100])[0].layers[0]
+    path = tmp_path / "m.tq"
+    with pytest.raises(ValueError, match="'l0' appears twice"):
+        save_quantized(QuantizedModel({}, (layer, layer), {}), path)
+    assert not path.exists()
+    # A file that repeats the layer's entry and payload, with a fresh index CRC.
+    save_quantized(QuantizedModel({}, (layer,), {}), path)
+    index, _, blob = _split_container(path)
+    index["layers"] *= 2
+    path.write_bytes(join_container(_as_json(index), blob * 2))
+    with pytest.raises(FormatError, match="'l0' is stored twice"):
+        load_quantized(path)
+    capsys.readouterr()
+    assert main(["stats", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: layer 'l0' is stored twice\n")
 
 
 def _one_layer_container(path) -> QuantizedModel:
@@ -766,7 +726,7 @@ def test_a_scale_with_a_sign_bit_is_a_format_error(tmp_path):
     assert layer.alphas[row] == 0 and not layer.signs[row].any()
 
     def edit(blob, layers):
-        at = layers[0]["scale_offsets"][2]
+        at = layers[0]["span"][0] + 4 * row
         blob[at:at + 4] = np.float32(-0.0).tobytes()
 
     rewrite_blob(path, edit)
@@ -798,8 +758,7 @@ _JSON_VALUES = st.one_of(
 
 @given(layer=st.integers(0, 1),
        key=st.sampled_from(["name", "shape", "N", "delta", "epsilon_sq", "source_norm_sq",
-                            "exhausted", "levels_per_block", "scale_offsets",
-                            "sign_offsets", "crc32"]),
+                            "exhausted", "levels_per_block", "crc32"]),
        element=st.booleans(), at=st.integers(0, 10), value=_JSON_VALUES)
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -807,8 +766,6 @@ def test_an_index_value_swapped_for_another_json_type_loads_identically_or_fails
         tmp_path, layer, key, element, at, value):
     path = tmp_path / "m.tq"
     model = _two_layer_container(path)
-    if key.endswith("_offsets"):  # only format 1 stores offsets
-        to_v1(path)
     old = _split_container(path)[0]["layers"][layer][key]
     if element and isinstance(old, list):
         at %= len(old)
