@@ -254,8 +254,10 @@ def cost_report(
     The FLOP-weighted compute factor weights each layer's level inflation
     by its share of the network's multiplies, read from the manifest the
     model stores; it is None without one. The unweighted blocks factor
-    counts levels over blocks regardless of where they sit.
+    counts levels over blocks regardless of where they sit. ``x`` and
+    ``c_ratio`` are stored as Python floats.
     """
+    x, c_ratio = float(x), float(c_ratio)
     rows = tuple(measured_layer_cost(l, x, c_ratio) for l in model.layers)
     flops = model_flops(model) or {}
     shares = [flops.get(r.name, 0) for r in rows]

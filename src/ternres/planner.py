@@ -70,6 +70,8 @@ def make_schedule(
         names.sort(key=lambda n: (flops.get(n, 0), n))
     elif mode != "depth_graded":
         raise ValueError(f"unknown schedule mode {mode!r}")
+    # The ladder is computed in Python floats, whatever type the bounds came in.
+    lo, hi, cap = float(lo), float(hi), None if cap is None else float(cap)
     if not (0.0 < lo <= hi <= 1.0):
         raise ValueError(f"need 0 < lo <= hi <= 1, got lo={lo}, hi={hi}")
     if cap is not None and not cap > 0.0:

@@ -553,14 +553,27 @@ def block_sensitivity(w: Tensor, perturbed: Tensor, blocks: list[BlockView]) -> 
 
 
 def _nonzero_counts(signs: np.ndarray) -> np.ndarray:
-    """``np.count_nonzero(signs, axis=1)``. Rows of whole uint64 words sum bit 0
-    of each byte (set in 1 and -1) a word column at a time, as numpy reduces short rows slowly."""
+    """``np.count_nonzero(signs, axis=1)``, as numpy reduces short rows slowly.
+
+    Rows of whole uint64 words keep bit 0 of each byte (set in 1 and -1). A
+    multiply by ``0x0101010101010101`` sums a word's eight byte lanes into its
+    top byte, modulo 256. Rows of 8 to 255 weights add their words a column at
+    a time and fold the lanes once; wider rows fold each word.
+    """
     if signs.shape[-1] % 8 or not signs.flags.c_contiguous:
         return np.count_nonzero(signs, axis=1)
-    words, low = signs.view("<u8"), np.uint64(0x0101010101010101)
+    low, top = np.uint64(0x0101010101010101), np.uint64(56)
+    words = signs.view("<u8") & low
+    if 0 < signs.shape[-1] < 256:  # a row's count fits the top byte
+        lanes = words[:, 0].copy()
+        for j in range(1, words.shape[1]):
+            lanes += words[:, j]
+        lanes *= low
+        lanes >>= top
+        return lanes
     out = np.zeros(len(words), dtype=np.uint64)
-    for j in range(words.shape[1]):  # the product's top byte sums the word's 8 bits
-        out += ((words[:, j] & low) * low) >> np.uint64(56)
+    for j in range(words.shape[1]):
+        out += (words[:, j] * low) >> top
     return out
 
 
@@ -603,33 +616,39 @@ def downgrade(
         )
     keep_levels = int(min(keep_levels, model.num_levels))
 
-    # Row b holds global block b's residual importances, deepest level first.
-    sizes = [l.num_blocks for l in model.layers]
-    starts = np.cumsum(sizes) - sizes
-    depth_max = max((int(l.counts.max(initial=1)) for l in model.layers), default=1)
-    keys = np.zeros((model.num_blocks, depth_max - 1))
+    # One pass over every layer's levels, concatenated block-major (an empty
+    # first array keeps the empty model and sets each dtype). Row b of ``keys``
+    # holds global block b's residual importances, deepest level first.
+    layers = model.layers
+    counts = np.concatenate([np.zeros(0, np.int64), *(l.counts for l in layers)])
+    alphas = np.concatenate([np.zeros(0), *(l.alphas for l in layers)])
+    nnz = np.concatenate([np.zeros(0), *(_nonzero_counts(l.signs) for l in layers)])
+    norms = np.repeat([l.source_norm_sq for l in layers], [l.num_levels for l in layers])
+    imp = np.divide(alphas ** 2 * nnz, norms, out=np.zeros(len(alphas)), where=norms > 0.0)
+    owner, depth = level_index(counts)
+    width = int(counts.max(initial=1)) - 1
+    keys = np.zeros((len(counts), width))
     live = np.zeros(keys.shape, dtype=bool)
-    index = [level_index(l.counts) for l in model.layers]
-    for l, start, (owner, depth) in zip(model.layers, starts, index):
-        energy = l.alphas.astype(np.float64) ** 2 * _nonzero_counts(l.signs)
-        imp = energy / l.source_norm_sq if l.source_norm_sq > 0.0 else np.zeros(l.num_levels)
-        res = depth > 0
-        at = (start + owner[res]) * keys.shape[1] + l.counts[owner[res]] - 1 - depth[res]
-        keys.reshape(-1)[at] = imp[res]
-        live.reshape(-1)[at] = True
+    res = depth > 0
+    at = (owner * width + counts[owner] - 1 - depth)[res]
+    keys.reshape(-1)[at] = imp[res]
+    live.reshape(-1)[at] = True
     rows, cols = (a[:model.num_levels - keep_levels] for a in chain_order(keys, live))
+    counts -= np.bincount(rows, minlength=len(counts))
+    keep = depth < counts[owner]
 
-    new_layers = []
-    for l, start, (owner, depth) in zip(model.layers, starts, index):
-        mine = (rows >= start) & (rows < start + l.num_blocks)
-        counts = l.counts - np.bincount(rows[mine] - start, minlength=l.num_blocks)
+    removed = keys[rows, cols]
+    layer_of = np.repeat(np.arange(len(layers)), [l.num_blocks for l in layers])[rows]
+    new_layers, b0, v0 = [], 0, 0
+    for i, l in enumerate(layers):
+        b1, v1 = b0 + l.num_blocks, v0 + l.num_levels
         # Added one at a time in removal order, as ``np.sum`` would not.
-        delta = float(np.cumsum(np.append(l.delta, keys[rows[mine], cols[mine]]))[-1])
-        keep = depth < counts[owner]
+        delta = float(np.cumsum(np.append(l.delta, removed[layer_of == i]))[-1])
         new_layers.append(replace(
-            l, counts=counts.astype(np.int32), alphas=l.alphas[keep], signs=l.signs[keep],
-            delta=delta, trace=Trace(),
+            l, counts=counts[b0:b1].astype(np.int32), alphas=np.compress(keep[v0:v1], l.alphas),
+            signs=np.compress(keep[v0:v1], l.signs, axis=0), delta=delta, trace=Trace(),
         ))
+        b0, v0 = b1, v1
     provenance = dict(model.provenance)
     provenance["downgraded_to_levels"] = keep_levels
     return QuantizedModel(model.manifest_doc, tuple(new_layers), provenance)

@@ -1,5 +1,7 @@
 """Cost-table formulas, abstract reduction ratios, and measured reports."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,19 @@ class TestMeasuredReport:
         assert doc["totals"]["levels"] == report.total.num_levels
         assert len(doc["layers"]) == 1
         assert doc["layers"][0]["power_perf_gain"] > 0
+
+    def test_numpy_x_and_c_ratio_are_stored_as_python_floats(self):
+        # JSON cannot encode a numpy scalar, and a float32 x would make every
+        # row's power-perf gain a float32.
+        model = self._model(np.random.default_rng(9), [128, 40], 32, 0.05)
+        for given, plain in (({"x": np.float32(5.5)}, {"x": 5.5}),
+                             ({"c_ratio": np.float32(5)}, {"c_ratio": 5.0})):
+            report = cost_report(model, **given)
+            assert (type(report.x), type(report.c_ratio)) == (float, float)
+            assert {type(r.power_perf_gain) for r in (*report.layers, report.total)} == {float}
+            doc = json.loads(json.dumps(report.to_dict()))
+            assert {type(r["power_perf_gain"]) for r in doc["layers"]} == {float}
+            assert doc == cost_report(model, **plain).to_dict()
 
     def test_all_quantities_non_negative_capacity_at_least_three(self):
         rng = np.random.default_rng(7)

@@ -120,6 +120,20 @@ class TestSchedules:
         schedule = make_schedule(manifest, "depth_graded", lo=0.01, hi=0.05, cap=0.02)
         assert list(schedule.epsilon_sq.values()) == [0.01, 0.02, 0.02, 0.02]
 
+    def test_float32_bounds_give_the_python_float_ladder(self):
+        # The bounds keep their float32 values, but no rung is rounded to float32.
+        manifest, weights = conv_net(np.random.default_rng(4))
+        flops = flops_per_layer(manifest, {n: weights[n][0].shape for n in weights})
+        for mode in ("depth_graded", "compute_aware"):
+            for bounds in ({"lo": 0.004, "hi": 0.05}, {"lo": 0.004, "hi": 0.05, "cap": 0.02}):
+                f32 = {k: np.float32(v) for k, v in bounds.items()}
+                got = make_schedule(manifest, mode, flops=flops, **f32).epsilon_sq
+                want = make_schedule(manifest, mode, flops=flops,
+                                     **{k: float(v) for k, v in f32.items()}).epsilon_sq
+                assert got == want
+                assert {type(e) for e in got.values()} == {float}
+                assert any(float(np.float32(e)) != e for e in got.values())
+
     def test_out_of_range_rejected(self):
         manifest, _ = mlp_net(np.random.default_rng(5))
         with pytest.raises(ValueError):

@@ -1030,11 +1030,13 @@ class TestChainOrder:
 
 
 class TestNonzeroCounts:
-    @pytest.mark.parametrize("width", [64, 7, 13, 16])
+    # Rows of 256 or more weights would wrap a count held in one byte.
+    @pytest.mark.parametrize("width", [64, 7, 13, 16, 248, 255, 256, 257, 512, 2048])
     def test_matches_count_nonzero(self, width):
         rng = np.random.default_rng(width)
         signs = rng.integers(-1, 2, size=(300, width)).astype(np.int8)
         signs[:3] = np.array([0, 1, -1])[:, None]  # all zero, all +1 and all -1 rows
+        signs[3:6] = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3, width))
         for rows in (signs, signs[::2], signs[1:, :width - 1]):  # non-contiguous slices too
             assert _nonzero_counts(rows).tolist() == np.count_nonzero(rows, axis=1).tolist()
 
@@ -1172,6 +1174,95 @@ class TestDowngrade:
         # Importance 0 goes first, and the layer's stored delta stays.
         first = downgrade(model, keep_levels=model.num_levels - 2).layers[-1]
         assert (first.counts.tolist(), first.delta) == ([1, 1, 1], silent.delta)
+
+
+def per_layer_downgrade(model, keep_levels):
+    """``downgrade`` as it ran before its one pass, kept as that pass's oracle.
+
+    Each layer scatters its own importances into the shared ``keys`` and, after
+    ``chain_order``, takes its own removals, counts, delta and level rows.
+    ``keep_levels`` is the budget after the cap at the model's level count.
+    """
+    sizes = [l.num_blocks for l in model.layers]
+    starts = np.cumsum(sizes) - sizes
+    depth_max = max((int(l.counts.max(initial=1)) for l in model.layers), default=1)
+    keys = np.zeros((model.num_blocks, depth_max - 1))
+    live = np.zeros(keys.shape, dtype=bool)
+    index = [level_index(l.counts) for l in model.layers]
+    for l, start, (owner, depth) in zip(model.layers, starts, index):
+        energy = l.alphas.astype(np.float64) ** 2 * np.count_nonzero(l.signs, axis=1)
+        imp = energy / l.source_norm_sq if l.source_norm_sq > 0.0 else np.zeros(l.num_levels)
+        res = depth > 0
+        at = (start + owner[res]) * keys.shape[1] + l.counts[owner[res]] - 1 - depth[res]
+        keys.reshape(-1)[at] = imp[res]
+        live.reshape(-1)[at] = True
+    rows, cols = (a[:model.num_levels - keep_levels] for a in chain_order(keys, live))
+    new_layers = []
+    for l, start, (owner, depth) in zip(model.layers, starts, index):
+        mine = (rows >= start) & (rows < start + l.num_blocks)
+        counts = l.counts - np.bincount(rows[mine] - start, minlength=l.num_blocks)
+        delta = float(np.cumsum(np.append(l.delta, keys[rows[mine], cols[mine]]))[-1])
+        keep = depth < counts[owner]
+        new_layers.append(replace(
+            l, counts=counts.astype(np.int32), alphas=l.alphas[keep], signs=l.signs[keep],
+            delta=delta, trace=Trace()))
+    provenance = {**model.provenance, "downgraded_to_levels": keep_levels}
+    return QuantizedModel(model.manifest_doc, tuple(new_layers), provenance)
+
+
+class TestOnePassMatchesPerLayer:
+    """The one pass over every layer's levels gives the per-layer pass's bytes."""
+
+    def assert_same(self, got, want):
+        assert got.provenance == want.provenance
+        assert len(got.layers) == len(want.layers)
+        for a, b in zip(got.layers, want.layers):
+            assert (a.counts.dtype, a.counts.tobytes()) == (b.counts.dtype, b.counts.tobytes())
+            assert (a.alphas.dtype, a.alphas.tobytes()) == (b.alphas.dtype, b.alphas.tobytes())
+            assert (a.signs.shape, a.signs.tobytes()) == (b.signs.shape, b.signs.tobytes())
+            assert np.float64(a.delta).tobytes() == np.float64(b.delta).tobytes()
+            assert type(a.delta) is float and len(a.trace) == 0
+
+    def models(self):
+        rng = np.random.default_rng(50)
+        for i in range(12):
+            tensors, layers = {}, []
+            for j in range(3 if i == 1 else int(rng.integers(1, 5))):
+                block = int(rng.choice([4, 24, 64, 256, 512]))
+                t = random_tensor(rng, int(rng.integers(block, 6 * block + 200)), name=f"l{j}",
+                                  scale=float(rng.choice([1e-3, 1.0, 1e3])))
+                if i == 1 and j == 0:
+                    t = Tensor(t.name, np.zeros_like(t.data))
+                tensors[t.name] = t
+                eps_sq = float(rng.choice([0.05, 0.005, 1e-3]))
+                layers.append(ternary_residual(t, block, epsilon_sq=eps_sq, r_max=8))
+            model = QuantizedModel({"seed": i}, tuple(layers), {"N": "mixed"})
+            yield quantize_scales_8bit(model, tensors) if i == 2 else model
+
+    def test_every_budget_matches(self):
+        seen = {"snapped": 0, "zero-norm": 0, "N=4": 0, "N=512": 0, "4 layers": 0}
+        rng = np.random.default_rng(51)
+        for model in self.models():
+            seen["snapped"] += "scales_8bit" in model.provenance
+            seen["zero-norm"] += any(l.source_norm_sq == 0.0 for l in model.layers)
+            seen["N=4"] += any(l.block_size == 4 for l in model.layers)
+            seen["N=512"] += any(l.block_size == 512 for l in model.layers)
+            seen["4 layers"] += len(model.layers) == 4
+            between = int(rng.integers(model.num_blocks, model.num_levels + 1))
+            for keep in {model.num_blocks, between, model.num_levels}:
+                self.assert_same(downgrade(model, keep_levels=keep),
+                                 per_layer_downgrade(model, keep))
+            factor = float(rng.uniform(1.0, model.num_levels / model.num_blocks))
+            keep = min(int(np.floor(factor * model.num_blocks + 1e-9)), model.num_levels)
+            self.assert_same(downgrade(model, target_factor=factor),
+                             per_layer_downgrade(model, keep))
+        assert min(seen.values()) > 0, seen
+
+    def test_the_empty_model(self):
+        empty = QuantizedModel({"layers": []}, (), {"N": 16})
+        for got in (downgrade(empty, keep_levels=0), downgrade(empty, target_factor=2.0)):
+            self.assert_same(got, per_layer_downgrade(empty, 0))
+            assert got.provenance == {"N": 16, "downgraded_to_levels": 0}
 
 
 class TestQuantizeScales8bit:
