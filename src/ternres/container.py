@@ -163,9 +163,6 @@ def _layer_index_and_payload(layer: QuantizedLayer) -> tuple[dict, list[bytes]]:
 
 
 def save_quantized(model: QuantizedModel, path) -> None:
-    repeated = model.repeated_layer()
-    if repeated is not None:
-        raise ValueError(f"layer {repeated!r} appears twice in the model")
     layers, blob = [], []
     for layer in model.layers:
         entry, payload = _layer_index_and_payload(layer)
@@ -295,8 +292,7 @@ def load_quantized(path) -> QuantizedModel:
         raise FormatError(f"{path}: malformed layer index ({exc})") from exc
     if end != len(blob):
         raise FormatError(f"{path}: the blob is {len(blob)} bytes but its layers end at {end}")
-    model = QuantizedModel(manifest_doc, tuple(layers), provenance)
-    repeated = model.repeated_layer()
-    if repeated is not None:
-        raise FormatError(f"{path}: layer {repeated!r} is stored twice")
-    return model
+    try:
+        return QuantizedModel(manifest_doc, tuple(layers), provenance)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

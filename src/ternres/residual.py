@@ -165,20 +165,18 @@ class QuantizedModel:
     layers: tuple[QuantizedLayer, ...]
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        seen = set()
+        for l in self.layers:
+            if l.layer in seen:
+                raise ValueError(f"layer {l.layer!r} is stored twice")
+            seen.add(l.layer)
+
     def layer(self, name: str) -> QuantizedLayer:
         for l in self.layers:
             if l.layer == name:
                 return l
         raise KeyError(name)
-
-    def repeated_layer(self) -> str | None:
-        """The first layer name that an earlier layer already has, if any."""
-        seen = set()
-        for l in self.layers:
-            if l.layer in seen:
-                return l.layer
-            seen.add(l.layer)
-        return None
 
     @property
     def num_blocks(self) -> int:
@@ -555,26 +553,24 @@ def block_sensitivity(w: Tensor, perturbed: Tensor, blocks: list[BlockView]) -> 
 def _nonzero_counts(signs: np.ndarray) -> np.ndarray:
     """``np.count_nonzero(signs, axis=1)``, as numpy reduces short rows slowly.
 
-    Rows of whole uint64 words keep bit 0 of each byte (set in 1 and -1). A
-    multiply by ``0x0101010101010101`` sums a word's eight byte lanes into its
-    top byte, modulo 256. Rows of 8 to 255 weights add their words a column at
-    a time and fold the lanes once; wider rows fold each word.
+    Rows of 8 to 255 weights in whole uint64 words, C-contiguous, keep bit 0
+    of each byte (set in 1 and -1) and add their words a column at a time.
+    One multiply by ``0x0101010101010101`` then sums the eight byte lanes into
+    the top byte, modulo 256, which holds a count under 256. Wider rows would
+    need a fold per word, which ``np.count_nonzero`` beats there, so every
+    other row goes to numpy.
     """
-    if signs.shape[-1] % 8 or not signs.flags.c_contiguous:
+    width = signs.shape[-1]
+    if not (0 < width < 256 and width % 8 == 0 and signs.flags.c_contiguous):
         return np.count_nonzero(signs, axis=1)
-    low, top = np.uint64(0x0101010101010101), np.uint64(56)
+    low = np.uint64(0x0101010101010101)
     words = signs.view("<u8") & low
-    if 0 < signs.shape[-1] < 256:  # a row's count fits the top byte
-        lanes = words[:, 0].copy()
-        for j in range(1, words.shape[1]):
-            lanes += words[:, j]
-        lanes *= low
-        lanes >>= top
-        return lanes
-    out = np.zeros(len(words), dtype=np.uint64)
-    for j in range(words.shape[1]):
-        out += (words[:, j] * low) >> top
-    return out
+    lanes = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        lanes += words[:, j]
+    lanes *= low
+    lanes >>= np.uint64(56)
+    return lanes
 
 
 def downgrade(

@@ -476,19 +476,15 @@ def forward_quantized(
     whose stacked product still has batch chunks open, it computes and
     checks those too; the calling thread waits only for chunks the helper
     has started, and raises the error of a chunk that failed there. The
-    helper is shut down before this returns. A manifest with no layers, a
-    quantized layer that names no parametric layer of ``manifest``, or two
-    quantized layers of one name, raises ``ValueError`` first; a model may
-    leave layers out. Errors then come in the order of a serial pass: the
-    clean pass's error wins, then the quantized side's first error, a
-    failed check included.
+    helper is shut down before this returns. A manifest with no layers or a
+    quantized layer that names no parametric layer of ``manifest`` raises
+    ``ValueError`` first; a model may leave layers out. Errors then come in
+    the order of a serial pass: the clean pass's error wins, then the
+    quantized side's first error, a failed check included.
     """
     if not manifest.layers:
         raise ValueError("the manifest has no layers")
     cur = _as_batch(x)
-    repeated = qmodel.repeated_layer()
-    if repeated is not None:
-        raise ValueError(f"quantized layer {repeated!r} appears twice in the model")
     qlayers = {l.layer: l for l in qmodel.layers}
     parametric = {l.name for l in manifest.layers if l.weight_ref is not None}
     stray = [name for name in qlayers if name not in parametric]

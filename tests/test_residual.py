@@ -1362,6 +1362,12 @@ class TestRejectedInputs:
         with pytest.raises(KeyError, match="'v'"):
             model.layer("v")
 
+    def test_a_replaced_model_may_not_repeat_a_layer_name(self):
+        # ``replace`` builds a new model, so the name check runs again.
+        model, _ = _two_layer_model(np.random.default_rng(15))
+        with pytest.raises(ValueError, match="^layer 'l0' is stored twice$"):
+            replace(model, layers=model.layers * 2)
+
     def test_empty_tensor(self):
         with pytest.raises(ValueError, match="cannot convert an empty tensor"):
             ternary_residual(Tensor("w", np.zeros(0, dtype=np.float32)), 4, epsilon_sq=0.1)
