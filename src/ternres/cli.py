@@ -162,15 +162,16 @@ def _cmd_quantize(args) -> int:
             flops=flops_per_layer(manifest, {n: w.shape for n, (w, _) in weights.items()})
             if args.mode == "compute_aware" else None)
 
-    model, report = convert_model(
+    converted, report = convert_model(
         manifest, weights, args.block_size, schedule,
         r_max=args.r_max, x=args.x, c_ratio=args.c_ratio,
     )
-    if args.trace:
-        write_trace_csv(list(model.layers), args.trace)
+    model = converted
     if args.quantize_scales:
-        model = quantize_scales_8bit(model, {n: w for n, (w, _) in weights.items()})
+        model = quantize_scales_8bit(converted, {n: w for n, (w, _) in weights.items()})
         report = cost_report(model, x=args.x, c_ratio=args.c_ratio)
+    if args.trace:  # written once snapping has passed, from the log snapping clears
+        write_trace_csv(list(converted.layers), args.trace)
     save_quantized(model, args.output)
     print(report.to_text())
     if args.report:

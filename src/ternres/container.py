@@ -15,7 +15,7 @@ byte may follow the last layer.
 The writer makes format 2 only: the magic ``TRQ2``, the u32 length and the
 u32 CRC32 (``zlib``) of the index, then the index and the blob. The index
 stores each block's level count and the CRC32 of each layer's payload; the
-payload's place in the blob is the one ``_layout`` derives from the counts.
+payload's place in the blob is the one ``_sign_runs`` derives from the counts.
 The reader checks the index CRC before it parses the index, and a layer's
 CRC before it decodes that layer. It reads format 2 only. Writing is fully
 deterministic: identical models produce identical bytes.
@@ -127,25 +127,23 @@ def unpack_signs(payload, length: int) -> np.ndarray:
     return signs
 
 
-def _layout(counts, block_size: int, size: int, start: int) -> tuple[int, int]:
-    """The number of sign rows of full blocks in one layer whose payload
-    starts at blob offset ``start``, and the offset where its payload ends.
+def _sign_runs(counts, block_size: int, size: int) -> list[tuple[int, int]]:
+    """A layer's sign rows in blob order, as ``(rows, width)`` runs: the full
+    blocks' rows, ``block_size`` weights wide, then the tail block's rows.
 
     Only the last block can be short, so the full blocks' rows come first.
+    An empty run is left out.
     """
-    num_levels = int(counts.sum())
     full_rows = int(counts[:size // block_size].sum())
-    tail_rows = num_levels - full_rows
-    end = (start + 4 * num_levels + (block_size + 3) // 4 * full_rows
-           + (size % block_size + 3) // 4 * tail_rows)
-    return full_rows, end
+    runs = ((full_rows, block_size), (int(counts.sum()) - full_rows, size % block_size))
+    return [(rows, width) for rows, width in runs if rows]
 
 
 def _layer_index_and_payload(layer: QuantizedLayer) -> tuple[dict, list[bytes]]:
-    full_rows = _layout(layer.counts, layer.block_size, layer.num_weights, 0)[0]
-    payload = [layer.alphas.astype("<f4").tobytes(),
-               pack_signs(layer.signs[:full_rows, :layer.block_size]),
-               pack_signs(layer.signs[full_rows:, :layer.num_weights % layer.block_size])]
+    payload, at = [layer.alphas.astype("<f4").tobytes()], 0
+    for rows, width in _sign_runs(layer.counts, layer.block_size, layer.num_weights):
+        payload.append(pack_signs(layer.signs[at:at + rows, :width]))
+        at += rows
     crc = 0
     for part in payload:
         crc = zlib.crc32(part, crc)
@@ -200,7 +198,9 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLay
             (counts < 1) | (counts > len(blob))):
         raise FormatError(f"layer {name!r}: levels_per_block must hold {num_blocks} "
                           f"integer counts from 1 to the blob size")
-    full_rows, end = _layout(counts, block_size, size, start)
+    runs = _sign_runs(counts, block_size, size)
+    signs_at = start + 4 * int(counts.sum())
+    end = signs_at + sum(rows * ((width + 3) // 4) for rows, width in runs)
     if end > len(blob):
         raise FormatError(f"layer {name!r}: truncated payload")
     crc = entry["crc32"]
@@ -210,18 +210,16 @@ def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLay
     if zlib.crc32(blob[start:end]) != crc:
         raise FormatError(f"layer {name!r}: the payload fails its CRC32")
 
-    num_levels = int(counts.sum())
-    signs_at = start + 4 * num_levels
     alphas = blob[start:signs_at].view("<f4")
-    signs = np.zeros((num_levels, min(block_size, size)), dtype=np.int8)
-    nonzero = np.zeros(num_levels, dtype=bool)
-    split = signs_at + full_rows * ((block_size + 3) // 4)
-    for rows, n, part in ((slice(None, full_rows), block_size, blob[signs_at:split]),
-                          (slice(full_rows, None), size % block_size, blob[split:end])):
-        if part.size:
-            packed = _checked_rows(part.reshape(-1, (n + 3) // 4), n)
-            nonzero[rows] = _nonzero_rows(packed)
-            _decode_into(signs[rows, :n], packed)
+    signs = np.zeros((len(alphas), min(block_size, size)), dtype=np.int8)
+    nonzero = np.zeros(len(alphas), dtype=bool)
+    at, row = signs_at, 0
+    for rows, width in runs:
+        part = blob[at:at + rows * ((width + 3) // 4)]
+        packed = _checked_rows(part.reshape(rows, -1), width)
+        nonzero[row:row + rows] = _nonzero_rows(packed)
+        _decode_into(signs[row:row + rows, :width], packed)
+        at, row = at + part.size, row + rows
     if not np.all(np.isfinite(alphas) & ~np.signbit(alphas)) or np.any(
             (alphas == 0) == nonzero):
         raise FormatError(

@@ -62,6 +62,7 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,6 +80,8 @@ CHUNK_BYTES = 256 << 10  # a fit chunk's float64 (blocks, N) work arrays stay ne
 # more blocks to top-ups. No result depends on it.
 L1_DROP_SAFETY = 1.0
 _PW_SPAN = 128  # numpy sums at most this many elements without halving
+FLOAT32_MIN_EXPONENT = -149  # 2^-149 is the smallest float32 above 0
+FLOAT32_MAX_EXPONENT = 121  # a peak past 127 * 2^121 needs step 2^122 and rounds to 2^128
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,28 +654,34 @@ def downgrade(
 
 
 def fixed_point_exponent(peak: float) -> int:
-    """The smallest integer e with ``peak <= 127 * 2^e``, for ``peak > 0``.
+    """The smallest integer e with ``peak <= 127 * 2^e``, for a finite ``peak > 0``.
 
     ``2^e`` is the step of the 8-bit dynamic fixed-point grid covering
-    ``[-peak, peak]``.
+    ``[-peak, peak]``. With ``peak = m * 2^k`` and ``1/2 <= m < 1``, e is
+    ``k - 7`` if ``128 * m <= 127`` and ``k - 6`` if not; both tests are exact.
     """
-    e = int(np.ceil(np.log2(peak / 127.0)))
-    while peak > 127.0 * 2.0 ** e:  # guard against log2 rounding
-        e += 1
-    while peak <= 127.0 * 2.0 ** (e - 1):
-        e -= 1
-    return e
+    m, k = math.frexp(peak)
+    return k - 7 if m * 128.0 <= 127.0 else k - 6
 
 
-def snap_8bit(values: np.ndarray, exponent: int) -> np.ndarray:
-    """``clip(round(v / 2^e), -128, 127) * 2^e`` for every v, in the dtype of
-    ``values``; a float32 step ``2^e`` is 0 below e = -149."""
-    step = values.dtype.type(2.0 ** exponent)
+def snap_8bit(values: np.ndarray, peak: float) -> tuple[np.ndarray, int]:
+    """Round float32 ``values`` onto the 8-bit grid covering ``[-peak, peak]``.
+
+    Returns ``clip(round(v / 2^e), -128, 127) * 2^e`` for every v, and e, the
+    ``fixed_point_exponent`` of ``peak > 0`` raised to -149: every float32 is
+    a whole multiple of 2^-149, so a finer grid would change nothing. A peak
+    past ``127 * 2^121``, whose step would round it to 2^128, raises ``ValueError``.
+    """
+    if not peak <= 127.0 * 2.0 ** FLOAT32_MAX_EXPONENT:
+        raise ValueError(f"cannot snap values beyond 127 * 2^{FLOAT32_MAX_EXPONENT} onto "
+                         f"a float32 8-bit grid, peak {peak:.9g}")
+    e = max(fixed_point_exponent(peak), FLOAT32_MIN_EXPONENT)
+    step = np.float32(2.0 ** e)
     out = np.divide(values, step, out=np.empty_like(values))
     np.round(out, out=out)
     np.clip(out, -128, 127, out=out)
     out *= step
-    return out
+    return out, e
 
 
 def quantize_scales_8bit(
@@ -681,10 +690,11 @@ def quantize_scales_8bit(
     """Snap every scaling factor to dynamic fixed point with 8-bit mantissa.
 
     Per layer, a shared power-of-two step makes the largest alpha fit in 127
-    units: ``alpha_hat = snap_8bit(alpha, e)``, computed in float64. A level
-    whose alpha snaps to zero loses its signs. Deltas are recomputed from the
-    modified levels against the source tensors. Layers whose scales are all
-    zero pass through untouched.
+    units: ``alpha_hat = snap_8bit(alpha, max(alpha))``, the float32 grid of
+    ``quantize_activations``, so a scale past 127 * 2^121 raises ``ValueError``.
+    A level whose alpha snaps to zero loses its signs. Deltas are recomputed
+    from the modified levels against the source tensors. Layers whose scales
+    are all zero pass through untouched.
     """
     new_layers = []
     for l in model.layers:
@@ -692,8 +702,7 @@ def quantize_scales_8bit(
         if amax == 0.0:
             new_layers.append(l)
             continue
-        e = fixed_point_exponent(amax)
-        alphas = snap_8bit(l.alphas.astype(np.float64), e).astype(np.float32)
+        alphas = snap_8bit(l.alphas, amax)[0]
         signs = np.where((alphas == 0.0)[:, None], np.int8(0), l.signs)
         probe = replace(l, alphas=alphas, signs=signs, trace=Trace())
         new_layers.append(replace(probe, delta=layer_delta(weights[l.layer], probe)))

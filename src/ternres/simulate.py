@@ -49,15 +49,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DecompositionError
 from .manifest import PARAMETRIC_KINDS, LayerDecl, ModelManifest, _check_weight_shape
 from .residual import QuantizedLayer, QuantizedModel, reconstruct
-from .residual import fixed_point_exponent, level_index, snap_8bit
+from .residual import level_index, snap_8bit
 from .tensors import Tensor
 
 DECOMPOSITION_RTOL = 1e-5
 CHUNK_BYTES = 4 << 20  # batch-chunked work arrays stay near this size
-FLOAT32_MIN_EXPONENT = -149  # 2^-149 is the smallest float32 above 0
-# A peak above 127 * 2^121 needs the step 2^122, which rounds the peak to
-# 64 * 2^122 = 2^128, past the largest float32.
-FLOAT32_MAX_EXPONENT = 121
 
 
 def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -65,11 +61,10 @@ def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, int]:
 
     Dynamic fixed point: returns the rounded values and the exponent e of the
     power-of-two step, the smallest integer with ``max|x| <= 127 * 2^e``, so
-    every element is off by at most ``2^(e-1)``. Below a peak of
-    ``127 * 2^-149`` the exponent stops at -149, the smallest float32 step:
-    every float32 is a whole multiple of it, so such inputs come back as
-    they are. A peak above ``127 * 2^121`` has no grid in float32 and
-    raises ``ValueError``, as a non-finite one does.
+    every element is off by at most ``2^(e-1)``. The grid is ``snap_8bit``'s,
+    which the scaling factors use too: below a peak of ``127 * 2^-149`` the
+    exponent stops at -149 and such inputs come back as they are, and a peak
+    above ``127 * 2^121`` raises ``ValueError``, as a non-finite one does.
     """
     x = np.asarray(x, dtype=np.float32)
     peak = float(max(x.max(), -x.min())) if x.size else 0.0
@@ -77,11 +72,7 @@ def quantize_activations(x: np.ndarray) -> tuple[np.ndarray, int]:
         raise ValueError("cannot quantize non-finite activations")
     if peak == 0.0:
         return x.copy(), 0
-    e = max(fixed_point_exponent(peak), FLOAT32_MIN_EXPONENT)
-    if e > FLOAT32_MAX_EXPONENT:
-        raise ValueError(f"cannot quantize activations beyond 127 * 2^{FLOAT32_MAX_EXPONENT} "
-                         f"in float32, peak {peak:.9g}")
-    return snap_8bit(x, e), e
+    return snap_8bit(x, peak)
 
 
 # ---------------------------------------------------------------------------

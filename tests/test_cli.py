@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from ternres import (
+    LayerDecl,
+    ModelManifest,
     QuantizedModel,
     Tensor,
     convert_model,
@@ -287,6 +289,24 @@ def test_quantize_scales_report_keeps_flop_weighting(net_dir, capsys):
     assert "FLOP-weighted compute factor" in capsys.readouterr().out
     weighted = json.loads(report.read_text())["totals"]["compute_factor_weighted"]
     assert weighted is not None and weighted >= 1.0
+
+
+def test_scales_past_the_float32_grid_exit_2_without_output(tmp_path, capsys):
+    # The weights are finite, but their scale 3.39e38 has no float32 8-bit grid.
+    signs = np.where(np.random.default_rng(5).random((4, 8)) < 0.5, -1.0, 1.0)
+    manifest = ModelManifest((LayerDecl("fc", "fc", weight_ref="fc.w.npy"),),
+                             input_shape=(8,))
+    weights = {"fc": (Tensor("fc", (3.39e38 * signs).astype(np.float32)), None)}
+    manifest_path = write_net(manifest, weights, tmp_path / "net")
+    outputs = [tmp_path / name for name in ("out.tq", "r.json", "t.csv")]
+    assert main(["quantize", "-m", manifest_path, "--eps", "0.5", "--quantize-scales",
+                 "--trace", str(outputs[2]), "--report", str(outputs[1]),
+                 "-o", str(outputs[0])]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "beyond 127 * 2^121" in out.err
+    assert not any(path.exists() for path in outputs)
 
 
 def test_stats_closed_form(capsys):

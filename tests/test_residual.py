@@ -2,6 +2,8 @@
 
 import csv
 import heapq
+import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -35,6 +37,7 @@ from ternres.residual import (
     write_trace_csv,
 )
 from ternres import residual, ternary
+from ternres.simulate import quantize_activations
 from ternres.tensors import partition_blocks
 from ternres.ternary import ternarize_rows
 
@@ -1341,17 +1344,52 @@ class TestQuantizeScales8bit:
         assert layer.delta == pytest.approx(layer_delta(w, layer), rel=1e-6)
 
     def test_fixed_point_exponent_at_the_grid_boundaries(self):
-        # Each peak 127 * 2^k of the float32 range and its two float
-        # neighbours; the exponent is checked in exact rational arithmetic.
-        undershot = 0
-        for k in range(-140, 120):
-            at = 127.0 * 2.0 ** k
-            for peak in (np.nextafter(at, 0.0), at, np.nextafter(at, np.inf)):
-                e = fixed_point_exponent(float(peak))
-                assert 127 * Fraction(2) ** (e - 1) < Fraction(peak) <= 127 * Fraction(2) ** e
-                undershot += int(np.ceil(np.log2(peak / 127.0))) < e
-        # Just above a boundary log2 rounds down to k, so the guard adds one.
-        assert undershot > 0
+        # Each peak 127 * 2^k that rounds to a positive finite double and its
+        # two nonzero neighbours, subnormals included, then the smallest and
+        # the largest double; the exponent is checked in exact rational
+        # arithmetic.
+        peaks = [5e-324, sys.float_info.max]
+        for k in range(-1081, 1018):
+            at = math.ldexp(127.0, k)
+            peaks += [p for p in (math.nextafter(at, 0.0), at, math.nextafter(at, math.inf))
+                      if p > 0.0]
+        assert all(map(math.isfinite, peaks))
+        for peak in peaks:
+            e = fixed_point_exponent(peak)
+            assert 127 * Fraction(2) ** (e - 1) < Fraction(peak) <= 127 * Fraction(2) ** e
+
+    def test_a_scale_past_the_float32_grid_is_rejected(self):
+        # The weights are finite, but on the step 2^122 their scale would round to 2^128.
+        signs = np.random.default_rng(25).choice([-1.0, 1.0], 32)
+        t = Tensor("w", (3.39e38 * signs).astype(np.float32))
+        model = QuantizedModel({}, (ternary_residual(t, 8, epsilon=0.5),), {})
+        with pytest.raises(ValueError, match=r"beyond 127 \* 2\^121"):
+            quantize_scales_8bit(model, {"w": t})
+
+    def test_a_scale_at_the_float32_grid_edge_keeps_its_bits(self):
+        edge = np.float32(127 * 2.0 ** 121)
+        signs = np.random.default_rng(26).choice([-1.0, 1.0], 32)
+        t = Tensor("w", (edge * signs).astype(np.float32))
+        layer = ternary_residual(t, 8, epsilon=0.5)
+        q = quantize_scales_8bit(QuantizedModel({}, (layer,), {}), {"w": t}).layers[0]
+        assert np.all(layer.alphas == edge)
+        assert q.alphas.tobytes() == layer.alphas.tobytes()
+
+    def test_scales_snap_onto_the_activation_grid(self):
+        # One grid rule serves both quantizers, from subnormal scales to the
+        # float32 grid's edge.
+        rng = np.random.default_rng(27)
+        peaks = []
+        for i, magnitude in enumerate(np.geomspace(3.3e38, 1e-44, 400)):
+            n, block = int(rng.integers(1, 200)), int(rng.choice([1, 3, 8, 16, 64]))
+            low = 1.0 if i % 4 == 0 else rng.uniform(0.0, 0.9)  # 1.0: all one magnitude
+            w = rng.choice([-1.0, 1.0], n) * rng.uniform(low, 1.0, n)
+            t = Tensor("w", (magnitude * w).astype(np.float32))
+            layer = ternary_residual(t, block, epsilon_sq=float(rng.choice([1.0, 0.1, 0.01])))
+            q = quantize_scales_8bit(QuantizedModel({}, (layer,), {}), {"w": t}).layers[0]
+            assert q.alphas.tobytes() == quantize_activations(layer.alphas)[0].tobytes()
+            peaks.append(float(layer.alphas.max()))
+        assert min(peaks) < 1e-44 and max(peaks) > 3.2e38
 
 
 class TestRejectedInputs:
