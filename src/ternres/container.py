@@ -181,7 +181,7 @@ def save_quantized(model: QuantizedModel, path) -> None:
 
 def _read_layer(entry: dict, blob: np.ndarray, start: int) -> tuple[QuantizedLayer, int]:
     """One layer whose payload starts at ``start``, and where its payload ends."""
-    name, exhausted = entry["name"], entry.get("exhausted", False)
+    name, exhausted = entry["name"], entry["exhausted"]
     if not (isinstance(name, str) and isinstance(exhausted, bool)):
         raise FormatError(f"layer {name!r} (exhausted {exhausted!r}): the name must "
                           f"be a string and exhausted true or false")
@@ -272,7 +272,10 @@ def load_quantized(path) -> QuantizedModel:
     stored = index.get("format_version")
     if type(stored) is not int or stored != FORMAT_VERSION:
         raise FormatError(f"{path}: format_version {stored!r}, expected {FORMAT_VERSION}")
-    manifest_doc, provenance = index.get("manifest", {}), index.get("provenance", {})
+    missing = [key for key in ("manifest", "provenance", "layers") if key not in index]
+    if missing:
+        raise FormatError(f"{path}: the index has no {missing[0]!r} key")
+    manifest_doc, provenance = index["manifest"], index["provenance"]
     if not (isinstance(manifest_doc, dict) and isinstance(provenance, dict)):
         raise FormatError(f"{path}: manifest and provenance must be JSON objects")
     if manifest_doc:

@@ -81,16 +81,14 @@ def power_perf_gain(x: float, compute_factor: float, block_size: int) -> float:
 def throughput_gains(c_ratio: float, block_size: int, level_factor: float) -> tuple[float, float]:
     """(compute-bound, bandwidth-bound) throughput gains over 8-8.
 
-    ``c_ratio`` is the cost of an 8-8 op in 8-2 ops; ``level_factor`` is the
-    average number of levels per block (r+1).
+    ``c_ratio`` is the cost of an 8-8 op in 8-2 ops, the X of the compute-bound
+    ``power_perf_gain``; ``level_factor`` is the average levels per block (r+1).
     """
     if not 1 < c_ratio < math.inf:  # written so that NaN fails too
         raise ValueError(f"c_ratio must be a finite number above 1, got {c_ratio}")
-    if block_size < 1:
-        raise ValueError("block size must be >= 1")
     if not level_factor >= 1:
         raise ValueError("level factor must be >= 1")
-    pi_c = c_ratio / (level_factor * (c_ratio / block_size + 1.0))
+    pi_c = power_perf_gain(c_ratio, level_factor, block_size)
     pi_m = 4.0 / (level_factor * (1.0 / block_size + 1.0))
     return pi_c, pi_m
 

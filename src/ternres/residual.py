@@ -25,7 +25,8 @@ and gives, bit for bit, what the one-step-at-a-time loop gives:
   lowest block), which is a heap over each block's chain of errors, so the
   accept order is ``chain_order(-errs, live)``: two default sorts of the
   finite negated errors' running maxima give its stable order. A key exists
-  while ``d + 1 < r_max`` and the block's errors are positive.
+  while ``d + 1 < r_max`` and the block's errors are positive; a zero scale
+  halts the merge (a stop rule), ahead of every later key of its block.
 - Rounds. Key (k, d) can be sorted once level d of block k is fitted, and
   taken once level d + 1 is too. The sortable keys not yet taken, in order,
   hold up to the first key whose next level is not fitted; that prefix is
@@ -452,8 +453,7 @@ def ternary_residual(
         # The keys not yet accepted in the loop's order, up to the first key
         # whose next level is not fitted yet.
         cols = np.arange(errs.shape[1])
-        ok = (errs > 0.0) & ((alphas != 0.0) | (cols == 0))
-        live = np.logical_and.accumulate(ok, axis=1) & (cols + 1 < r_max)
+        live = np.logical_and.accumulate(errs > 0.0, axis=1) & (cols + 1 < r_max)
         kb, kd = chain_order(-errs, live & (cols + 1 >= counts[:, None]))
         unfitted = kd + 1 == fitted[kb]
         stop = int(np.argmax(unfitted)) if unfitted.any() else len(kb)
@@ -691,10 +691,10 @@ def quantize_scales_8bit(
 
     Per layer, a shared power-of-two step makes the largest alpha fit in 127
     units: ``alpha_hat = snap_8bit(alpha, max(alpha))``, the float32 grid of
-    ``quantize_activations``, so a scale past 127 * 2^121 raises ``ValueError``.
-    A level whose alpha snaps to zero loses its signs. Deltas are recomputed
-    from the modified levels against the source tensors. Layers whose scales
-    are all zero pass through untouched.
+    ``quantize_activations``, so a scale past 127 * 2^121 raises ``ValueError``
+    naming the layer. A level whose alpha snaps to zero loses its signs. Deltas
+    are recomputed from the modified levels against the source tensors. Layers
+    whose scales are all zero pass through untouched.
     """
     new_layers = []
     for l in model.layers:
@@ -702,7 +702,10 @@ def quantize_scales_8bit(
         if amax == 0.0:
             new_layers.append(l)
             continue
-        alphas = snap_8bit(l.alphas, amax)[0]
+        try:
+            alphas = snap_8bit(l.alphas, amax)[0]
+        except ValueError as exc:
+            raise ValueError(f"layer {l.layer!r}: {exc}") from exc
         signs = np.where((alphas == 0.0)[:, None], np.int8(0), l.signs)
         probe = replace(l, alphas=alphas, signs=signs, trace=Trace())
         new_layers.append(replace(probe, delta=layer_delta(weights[l.layer], probe)))

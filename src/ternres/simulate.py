@@ -40,7 +40,7 @@ import threading
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -260,9 +260,10 @@ def _weight_arrays(weights, layer: LayerDecl):
 
 
 def _ratio(num: float, den: float) -> float:
-    if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return num / den
+    """``num / den``; a zero ``num`` reads 0 over any ``den``, NaN included."""
+    if num == 0.0:
+        return 0.0
+    return np.inf if den == 0.0 else num / den
 
 
 def _sq_norm(a: np.ndarray, b: np.ndarray | None = None) -> float:
@@ -436,7 +437,9 @@ class PerturbationTrace:
 
 
 def _helper_layer_norms(clean_f: Future, li: int, out: np.ndarray) -> tuple[float, float]:
-    """``||clean_li||`` and ``||clean_li - out||`` for layer ``li``."""
+    """``||clean_li||`` and ``||clean_li - out||``; at li -1, the input, ``||out||`` and 0."""
+    if li < 0:
+        return math.sqrt(_sq_norm(out)), 0.0
     clean = clean_f.result()[li]
     return math.sqrt(_sq_norm(clean)), math.sqrt(_sq_norm(clean, out))
 
@@ -486,18 +489,16 @@ def forward_quantized(
     # The one worker runs its tasks in order, so a layer's norms find the clean pass done.
     clean_f = pool.submit(forward, manifest, weights, cur)
     try:
-        input_sq = pool.submit(_sq_norm, cur) if act_quant else None
-        gaps, layer_norms, epsilons, acts = [], [], [], []
+        gaps, layer_norms, epsilons, acts = [], [], [0.0], []
         on_grid = False  # cur is the output of a relu or maxpool over a quantized input
         for li, layer in enumerate(manifest.layers):
-            x_in = cur
+            x_in, gap = cur, None
             if act_quant and not on_grid:
                 x_in, _ = quantize_activations(cur)
-                gaps.append(pool.submit(_sq_norm, cur, x_in))
-            else:
-                gaps.append(None)
-            if li:  # layer li-1's norms go after the gap task, which frees x_in sooner
-                layer_norms.append(pool.submit(_helper_layer_norms, clean_f, li - 1, cur))
+                gap = pool.submit(_sq_norm, cur, x_in)
+            gaps.append(gap)
+            # layer li-1's norms (the input's at li 0) follow the gap task: x_in frees sooner
+            layer_norms.append(pool.submit(_helper_layer_norms, clean_f, li - 1, cur))
             w, b = _weight_arrays(weights, layer)
             epsilon = 0.0
             if layer.weight_ref is not None and layer.name in qlayers:
@@ -518,19 +519,18 @@ def forward_quantized(
             acts.append(cur)
             epsilons.append(epsilon)
         layer_norms.append(pool.submit(_helper_layer_norms, clean_f, len(acts) - 1, cur))
+        gaps.append(None)  # the logits feed no layer
 
-        # ref_norm is the norm of the clean activation handed to the next
-        # layer, the input's before layer 0; gamma of entry li is the
-        # quantization error of the activation handed to layer li over it.
-        ref_norm = math.sqrt(input_sq.result()) if act_quant else 0.0
-        entries = [TraceEntry(0, "input", "input", 0.0, 0.0, 0.0)]
-        for li, layer in enumerate(manifest.layers):
-            if act_quant:
-                gap = 0.0 if gaps[li] is None else math.sqrt(gaps[li].result())
-                entries[li] = replace(entries[li], gamma=_ratio(gap, ref_norm))
-            ref_norm, gap = layer_norms[li].result()
-            entries.append(TraceEntry(li + 1, layer.name, layer.kind, _ratio(gap, ref_norm),
-                                      0.0, epsilons[li]))
+        # Entry i is the input (i = 0) or layer i-1's output; ref_norm is the
+        # norm of that clean activation, and gamma is the quantization error
+        # of the activation handed to layer i over it.
+        entries = []
+        names = [("input", "input")] + [(l.name, l.kind) for l in manifest.layers]
+        for i, (name, kind) in enumerate(names):
+            gap = 0.0 if gaps[i] is None else math.sqrt(gaps[i].result())
+            ref_norm, drift = layer_norms[i].result()
+            entries.append(TraceEntry(i, name, kind, _ratio(drift, ref_norm),
+                                      _ratio(gap, ref_norm), epsilons[i]))
     except BaseException:
         # Raise what a serial pass would have: the clean pass ran first. A
         # weight the reference pass rejects explains the rest.

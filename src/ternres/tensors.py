@@ -53,22 +53,15 @@ class BlockView:
 
 
 def partition_blocks(t: Tensor, block_size: int) -> list[BlockView]:
-    """Split the unrolled tensor into ceil(len/N) contiguous blocks.
-
-    All blocks have length ``block_size`` except possibly the last, which
-    holds the remainder.
-    """
+    """Split the unrolled tensor into its ``block_lengths`` blocks."""
     if block_size < 1:
         raise ValueError(f"block size must be >= 1, got {block_size}")
-    n = t.size
-    blocks = []
-    for k, start in enumerate(range(0, n, block_size)):
-        blocks.append(BlockView(t.name, k, start, min(block_size, n - start)))
-    return blocks
+    lengths = block_lengths(t.size, block_size).tolist()
+    return [BlockView(t.name, k, k * int(block_size), n) for k, n in enumerate(lengths)]
 
 
 def block_lengths(size: int, block_size: int) -> np.ndarray:
-    """Lengths of the ``partition_blocks`` blocks of a ``size``-weight tensor."""
+    """Lengths of the ceil(size/N) contiguous blocks: N each, the last holding the rest."""
     starts = np.arange(0, size, block_size, dtype=np.int64)
     return np.minimum(block_size, size - starts)
 

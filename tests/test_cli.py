@@ -305,7 +305,7 @@ def test_scales_past_the_float32_grid_exit_2_without_output(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
-    assert "beyond 127 * 2^121" in out.err
+    assert "layer 'fc'" in out.err and "beyond 127 * 2^121" in out.err
     assert not any(path.exists() for path in outputs)
 
 

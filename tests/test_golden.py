@@ -9,11 +9,13 @@ threading can reorder a sum.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from ternres import (
+    ConvergenceError,
     QuantizedModel,
     Tensor,
     convert_model,
@@ -147,3 +149,75 @@ def test_trace_csv_digest(case, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(list(GOLDEN[case][0]().layers), path)
     assert _sha(path.read_bytes()) == TRACE_CSV[case]
+
+
+RANDOM_MODELS = "2bca1f1e83f39dce5a7247b951ecff1a7ab2c07540713b9d9c6499f9890fbdb1"
+
+
+def _random_layer(rng, name):
+    """A seeded layer of at most 4,096 weights and the settings to convert it."""
+    rows = int(rng.integers(1, 65)) if rng.random() < 0.5 else 1
+    shape = (rows, int(rng.integers(1, 4096 // rows + 1)))
+    if rows == 1 and rng.random() < 0.5:
+        shape = shape[1:]
+    kind = rng.choice(["normal", "student_t", "decades", "sparse", "few_values", "zero"],
+                      p=[0.3, 0.15, 0.1, 0.15, 0.15, 0.15])
+    if kind == "normal":
+        data = rng.normal(size=shape)
+    elif kind == "decades":  # blocks too small to move delta stall it
+        data = rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 0, size=shape)
+    elif kind == "student_t":  # heavy tails push blocks to r_max
+        data = rng.standard_t(2, size=shape)
+    elif kind == "sparse":  # all-zero blocks fit levels of scale 0
+        data = rng.normal(size=shape) * (rng.random(shape) < 0.1)
+    elif kind == "few_values":  # residuals that reach exactly 0
+        data = rng.integers(-3, 4, size=shape).astype(np.float64)
+    else:
+        data = np.zeros(shape)
+    # Now and then float32 subnormals, at the bottom of the scales' range.
+    scale = 1e-42 if rng.random() < 0.05 else 10.0 ** rng.uniform(-3, 3)
+    data = (data * scale).astype(np.float32)
+    block = int(rng.choice([1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64, 100, 1000]))
+    # Now and then a tolerance past float32's reach, which ends in a stall,
+    # a zero residual or ConvergenceError.
+    low = -300 if rng.random() < 0.1 else -6
+    eps_sq = float(10.0 ** rng.uniform(low, math.log10(0.3)))
+    return Tensor(name, data), block, eps_sq, int(rng.integers(1, 17))
+
+
+def _random_models_digest(count: int, path) -> str:
+    """SHA-256 over ``count`` seeded random models: each converted layer's
+    greedy log and each model's saved bytes, 30% of them with snapped scales
+    and 40% downgraded to a budget between their base and full level counts,
+    and the message of each conversion that raises ConvergenceError."""
+    rng = np.random.default_rng(39)
+    digest = hashlib.sha256()
+    for _ in range(count):
+        layers, weights = [], {}
+        for j in range(int(rng.integers(1, 4))):
+            t, block, eps_sq, r_max = _random_layer(rng, f"l{j}")
+            try:
+                layer = ternary_residual(t, block, epsilon_sq=eps_sq, r_max=r_max)
+            except ConvergenceError as exc:
+                digest.update(str(exc).encode())
+                continue
+            for part in (layer.trace.blocks, layer.trace.e_before, layer.trace.deltas):
+                digest.update(part.tobytes())
+            layers.append(layer)
+            weights[t.name] = t
+        model = QuantizedModel({}, tuple(layers), {})
+        if rng.random() < 0.3:
+            model = quantize_scales_8bit(model, weights)
+        if rng.random() < 0.4:
+            keep = int(rng.integers(model.num_blocks, model.num_levels + 1))
+            model = downgrade(model, keep_levels=keep)
+        save_quantized(model, path)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_random_models_digest(tmp_path):
+    """200 seeded random models, N from 1 to 1000 with ragged tails, heavy
+    tails, sparse and all-zero layers, eps^2 from 1e-6 to 0.3 and r_max from
+    1 to 16, hash to the pinned digest."""
+    assert _random_models_digest(200, tmp_path / "m.tq") == RANDOM_MODELS

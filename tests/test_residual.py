@@ -199,6 +199,18 @@ class TestBatchedMatchesSequential:
         t = Tensor("w", np.zeros(100, dtype=np.float32))
         assert self.assert_same(t, 16, 0.01) == "converged"
 
+    def test_a_zero_residual_above_the_tolerance_runs_out_of_keys(self):
+        # Two levels leave a residual of exactly 0, but the replayed delta
+        # squares the old error with ``np.float_power``, an ulp below
+        # ``old * old``, and reads 1.2e-17 > eps^2. A block at error 0 has no
+        # key, so the order runs out of keys with no capped block carrying
+        # error, and the layer is exhausted, as in the sequential loop.
+        r = np.float32(1.3629854)
+        t = Tensor("w", np.array([3 * r, 3 * r, r, r], dtype=np.float32))
+        assert self.assert_same(t, 4, 1e-300, r_max=4) == "exhausted"
+        layer = ternary_residual(t, 4, epsilon_sq=1e-300, r_max=4)
+        assert layer.levels_per_block() == [2] and 0.0 < layer.delta < 2e-17
+
     def test_random_layers(self):
         rng = np.random.default_rng(43)
         for _ in range(20):

@@ -332,6 +332,19 @@ class TestForwardQuantized:
         assert all(e.delta == 0.0 for e in trace.entries)
         assert np.array_equal(logits, forward(manifest, weights, x)[-1])
 
+    def test_the_input_entry_reads_zero_beside_a_nan_input(self):
+        # Entry 0 is the input both sides share, so its delta and gamma are 0
+        # by construction, also where the input's norm is NaN.
+        rng = np.random.default_rng(4)
+        manifest, weights = mlp_net(rng)
+        model = _convert(manifest, weights, 16, 0.05)
+        x = rng.normal(size=(2, 48)).astype(np.float32)
+        x[0, 0] = np.nan
+        _, _, trace = forward_quantized(manifest, weights, model, x)
+        assert trace.to_rows()[0] == {"layer": 0, "name": "input", "kind": "input",
+                                      "delta": 0.0, "gamma": 0.0, "epsilon": 0.0}
+        assert all(np.isnan(e.delta) for e in trace.entries[1:])
+
     def test_act_quant_only_gamma_bound(self):
         # FP32 weights via an exactly-representable fixture: all measured
         # perturbation comes from activation rounding, and each gamma obeys

@@ -464,6 +464,29 @@ def test_malformed_header_or_index_is_a_format_error(tmp_path, damage, match):
                  "-o", str(tmp_path / "out.tq")]) == 1
 
 
+_INDEX_KEYS = ["format_version", "layers", "manifest", "provenance"]
+_LAYER_KEYS = ["N", "crc32", "delta", "epsilon_sq", "exhausted", "levels_per_block",
+               "name", "shape", "source_norm_sq"]
+
+
+@pytest.mark.parametrize("where, key", [("index", k) for k in _INDEX_KEYS]
+                         + [("layer", k) for k in _LAYER_KEYS])
+def test_a_missing_index_key_is_a_format_error(tmp_path, where, key):
+    # The reader requires every key the writer writes, none read as a default.
+    path = tmp_path / "m.tq"
+    model = _two_layer_container(path)
+    index, _, blob = _split_container(path)
+    assert (sorted(index), sorted(index["layers"][1])) == (_INDEX_KEYS, _LAYER_KEYS)
+    del (index if where == "index" else index["layers"][1])[key]
+    path.write_bytes(join_container(_as_json(index), blob))
+    with pytest.raises(FormatError, match=key):
+        load_quantized(path)
+    assert main(["stats", str(path)]) == 1
+    assert main(["downgrade", str(path), "--keep-levels", str(model.num_blocks),
+                 "-o", str(tmp_path / "out.tq")]) == 1
+    assert not (tmp_path / "out.tq").exists()
+
+
 def _edit_layers(edit):
     """Damage a container by ``edit(layer_0_entry, layer_1_entry)`` in place."""
     def damage(path):
